@@ -24,7 +24,7 @@ SEEDS = 2
 
 def main() -> None:
     print(f"attention scenes at T in {GRID}, {SEEDS} seeds per size")
-    print("(context width 16 T, head width T, query/key std 0.65)")
+    print("(Q and K drawn i.i.d. Gaussian, head width T, query/key std 0.65)")
     print()
     report = cardy_experiment(t_grid=GRID, seeds=SEEDS)
     print(f"{'T':>5} {'S(A) nats':>10} {'S/ln T':>8}")

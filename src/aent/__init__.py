@@ -3,9 +3,13 @@
 The package treats a matrix as a pure state on a chain of prime-sized
 sites, computes the Schmidt spectrum at every cut with a sequential SVD
 sweep, and compares the resulting entropy profiles against random-matrix
-baselines: the Page curve, the Marchenko-Pastur law, the quartercircle
-bulk of softmax attention with its log-scaling entropy law, and the rank
-bound that makes low-rank adapter updates form an entanglement valley.
+baselines: the Page curve, the Marchenko-Pastur law, the log-scaling
+entropy law of softmax attention, and the rank bound that makes low-rank
+adapter updates form an entanglement valley.  The singular values of
+the attention bulk A - (1/T) 11^T approach the quartercircle law only
+when the head width d_qk is much larger than T.  At the default
+d_qk = T they do not: their KS distance to it stays near 0.13 from
+T = 256 to 1024, with m4 / (2 m2^2) near 1.42 instead of 1.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .attention import (
     apply_rope,
     attention_matrix,
     mask_ablation,
-    orthonormal_context,
     outlier_bulk_split,
     output_operator,
 )
@@ -131,7 +134,6 @@ __all__ = [
     "mps_adapter_materialize",
     "mps_adapter_update",
     "normalize_spectrum",
-    "orthonormal_context",
     "outlier_bulk_split",
     "output_collapse_check",
     "output_operator",

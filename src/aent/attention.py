@@ -1,8 +1,10 @@
 """Synthetic single-layer softmax attention at isotropic initialization.
 
-The context matrix X0 has exactly orthonormal rows, so Q = X0 @ W_Q has
-i.i.d. Gaussian entries with the per-entry standard deviation of W_Q,
-whatever the context dim.  Query/key weights default to std 0.65, which
+Queries, keys and values are drawn directly as i.i.d. Gaussian matrices:
+Q and K of shape (T, d_qk) with entry std ``qk_std``, V of shape
+(T, d_v) with entry std ``v_std``.  This is the exact law of X @ W for
+any context X with orthonormal rows and Gaussian weights W, so no
+context is simulated.  Query/key entries default to std 0.65, which
 puts the logit std near 0.42 after the 1/sqrt(d_qk) scaling and the
 off-mean-field Frobenius mass near 0.2: strong enough that the
 entanglement log-scaling is measurable, weak enough that the profile
@@ -10,9 +12,9 @@ stays in the area-law regime.  The head width defaults to T itself so
 the rescaled bulk spectrum of A - (1/T) 11^T is the same law at every
 sequence length; with a fixed head width the per-row softmax
 temperatures spread as T grows and the bulk moments drift.  Value
-weights default to variance 1/d so that V V^T approximates the
-identity when d_v is large.  All scales are recorded in the scene
-because the bulk spread depends on them.
+entries default to variance 1/d so that V V^T approximates the identity
+when d_v = d is large.  All scales are recorded in the scene because the
+bulk spread depends on them.
 """
 
 from __future__ import annotations
@@ -26,26 +28,22 @@ from .entropy import EntanglementProfile, profile
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .rmt import check_row_stochastic
 
-#: Default per-entry standard deviation of W_Q and W_K.
+#: Default per-entry standard deviation of Q and K.
 DEFAULT_QK_STD = 0.65
 
 
-def orthonormal_context(t: int, d: int, seed) -> np.ndarray:
-    """(T, d) matrix with orthonormal rows from a QR'd Gaussian draw.
+def _gaussian_qk(rng: np.random.Generator, t: int, d_qk: int, qk_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """Independent (T, d_qk) query and key matrices with i.i.d. N(0, qk_std^2) entries.
 
-    ``seed`` may be anything ``numpy.random.default_rng`` accepts,
-    including an existing generator.
+    Q is drawn from ``rng`` before K.
     """
     if t < 1:
         raise InvalidArgumentError(f"T must be >= 1, got {t}")
-    if t > d:
-        raise InvalidArgumentError(f"need T <= d for orthonormal rows, got {t} > {d}")
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((d, t))
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return (q * signs).T
+    if not (math.isfinite(qk_std) and qk_std >= 0.0):
+        raise InvalidArgumentError(f"qk_std must be finite and >= 0, got {qk_std}")
+    q = qk_std * rng.standard_normal((t, d_qk))
+    k = qk_std * rng.standard_normal((t, d_qk))
+    return q, k
 
 
 def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.ndarray:
@@ -122,7 +120,11 @@ def output_operator(x) -> np.ndarray:
 
 @dataclass
 class AttentionScene:
-    """One single-head attention draw and everything derived from it."""
+    """One single-head attention draw and everything derived from it.
+
+    ``d`` is the model width; it sets only the defaults d_v = d and
+    v_std = 1/sqrt(d).
+    """
 
     t: int
     d: int
@@ -134,10 +136,6 @@ class AttentionScene:
     rope_theta: float
     qk_std: float
     v_std: float
-    x0: np.ndarray
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
     q: np.ndarray
     k: np.ndarray
     a: np.ndarray
@@ -163,17 +161,13 @@ class AttentionScene:
         if v_std is None:
             v_std = 1.0 / math.sqrt(d)
         rng = np.random.default_rng(seed)
-        x0 = orthonormal_context(t, d, rng)
-        w_q = qk_std * rng.standard_normal((d, d_qk))
-        w_k = qk_std * rng.standard_normal((d, d_qk))
-        w_v = v_std * rng.standard_normal((d, d_v))
-        q = x0 @ w_q
-        k = x0 @ w_k
+        q, k = _gaussian_qk(rng, t, d_qk, qk_std)
+        v = v_std * rng.standard_normal((t, d_v))
         if rope:
             q = apply_rope(q, rope_theta)
             k = apply_rope(k, rope_theta)
         a = attention_matrix(q, k, causal=causal)
-        x = a @ (x0 @ w_v)
+        x = a @ v
         return cls(
             t=t,
             d=d,
@@ -185,10 +179,6 @@ class AttentionScene:
             rope_theta=rope_theta,
             qk_std=qk_std,
             v_std=v_std,
-            x0=x0,
-            w_q=w_q,
-            w_k=w_k,
-            w_v=w_v,
             q=q,
             k=k,
             a=a,

@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .adapters import AdapterSpec
+from .attention import DEFAULT_QK_STD
 from .entropy import profile
 from .errors import (
     DegenerateInputError,
@@ -25,6 +26,7 @@ from .errors import (
 from .experiments import (
     REFERENCE_ADAPTER_SPECS,
     ExperimentReport,
+    _profile_rows,
     adapter_count_rows,
     attn_experiment,
     cardy_experiment,
@@ -110,23 +112,20 @@ def _parse_adapter_spec(text: str) -> AdapterSpec:
     if kind == "mps":
         kind = "mps_adapt"
     fields = _parse_int_list(rest, f"adapter spec {text!r}")
-    try:
-        if kind == "full" and len(fields) == 2:
-            return AdapterSpec(kind="full", d_out=fields[0], d_in=fields[1])
-        if kind == "lora" and len(fields) == 3:
-            return AdapterSpec(kind="lora", d_out=fields[0], d_in=fields[1], r=fields[2])
-        if kind == "mps_adapt" and len(fields) == 6:
-            return AdapterSpec(
-                kind="mps_adapt",
-                d_out=fields[0],
-                d_in=fields[1],
-                r=fields[2],
-                d1=fields[3],
-                d2=fields[4],
-                chi=fields[5],
-            )
-    except InvalidArgumentError:
-        raise
+    if kind == "full" and len(fields) == 2:
+        return AdapterSpec(kind="full", d_out=fields[0], d_in=fields[1])
+    if kind == "lora" and len(fields) == 3:
+        return AdapterSpec(kind="lora", d_out=fields[0], d_in=fields[1], r=fields[2])
+    if kind == "mps_adapt" and len(fields) == 6:
+        return AdapterSpec(
+            kind="mps_adapt",
+            d_out=fields[0],
+            d_in=fields[1],
+            r=fields[2],
+            d1=fields[3],
+            d2=fields[4],
+            chi=fields[5],
+        )
     raise InvalidArgumentError(
         f"adapter spec {text!r} not understood; use full:DOUT,DIN or "
         "lora:DOUT,DIN,R or mps:DOUT,DIN,R,D1,D2,CHI"
@@ -140,18 +139,6 @@ def _parse_adapter_spec(text: str) -> AdapterSpec:
 def _cmd_profile(args) -> int:
     matrix = read_matrix(args.input)
     prof = profile(matrix, chi_max=args.chi_max, base=args.base)
-    rows = [
-        {
-            "cut": rec.cut,
-            "d_left": rec.d_left,
-            "d_right": rec.d_right,
-            "chi": rec.chi,
-            "entropy": rec.entropy,
-            "renyi2": rec.renyi2,
-            "normalized": rec.normalized,
-        }
-        for rec in prof.records
-    ]
     report = ExperimentReport(
         name="profile",
         config={
@@ -159,7 +146,7 @@ def _cmd_profile(args) -> int:
             "chi_max": args.chi_max,
             "base": args.base,
         },
-        tables={"cuts": rows},
+        tables={"cuts": _profile_rows(prof)},
     )
     _emit(report, args.out, None)
     return EXIT_OK
@@ -182,8 +169,6 @@ def _cmd_cardy(args) -> int:
     grid = _parse_int_list(args.t_grid, "--T-grid")
     for t in grid:
         _require_power_of_two(t, "--T-grid entry", minimum=2)
-    if args.d_mult < 1:
-        raise InvalidArgumentError("--d-mult must be >= 1 so that T <= d")
     report = cardy_experiment(
         t_grid=tuple(grid),
         seeds=args.seeds,
@@ -291,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cardy", help="attention entropy log-scaling fit")
     p.add_argument("--T-grid", dest="t_grid", default="64,128,256,512,1024,2048")
     p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--d-mult", dest="d_mult", type=int, default=16)
-    p.add_argument("--qk-std", dest="qk_std", type=float, default=None)
+    p.add_argument("--d-mult", dest="d_mult", type=int, default=16, help="no effect on the draw; must be >= 1")
+    p.add_argument("--qk-std", dest="qk_std", type=float, default=DEFAULT_QK_STD)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(handler=_cmd_cardy)
@@ -323,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--causal", action="store_true")
     p.add_argument("--rope", action="store_true")
     p.add_argument("--rope-theta", dest="rope_theta", type=float, default=10000.0)
-    p.add_argument("--qk-std", dest="qk_std", type=float, default=None)
+    p.add_argument("--qk-std", dest="qk_std", type=float, default=DEFAULT_QK_STD)
     p.add_argument("--chi-max", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -345,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "qk_std", None) is None and hasattr(args, "qk_std"):
-        from .attention import DEFAULT_QK_STD
-
-        args.qk_std = DEFAULT_QK_STD
     try:
         return args.handler(args)
     except DegenerateInputError as exc:

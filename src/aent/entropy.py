@@ -40,6 +40,13 @@ def normalize_spectrum(sigmas) -> np.ndarray:
     return out / math.sqrt(float(np.dot(out, out)))
 
 
+def _log_base(base: float) -> float:
+    """ln(base), for a finite base > 0 other than 1."""
+    if not (math.isfinite(base) and base > 0.0 and base != 1.0):
+        raise InvalidArgumentError(f"log base must be finite, > 0 and != 1, got {base}")
+    return math.log(base)
+
+
 def _check_normalized(lambdas: np.ndarray) -> np.ndarray:
     arr = np.asarray(lambdas, dtype=np.float64)
     total = float(np.dot(arr, arr))
@@ -54,7 +61,7 @@ def von_neumann(lambdas, base: float = 2.0) -> float:
     """S = -sum(lambda^2 log lambda^2), with 0 log 0 = 0."""
     arr = _check_normalized(lambdas)
     w = arr[arr > 0.0] ** 2
-    s = float(-(w * np.log(w)).sum() / math.log(base))
+    s = float(-(w * np.log(w)).sum() / _log_base(base))
     # the comparison form avoids returning -0.0 for pure states
     return s if s > 0.0 else 0.0
 
@@ -65,7 +72,7 @@ def renyi(lambdas, alpha: float, base: float = 2.0) -> float:
         raise InvalidArgumentError(f"alpha must be positive and != 1, got {alpha}")
     arr = _check_normalized(lambdas)
     w = arr[arr > 0.0] ** 2
-    s = float(np.log((w**alpha).sum()) / ((1.0 - alpha) * math.log(base)))
+    s = float(np.log((w**alpha).sum()) / ((1.0 - alpha) * _log_base(base)))
     return s if s > 0.0 else 0.0
 
 
@@ -77,7 +84,7 @@ def binary_entropy(u: float, base: float = 2.0) -> float:
     for p in (u, 1.0 - u):
         if p > 0.0:
             s -= p * math.log(p)
-    return s / math.log(base)
+    return s / _log_base(base)
 
 
 def page_entropy(d_left: int, d_right: int, base: float = 2.0) -> float:
@@ -93,7 +100,7 @@ def page_entropy(d_left: int, d_right: int, base: float = 2.0) -> float:
             f"page_entropy expects d_left <= d_right, got {d_left} > {d_right}"
         )
     s_nats = math.log(d_left) - d_left / (2.0 * d_right)
-    return max(s_nats / math.log(base), 0.0)
+    return max(s_nats / _log_base(base), 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,7 @@ def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> Entangleme
     they describe the truncated state.  ``normalized`` is the entropy
     divided by log(min(d_left, d_right)) in the same base.
     """
+    log_base = _log_base(base)
     layout, tensor = tensorize(matrix)
     records: list[CutRecord] = []
     if layout.num_cuts == 0:
@@ -149,7 +157,7 @@ def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> Entangleme
         lambdas = normalize_spectrum(sigmas)
         s = von_neumann(lambdas, base=base)
         s2 = renyi(lambdas, 2.0, base=base)
-        denom = math.log(min(d_left, d_right)) / math.log(base)
+        denom = math.log(min(d_left, d_right)) / log_base
         records.append(
             CutRecord(
                 cut=k,

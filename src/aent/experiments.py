@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import AdapterSpec, param_count, valley_check
-from .attention import DEFAULT_QK_STD, AttentionScene, attention_matrix, mask_ablation, orthonormal_context, output_operator
+from .attention import DEFAULT_QK_STD, AttentionScene, _gaussian_qk, attention_matrix, mask_ablation, output_operator
 from .entropy import EntanglementProfile, page_entropy, profile
 from .errors import InvalidArgumentError
 from .mps import cut_spectrum
@@ -156,10 +156,13 @@ def cardy_experiment(
 ) -> ExperimentReport:
     """Fit attention-matrix entropy against ln T across a grid of scenes.
 
-    Each sample draws an orthonormal context of width ``d_mult * T`` and
-    Gaussian query/key weights; only the attention matrix is formed, the
-    value path is not needed for the fit.  ``d_qk`` defaults to T so the
-    rescaled bulk law is identical across the grid.
+    Each sample draws Q and K of shape (T, d_qk) with i.i.d.
+    N(0, qk_std^2) entries from a generator seeded by (seed + s, T); only
+    the attention matrix is formed, the value path is not needed for the
+    fit.  ``d_qk`` defaults to T so the rescaled bulk law is identical
+    across the grid.  ``d_mult`` (the width of a simulated context, in
+    units of T) has no effect on the draw, since Q and K have the same
+    law at every context width; it is still validated and echoed.
     """
     sizes = sorted(set(int(t) for t in t_grid))
     if len(sizes) < 4:
@@ -171,13 +174,9 @@ def cardy_experiment(
     start = time.perf_counter()
     samples = []
     for t in sizes:
-        d = d_mult * t
         head = t if d_qk is None else d_qk
         for s in range(seeds):
-            rng = np.random.default_rng([seed + s, t])
-            x0 = orthonormal_context(t, d, rng)
-            q = x0 @ (qk_std * rng.standard_normal((d, head)))
-            k = x0 @ (qk_std * rng.standard_normal((d, head)))
+            q, k = _gaussian_qk(np.random.default_rng([seed + s, t]), t, head, qk_std)
             samples.append((t, attention_matrix(q, k)))
     fit = cardy_fit(samples)
 

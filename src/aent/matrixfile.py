@@ -14,6 +14,7 @@ Readers widen float32 payloads to float64.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -65,7 +66,7 @@ def read_matrix(path) -> np.ndarray:
         raise FormatError("file too short for its dims")
     dims = struct.unpack_from(f"<{ndim}Q", blob, _HEADER.size)
     dtype = _DTYPE_CODES[code]
-    expected = _HEADER.size + dims_size + dtype.itemsize * int(np.prod(dims))
+    expected = _HEADER.size + dims_size + dtype.itemsize * math.prod(dims)
     if len(blob) != expected:
         raise FormatError(
             f"payload length mismatch: file has {len(blob)} bytes, expected {expected}"

@@ -60,6 +60,8 @@ def _as_tensor(tensor) -> np.ndarray:
         raise InvalidArgumentError("expected a tensor with at least one axis")
     if arr.size == 0:
         raise InvalidArgumentError("expected a non-empty tensor")
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError("tensor has NaN or infinite entries")
     return arr
 
 

@@ -87,7 +87,7 @@ class SiteLayout:
 
 
 def as_matrix(matrix) -> np.ndarray:
-    """Coerce to a 2-d float64 C-contiguous array; 32-bit input is widened."""
+    """Coerce to a finite 2-d float64 C-contiguous array; 32-bit input is widened."""
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise InvalidArgumentError(f"expected a 2-d array, got ndim={arr.ndim}")
@@ -95,7 +95,10 @@ def as_matrix(matrix) -> np.ndarray:
         raise InvalidArgumentError("expected a non-empty matrix")
     if np.iscomplexobj(arr):
         raise InvalidArgumentError("complex matrices are not supported")
-    return np.ascontiguousarray(arr, dtype=np.float64)
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError("matrix has NaN or infinite entries")
+    return arr
 
 
 def tensorize(matrix) -> tuple[SiteLayout, np.ndarray]:

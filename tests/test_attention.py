@@ -10,37 +10,9 @@ from aent import (
     apply_rope,
     attention_matrix,
     mask_ablation,
-    orthonormal_context,
     outlier_bulk_split,
     output_operator,
 )
-
-
-class TestOrthonormalContext:
-    def test_rows_are_orthonormal(self):
-        x0 = orthonormal_context(8, 32, seed=0)
-        assert x0.shape == (8, 32)
-        assert np.allclose(x0 @ x0.T, np.eye(8), atol=1e-8)
-
-    def test_square_case_is_orthogonal(self):
-        x0 = orthonormal_context(8, 8, seed=1)
-        assert abs(abs(np.linalg.det(x0)) - 1.0) <= 1e-10
-
-    def test_seed_reproducible(self):
-        a = orthonormal_context(4, 16, seed=7)
-        b = orthonormal_context(4, 16, seed=7)
-        assert np.array_equal(a, b)
-
-    def test_accepts_generator(self):
-        rng = np.random.default_rng(3)
-        x0 = orthonormal_context(4, 16, rng)
-        assert np.allclose(x0 @ x0.T, np.eye(4), atol=1e-8)
-
-    def test_dimension_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            orthonormal_context(0, 4, seed=0)
-        with pytest.raises(InvalidArgumentError):
-            orthonormal_context(9, 8, seed=0)
 
 
 class TestAttentionMatrix:
@@ -127,7 +99,7 @@ class TestSplitAndOutput:
         assert np.linalg.eigvalsh(sigma).min() >= -1e-10
 
     def test_output_operator_orthonormal_rows_give_identity(self):
-        x = orthonormal_context(4, 16, seed=9)
+        x = np.linalg.qr(np.random.default_rng(9).standard_normal((16, 4)))[0].T
         assert np.allclose(output_operator(x), np.eye(4), atol=1e-10)
 
     def test_output_operator_validation(self):
@@ -145,11 +117,24 @@ class TestAttentionScene:
         assert scene.x.shape == (16, 16)
 
     def test_invariants(self):
-        scene = AttentionScene.build(16, d=64, d_qk=8, d_v=32, seed=3)
-        assert np.allclose(scene.x0 @ scene.x0.T, np.eye(16), atol=1e-8)
+        scene = AttentionScene.build(64, d=64, d_qk=128, d_v=32, seed=3, qk_std=0.5)
         assert np.allclose(scene.a.sum(axis=1), 1.0, atol=1e-9)
-        assert np.allclose(scene.q, scene.x0 @ scene.w_q, atol=1e-12)
-        assert np.allclose(scene.x, scene.a @ (scene.x0 @ scene.w_v), atol=1e-12)
+        assert np.array_equal(scene.a, attention_matrix(scene.q, scene.k))
+        # Q, K and V are drawn in that order from the scene's generator
+        rng = np.random.default_rng(3)
+        assert np.array_equal(scene.q, 0.5 * rng.standard_normal((64, 128)))
+        assert np.array_equal(scene.k, 0.5 * rng.standard_normal((64, 128)))
+        v = scene.v_std * rng.standard_normal((64, 32))
+        assert np.allclose(scene.x, scene.a @ v, atol=1e-12)
+        # 8192 entries each: the sample std is within 5 percent of qk_std
+        for m in (scene.q, scene.k):
+            assert m.shape == (64, 128)
+            assert np.std(m) == pytest.approx(0.5, rel=0.05)
+
+    @pytest.mark.parametrize("qk_std", [math.nan, math.inf, -0.1])
+    def test_qk_std_validated(self, qk_std):
+        with pytest.raises(InvalidArgumentError):
+            AttentionScene.build(8, seed=0, qk_std=qk_std)
 
     def test_seed_reproducible(self):
         a = AttentionScene.build(8, seed=11)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -68,6 +69,57 @@ class TestProfileCommand:
         write_matrix(src, np.eye(4))
         code, _ = run_to_file(tmp_path, ["profile", str(src), "--chi-max", "0"])
         assert code == 2
+
+
+def _bad_file(tmp_path, kind):
+    path = tmp_path / f"{kind}.aent"
+    if kind == "huge-dims":
+        # 2^32 x 2^32 float64 dims, whose element count wraps to 0 in 64 bits
+        path.write_bytes(struct.pack("<4sHHH2Q", b"AENT", 1, 1, 2, 1 << 32, 1 << 32))
+    else:
+        matrix = np.eye(6, 4)
+        matrix[2, 3] = np.nan if kind == "nan" else np.inf
+        write_matrix(path, matrix)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["profile", "<nan>"], 2),
+        (["profile", "<inf>"], 2),
+        (["mp-compare", "<nan>"], 2),
+        (["profile", "<huge-dims>"], 4),
+        (["profile", "<eye>", "--base", "1"], 2),
+        (["profile", "<eye>", "--base", "0"], 2),
+        (["profile", "<eye>", "--base", "nan"], 2),
+        (["page-bench", "--size", "4", "--seeds", "1", "--base", "1"], 2),
+        (["attn", "--T", "8", "--heads", "1", "--qk-std", "inf"], 2),
+        (["attn", "--T", "8", "--heads", "1", "--qk-std", "nan"], 2),
+        (["cardy", "--T-grid", "8,16,32,64", "--seeds", "1", "--qk-std", "nan"], 2),
+    ],
+    ids=[
+        "profile-nan",
+        "profile-inf",
+        "mp-compare-nan",
+        "profile-huge-dims",
+        "base-1",
+        "base-0",
+        "base-nan",
+        "page-bench-base-1",
+        "attn-qk-std-inf",
+        "attn-qk-std-nan",
+        "cardy-qk-std-nan",
+    ],
+)
+def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, expected):
+    files = {f"<{kind}>": _bad_file(tmp_path, kind) for kind in ("nan", "inf", "huge-dims")}
+    files["<eye>"] = str(tmp_path / "eye.aent")
+    write_matrix(files["<eye>"], np.eye(4))
+    code, lines = run_to_file(tmp_path, [files.get(arg, arg) for arg in argv])
+    assert code == expected
+    assert lines == []
+    assert capsys.readouterr().err.startswith("aent: ")
 
 
 class TestPageBenchCommand:

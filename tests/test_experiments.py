@@ -103,6 +103,13 @@ class TestCardyExperiment:
         kwargs = dict(t_grid=(8, 16, 32, 64), seeds=1, d_mult=2, seed=3)
         assert cardy_experiment(**kwargs).tables == cardy_experiment(**kwargs).tables
 
+    def test_d_mult_does_not_change_the_draw(self):
+        kwargs = dict(t_grid=(8, 16, 32, 64), seeds=2, seed=4)
+        narrow = cardy_experiment(d_mult=1, **kwargs)
+        wide = cardy_experiment(d_mult=16, **kwargs)
+        assert narrow.tables == wide.tables
+        assert (narrow.config["d_mult"], wide.config["d_mult"]) == (1, 16)
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             cardy_experiment(t_grid=(8, 16, 32), seeds=1)

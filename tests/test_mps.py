@@ -48,6 +48,13 @@ class TestDecompose:
         with pytest.raises(InvalidArgumentError):
             decompose(np.ones((2, 2)), chi_max=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        tensor = np.ones((2, 3, 2))
+        tensor[1, 2, 0] = value
+        with pytest.raises(InvalidArgumentError):
+            decompose(tensor)
+
     def test_chi_cap_respected(self):
         _, tensor = tensorize(_random_tensor((16, 16), 1))
         chain = decompose(tensor, chi_max=3)
