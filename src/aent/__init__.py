@@ -70,7 +70,6 @@ from .rmt import (
     EntropyBounds,
     MarchenkoPastur,
     Moments,
-    Quartercircle,
     cardy_fit,
     empirical_moments,
     entropy_bounds,
@@ -79,11 +78,10 @@ from .rmt import (
     mp_density,
     mp_support,
     output_collapse_check,
-    quartercircle_density,
     sample_gaussian_matrix,
     stable_rank,
 )
-from .tensorize import SiteLayout, flatten_row_major, prime_factorize, tensorize
+from .tensorize import SiteLayout, prime_factorize, tensorize
 from .version import __version__
 
 __all__ = [
@@ -103,7 +101,6 @@ __all__ = [
     "MaskAblation",
     "Moments",
     "MpsChain",
-    "Quartercircle",
     "REFERENCE_ADAPTER_SPECS",
     "SchmidtSpectrum",
     "ShapeMismatchError",
@@ -123,7 +120,6 @@ __all__ = [
     "empirical_moments",
     "entropy_bounds",
     "estimate_sigma2",
-    "flatten_row_major",
     "interior_cut_range",
     "ks_distance",
     "lora_update",
@@ -142,7 +138,6 @@ __all__ = [
     "param_count",
     "prime_factorize",
     "profile",
-    "quartercircle_density",
     "read_matrix",
     "reconstruct",
     "renyi",

@@ -80,6 +80,8 @@ def apply_rope(m: np.ndarray, theta_base: float = 10000.0) -> np.ndarray:
     against coordinate j + d/2 by angle pos * theta_base^(-2j/d).  Norms
     are preserved exactly up to rounding.
     """
+    if not (math.isfinite(theta_base) and theta_base > 0.0):
+        raise InvalidArgumentError(f"RoPE base theta_base must be finite and > 0, got {theta_base}")
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidArgumentError("apply_rope expects a (T, d_qk) matrix")

@@ -6,6 +6,10 @@ config-echo comment and the data tables.  Floats print with 12
 significant digits so golden-file comparison is stable.  Exit codes:
 0 success, 2 invalid argument, 3 I/O error, 4 file-format error,
 5 degenerate input.
+
+The subcommands are built from one table, ``SUBCOMMANDS``.  A flag the
+user leaves out is not passed on at all, so the default in the signature
+of the function that runs the subcommand applies.
 """
 
 from __future__ import annotations
@@ -15,25 +19,11 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import experiments
 from .adapters import AdapterSpec
-from .attention import DEFAULT_QK_STD
 from .entropy import profile
-from .errors import (
-    DegenerateInputError,
-    FormatError,
-    InvalidArgumentError,
-)
-from .experiments import (
-    REFERENCE_ADAPTER_SPECS,
-    ExperimentReport,
-    _profile_rows,
-    adapter_count_rows,
-    attn_experiment,
-    cardy_experiment,
-    mp_compare,
-    page_bench,
-    valley_experiment,
-)
+from .errors import DegenerateInputError, FormatError, InvalidArgumentError
+from .experiments import ExperimentReport, _profile_rows
 from .matrixfile import read_matrix
 from .rmt import sample_gaussian_matrix
 from .version import __version__
@@ -88,12 +78,13 @@ def _emit(report: ExperimentReport, out: str, json_path: str | None) -> None:
         Path(json_path).write_text(report.to_json() + "\n")
 
 
-def _require_power_of_two(value: int, what: str, minimum: int = 1) -> int:
-    if value < minimum or value & (value - 1):
-        raise InvalidArgumentError(
-            f"{what} must be a power of two >= {minimum}, got {value}"
-        )
-    return value
+def _power_of_two(minimum: int):
+    def check(value: int, what: str) -> int:
+        if value < minimum or value & (value - 1):
+            raise InvalidArgumentError(f"{what} must be a power of two >= {minimum}, got {value}")
+        return value
+
+    return check
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -106,142 +97,146 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return values
 
 
+def _int_tuple(text: str, what: str) -> tuple[int, ...]:
+    return tuple(_parse_int_list(text, what))
+
+
+def _power_of_two_grid(text: str, what: str) -> tuple[int, ...]:
+    return tuple(_power_of_two(2)(t, f"{what} entry") for t in _parse_int_list(text, what))
+
+
+#: Adapter kind -> the AdapterSpec fields its spec lists, in order.
+_ADAPTER_FIELDS = {
+    "full": ("d_out", "d_in"),
+    "lora": ("d_out", "d_in", "r"),
+    "mps_adapt": ("d_out", "d_in", "r", "d1", "d2", "chi"),
+}
+
+
 def _parse_adapter_spec(text: str) -> AdapterSpec:
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind == "mps":
         kind = "mps_adapt"
     fields = _parse_int_list(rest, f"adapter spec {text!r}")
-    if kind == "full" and len(fields) == 2:
-        return AdapterSpec(kind="full", d_out=fields[0], d_in=fields[1])
-    if kind == "lora" and len(fields) == 3:
-        return AdapterSpec(kind="lora", d_out=fields[0], d_in=fields[1], r=fields[2])
-    if kind == "mps_adapt" and len(fields) == 6:
-        return AdapterSpec(
-            kind="mps_adapt",
-            d_out=fields[0],
-            d_in=fields[1],
-            r=fields[2],
-            d1=fields[3],
-            d2=fields[4],
-            chi=fields[5],
+    names = _ADAPTER_FIELDS.get(kind)
+    if names is None or len(names) != len(fields):
+        raise InvalidArgumentError(
+            f"adapter spec {text!r} not understood; use full:DOUT,DIN or "
+            "lora:DOUT,DIN,R or mps:DOUT,DIN,R,D1,D2,CHI"
         )
-    raise InvalidArgumentError(
-        f"adapter spec {text!r} not understood; use full:DOUT,DIN or "
-        "lora:DOUT,DIN,R or mps:DOUT,DIN,R,D1,D2,CHI"
-    )
+    return AdapterSpec(kind=kind, **dict(zip(names, fields)))
+
+
+def _adapter_specs(texts: list[str], what: str) -> list[AdapterSpec]:
+    return [_parse_adapter_spec(text) for text in texts]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Runners of the subcommands that are not a single experiment call
 
 
-def _cmd_profile(args) -> int:
-    matrix = read_matrix(args.input)
-    prof = profile(matrix, chi_max=args.chi_max, base=args.base)
-    report = ExperimentReport(
+def _profile_file(input: str, chi_max: int | None = None, base: float = 2.0) -> ExperimentReport:
+    prof = profile(read_matrix(input), chi_max=chi_max, base=base)
+    return ExperimentReport(
         name="profile",
-        config={
-            "input": args.input,
-            "chi_max": args.chi_max,
-            "base": args.base,
-        },
+        config={"input": input, "chi_max": chi_max, "base": base},
         tables={"cuts": _profile_rows(prof)},
     )
-    _emit(report, args.out, None)
-    return EXIT_OK
 
 
-def _cmd_page_bench(args) -> int:
-    _require_power_of_two(args.size, "--size", minimum=4)
-    report = page_bench(
-        args.size,
-        chi_max=args.chi_max,
-        seeds=args.seeds,
-        base=args.base,
-        seed=args.seed,
-    )
-    _emit(report, args.out, args.json)
-    return EXIT_OK
-
-
-def _cmd_cardy(args) -> int:
-    grid = _parse_int_list(args.t_grid, "--T-grid")
-    for t in grid:
-        _require_power_of_two(t, "--T-grid entry", minimum=2)
-    report = cardy_experiment(
-        t_grid=tuple(grid),
-        seeds=args.seeds,
-        d_mult=args.d_mult,
-        qk_std=args.qk_std,
-        seed=args.seed,
-    )
-    _emit(report, args.out, args.json)
-    return EXIT_OK
-
-
-def _cmd_valley(args) -> int:
-    _require_power_of_two(args.dout, "--dout", minimum=2)
-    _require_power_of_two(args.din, "--din", minimum=2)
-    ranks = _parse_int_list(args.rank, "--rank")
-    report = valley_experiment(
-        d_out=args.dout,
-        d_in=args.din,
-        ranks=tuple(ranks),
-        seeds=args.seeds,
-        base=args.base,
-        seed=args.seed,
-    )
-    _emit(report, args.out, args.json)
-    return EXIT_OK
-
-
-def _cmd_mp_compare(args) -> int:
-    if (args.input is None) == (args.gaussian is None):
+def _mp_compare(
+    input: str | None = None, gaussian: str | None = None, seed: int = 0, cut: int | None = None, bins: int = 64
+) -> ExperimentReport:
+    if (input is None) == (gaussian is None):
         raise InvalidArgumentError("give exactly one of an input file or --gaussian")
-    if args.input is not None:
-        matrix = read_matrix(args.input)
-        source = f"file:{args.input}"
+    if input is not None:
+        matrix = read_matrix(input)
+        source = f"file:{input}"
     else:
-        dims = _parse_int_list(args.gaussian.replace("x", ","), "--gaussian")
+        dims = _parse_int_list(gaussian.replace("x", ","), "--gaussian")
         if len(dims) != 2:
             raise InvalidArgumentError("--gaussian wants ROWSxCOLS")
-        matrix = sample_gaussian_matrix(dims[0], dims[1], [args.seed, dims[0], dims[1]])
-        source = f"gaussian:{dims[0]}x{dims[1]}:seed={args.seed}"
-    report = mp_compare(matrix, cut=args.cut, bins=args.bins, source=source)
-    _emit(report, args.out, args.json)
-    return EXIT_OK
+        matrix = sample_gaussian_matrix(dims[0], dims[1], [seed, dims[0], dims[1]])
+        source = f"gaussian:{dims[0]}x{dims[1]}:seed={seed}"
+    return experiments.mp_compare(matrix, cut=cut, bins=bins, source=source)
 
 
-def _cmd_attn(args) -> int:
-    _require_power_of_two(args.t, "--T", minimum=2)
-    report = attn_experiment(
-        args.t,
-        heads=args.heads,
-        seeds=args.seeds,
-        causal=args.causal,
-        rope=args.rope,
-        rope_theta=args.rope_theta,
-        qk_std=args.qk_std,
-        chi_max=args.chi_max,
-        seed=args.seed,
-    )
-    _emit(report, args.out, args.json)
-    return EXIT_OK
-
-
-def _cmd_adapters_count(args) -> int:
-    if args.spec:
-        specs = [_parse_adapter_spec(text) for text in args.spec]
-    else:
-        specs = list(REFERENCE_ADAPTER_SPECS)
-    report = adapter_count_rows(specs)
-    _emit(report, args.out, args.json)
-    return EXIT_OK
+def _count_adapters(specs: list[AdapterSpec] | None = None) -> ExperimentReport:
+    return experiments.adapter_count_rows(specs or list(experiments.REFERENCE_ADAPTER_SPECS))
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# The subcommand table
+
+_INT = {"type": int}
+_FLOAT = {"type": float}
+_SEEDS = ("--seeds", "seeds", _INT, None)
+_SEED = ("--seed", "seed", _INT, None)
+_BASE = ("--base", "base", _FLOAT, None)
+_CHI_MAX = ("--chi-max", "chi_max", _INT, None)
+_QK_STD = ("--qk-std", "qk_std", _FLOAT, None)
+_SPEC_HELP = "full:DOUT,DIN | lora:DOUT,DIN,R | mps:DOUT,DIN,R,D1,D2,CHI (repeatable)"
+
+#: name -> (help, runner, takes --json, flags).  A runner is a private
+#: function here or the name of an ``aent.experiments`` function, looked up
+#: per call so that rebinding it (as the benchmark's tracer does) is seen.
+#: A flag is (CLI flag, runner keyword, argparse options, check); checks run
+#: after parsing, so a bad value makes ``main`` return 2, not raise SystemExit.
+SUBCOMMANDS = {
+    "profile": ("entanglement profile of a matrix file", _profile_file, False, (
+        ("input", "input", {"help": "matrix file path"}, None),
+        _CHI_MAX, _BASE,
+    )),
+    "page-bench": ("Gaussian profile vs the Page curve", "page_bench", True, (
+        ("--size", "size", {"type": int, "required": True}, _power_of_two(4)),
+        _CHI_MAX, _SEEDS, _SEED, _BASE,
+    )),
+    "cardy": ("attention entropy log-scaling fit", "cardy_experiment", True, (
+        ("--T-grid", "t_grid", {}, _power_of_two_grid),
+        _SEEDS,
+        ("--d-mult", "d_mult", {"type": int, "help": "no effect on the draw; must be >= 1"}, None),
+        _QK_STD, _SEED,
+    )),
+    "valley": ("low-rank update entanglement valley", "valley_experiment", True, (
+        ("--dout", "d_out", _INT, _power_of_two(2)),
+        ("--din", "d_in", _INT, _power_of_two(2)),
+        ("--rank", "ranks", {}, _int_tuple),
+        _SEEDS, _SEED, _BASE,
+    )),
+    "mp-compare": ("cut spectrum vs the Marchenko-Pastur law", _mp_compare, True, (
+        ("input", "input", {"nargs": "?", "help": "matrix file path"}, None),
+        ("--gaussian", "gaussian", {"help": "ROWSxCOLS synthetic input"}, None),
+        ("--cut", "cut", _INT, None),
+        ("--bins", "bins", _INT, None),
+        _SEED,
+    )),
+    "attn": ("attention scene profiles and mask ablation", "attn_experiment", True, (
+        ("--T", "t", {"type": int, "required": True}, _power_of_two(2)),
+        _SEEDS,
+        ("--heads", "heads", _INT, None),
+        ("--causal", "causal", {"action": "store_true"}, None),
+        ("--rope", "rope", {"action": "store_true"}, None),
+        ("--rope-theta", "rope_theta", _FLOAT, None),
+        _QK_STD, _CHI_MAX, _SEED,
+    )),
+    "adapters-count": ("adapter parameter-count table", _count_adapters, True, (
+        ("--spec", "specs", {"action": "append", "help": _SPEC_HELP}, _adapter_specs),
+    )),
+}
+
+
+def _run(command: str, options: dict) -> int:
+    _, runner, _, flags = SUBCOMMANDS[command]
+    if isinstance(runner, str):
+        runner = getattr(experiments, runner)
+    out = options.pop("out")
+    json_path = options.pop("json", None)
+    for flag, keyword, _, check in flags:
+        if check is not None and keyword in options:
+            options[keyword] = check(options[keyword], flag)
+    _emit(runner(**options), out, json_path)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,87 +246,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"aent {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, json_flag=True):
+    for name, (help_text, _, takes_json, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag, keyword, options, _ in flags:
+            if flag.startswith("-"):
+                options = {"dest": keyword, **options}
+            p.add_argument(flag, **options)
         p.add_argument("--out", default="-", help="output CSV path, - for stdout")
-        if json_flag:
+        if takes_json:
             p.add_argument("--json", default=None, help="also write a JSON report here")
-
-    p = sub.add_parser("profile", help="entanglement profile of a matrix file")
-    p.add_argument("input", help="matrix file path")
-    p.add_argument("--chi-max", type=int, default=None)
-    p.add_argument("--base", type=float, default=2.0)
-    common(p, json_flag=False)
-    p.set_defaults(handler=_cmd_profile)
-
-    p = sub.add_parser("page-bench", help="Gaussian profile vs the Page curve")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--chi-max", type=int, default=None)
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base", type=float, default=2.0)
-    common(p)
-    p.set_defaults(handler=_cmd_page_bench)
-
-    p = sub.add_parser("cardy", help="attention entropy log-scaling fit")
-    p.add_argument("--T-grid", dest="t_grid", default="64,128,256,512,1024,2048")
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--d-mult", dest="d_mult", type=int, default=16, help="no effect on the draw; must be >= 1")
-    p.add_argument("--qk-std", dest="qk_std", type=float, default=DEFAULT_QK_STD)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(handler=_cmd_cardy)
-
-    p = sub.add_parser("valley", help="low-rank update entanglement valley")
-    p.add_argument("--dout", type=int, default=64)
-    p.add_argument("--din", type=int, default=64)
-    p.add_argument("--rank", default="1,2,4,8,16,32")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base", type=float, default=2.0)
-    common(p)
-    p.set_defaults(handler=_cmd_valley)
-
-    p = sub.add_parser("mp-compare", help="cut spectrum vs the Marchenko-Pastur law")
-    p.add_argument("input", nargs="?", default=None, help="matrix file path")
-    p.add_argument("--gaussian", default=None, help="ROWSxCOLS synthetic input")
-    p.add_argument("--cut", type=int, default=None)
-    p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(handler=_cmd_mp_compare)
-
-    p = sub.add_parser("attn", help="attention scene profiles and mask ablation")
-    p.add_argument("--T", dest="t", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--causal", action="store_true")
-    p.add_argument("--rope", action="store_true")
-    p.add_argument("--rope-theta", dest="rope_theta", type=float, default=10000.0)
-    p.add_argument("--qk-std", dest="qk_std", type=float, default=DEFAULT_QK_STD)
-    p.add_argument("--chi-max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(handler=_cmd_attn)
-
-    p = sub.add_parser("adapters-count", help="adapter parameter-count table")
-    p.add_argument(
-        "--spec",
-        action="append",
-        default=None,
-        help="full:DOUT,DIN | lora:DOUT,DIN,R | mps:DOUT,DIN,R,D1,D2,CHI (repeatable)",
-    )
-    common(p)
-    p.set_defaults(handler=_cmd_adapters_count)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
     try:
-        return args.handler(args)
+        return _run(options.pop("command"), options)
     except DegenerateInputError as exc:
         print(f"aent: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_INPUT

@@ -392,13 +392,15 @@ def attn_experiment(
                 rope_theta=rope_theta,
                 qk_std=qk_std,
             )
-            prof_a = profile(scene.a, chi_max=chi_max, base=base)
             sigma_op = output_operator(scene.x)
             prof_sigma = profile(sigma_op, chi_max=chi_max, base=base)
             sv = np.linalg.svd(scene.a, compute_uv=False)
             s1 = float(sv[0])
             p1 = float(sv[0] ** 2 / np.dot(sv, sv))
             sigma2 = estimate_sigma2(scene.a)
+            ablation = mask_ablation(scene, chi_max=chi_max, base=base)
+            # one of the ablation's two matrices is scene.a, bit for bit
+            prof_a = ablation.profile_masked if causal else ablation.profile_unmasked
             head_rows.append(
                 {
                     "seed": seed + s,
@@ -412,7 +414,6 @@ def attn_experiment(
             key = {"seed": seed + s, "head": h}
             profile_rows += _profile_rows(prof_a, {**key, "matrix": "A"})
             profile_rows += _profile_rows(prof_sigma, {**key, "matrix": "Sigma"})
-            ablation = mask_ablation(scene, chi_max=chi_max, base=base)
             for rec_m, rec_u in zip(
                 ablation.profile_masked.records, ablation.profile_unmasked.records
             ):

@@ -1,10 +1,10 @@
 """Random-matrix baselines and spectrum-level checks.
 
-Covers the Marchenko-Pastur and quartercircle reference laws, stable-rank
-entropy bounds, the log-scaling fit for attention-matrix entropy, and the
-output-collapse check.  Eigenvalue inputs here are spectra of symmetric
-PSD operators; they are normalized to probabilities p = lambda / sum(lambda).
-Entropies in this module are natural-log unless a base is passed.
+Covers the Marchenko-Pastur reference law, stable-rank entropy bounds,
+the log-scaling fit for attention-matrix entropy, and the output-collapse
+check.  Eigenvalue inputs here are spectra of symmetric PSD operators;
+they are normalized to probabilities p = lambda / sum(lambda).  Entropies
+in this module are natural-log unless a base is passed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import binary_entropy, normalize_spectrum, renyi, von_neumann
+from .entropy import _log_base, binary_entropy, normalize_spectrum, renyi, von_neumann
 from .errors import DegenerateInputError, InvalidArgumentError
 
 
@@ -46,21 +46,6 @@ def mp_density(x, c: float):
     out = np.zeros_like(arr)
     xs = arr[inside]
     out[inside] = np.sqrt((hi - xs) * (xs - lo)) / (2.0 * np.pi * c * xs)
-    if np.isscalar(x):
-        return float(out)
-    return out
-
-
-def quartercircle_density(x, sigma: float):
-    """Quartercircle density on [0, 2 sigma]; its second moment is sigma^2."""
-    if sigma <= 0:
-        raise InvalidArgumentError(f"sigma must be positive, got {sigma}")
-    radius = 2.0 * sigma
-    arr = np.asarray(x, dtype=np.float64)
-    inside = (arr >= 0.0) & (arr <= radius)
-    out = np.zeros_like(arr)
-    xs = arr[inside]
-    out[inside] = 4.0 / (np.pi * radius**2) * np.sqrt(radius**2 - xs**2)
     if np.isscalar(x):
         return float(out)
     return out
@@ -98,29 +83,6 @@ class MarchenkoPastur:
         return out
 
 
-class Quartercircle:
-    """Quartercircle law with radius 2 sigma (so m2 = sigma^2)."""
-
-    def __init__(self, sigma: float):
-        if sigma <= 0:
-            raise InvalidArgumentError(f"sigma must be positive, got {sigma}")
-        self.sigma = float(sigma)
-        self.support = (0.0, 2.0 * sigma)
-
-    def pdf(self, x):
-        return quartercircle_density(x, self.sigma)
-
-    def cdf(self, x):
-        radius = self.support[1]
-        arr = np.asarray(x, dtype=np.float64)
-        t = np.clip(arr / radius, 0.0, 1.0)
-        out = (2.0 / np.pi) * (np.arcsin(t) + t * np.sqrt(1.0 - t**2))
-        out = np.where(arr < 0.0, 0.0, out)
-        if np.isscalar(x):
-            return float(out)
-        return out
-
-
 def ks_distance(samples, law) -> float:
     """Sup-norm distance between the empirical CDF and ``law.cdf``."""
     xs = np.sort(np.asarray(samples, dtype=np.float64))
@@ -152,8 +114,9 @@ def _eigen_probs(eigenvalues) -> np.ndarray:
 
 
 def _shannon(probs: np.ndarray, base: float) -> float:
+    log_base = _log_base(base)
     w = probs[probs > 0.0]
-    return float(-(w * np.log(w)).sum() / math.log(base))
+    return float(-(w * np.log(w)).sum() / log_base)
 
 
 def stable_rank(eigenvalues) -> float:
@@ -189,17 +152,18 @@ class EntropyBounds:
 
 def entropy_bounds(eigenvalues, base: float = math.e) -> EntropyBounds:
     """Entropy certificates from the stable rank of a PSD spectrum."""
+    log_base = _log_base(base)
     arr = np.asarray(eigenvalues, dtype=np.float64)
     _eigen_probs(arr)
     t = arr.size
     eta = stable_rank(arr) - 1.0
     delta1 = float(arr[1:].sum() / arr[0])
     delta = min(1.0, delta1)
-    log_t_minus_1 = math.log(t - 1) / math.log(base) if t > 1 else 0.0
+    log_t_minus_1 = math.log(t - 1) / log_base if t > 1 else 0.0
     tail = delta1 / (1.0 + delta1)
     vn_bound = binary_entropy(tail, base=base) + tail * log_t_minus_1
     vn_lemma = binary_entropy(delta, base=base) + delta * log_t_minus_1
-    renyi2_bound = 2.0 * math.log1p(delta1) / math.log(base)
+    renyi2_bound = 2.0 * math.log1p(delta1) / log_base
     return EntropyBounds(
         size=t,
         eta=eta,
@@ -289,15 +253,6 @@ class CardyFit:
         if self.predicted_charge == 0.0:
             return abs(self.slope)
         return abs(self.slope - self.predicted_charge) / self.predicted_charge
-
-
-def matrix_state_entropy(a, base: float = math.e, alpha: float | None = None) -> float:
-    """Entropy of a matrix treated as a state: spectrum = singular values."""
-    sigmas = np.linalg.svd(np.asarray(a, dtype=np.float64), compute_uv=False)
-    lambdas = normalize_spectrum(sigmas)
-    if alpha is None:
-        return von_neumann(lambdas, base=base)
-    return renyi(lambdas, alpha, base=base)
 
 
 def cardy_fit(attention_samples) -> CardyFit:

@@ -115,8 +115,3 @@ def tensorize(matrix) -> tuple[SiteLayout, np.ndarray]:
     )
     tensor = arr.reshape(layout.sites)
     return layout, tensor
-
-
-def flatten_row_major(tensor) -> np.ndarray:
-    """Row-major (C order) flattening, the inverse of :func:`tensorize`."""
-    return np.ravel(np.asarray(tensor, dtype=np.float64), order="C")

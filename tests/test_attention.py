@@ -79,6 +79,11 @@ class TestRope:
         with pytest.raises(InvalidArgumentError):
             apply_rope(np.zeros(8))
 
+    @pytest.mark.parametrize("theta_base", [0.0, -5.0, math.nan, math.inf])
+    def test_theta_base_validated(self, theta_base):
+        with pytest.raises(InvalidArgumentError, match="RoPE base"):
+            apply_rope(np.ones((4, 8)), theta_base)
+
 
 class TestSplitAndOutput:
     def test_split_reassembles_and_is_orthogonal(self):

@@ -1,11 +1,15 @@
+import inspect
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aent.experiments
 from aent import write_matrix
-from aent.cli import main
+from aent.cli import SUBCOMMANDS, main
 
 PROFILE_HEADER = "cut,d_left,d_right,chi,entropy,renyi2,normalized"
 
@@ -97,6 +101,10 @@ def _bad_file(tmp_path, kind):
         (["attn", "--T", "8", "--heads", "1", "--qk-std", "inf"], 2),
         (["attn", "--T", "8", "--heads", "1", "--qk-std", "nan"], 2),
         (["cardy", "--T-grid", "8,16,32,64", "--seeds", "1", "--qk-std", "nan"], 2),
+        (["attn", "--T", "8", "--heads", "1", "--rope", "--rope-theta", "0"], 2),
+        (["attn", "--T", "8", "--heads", "1", "--rope", "--rope-theta", "-5"], 2),
+        (["attn", "--T", "8", "--heads", "1", "--rope", "--rope-theta", "nan"], 2),
+        (["attn", "--T", "8", "--heads", "1", "--rope", "--rope-theta", "inf"], 2),
     ],
     ids=[
         "profile-nan",
@@ -110,6 +118,10 @@ def _bad_file(tmp_path, kind):
         "attn-qk-std-inf",
         "attn-qk-std-nan",
         "cardy-qk-std-nan",
+        "attn-rope-theta-0",
+        "attn-rope-theta-negative",
+        "attn-rope-theta-nan",
+        "attn-rope-theta-inf",
     ],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, expected):
@@ -308,3 +320,92 @@ class TestTopLevel:
         entropy = row.split(",")[4]
         assert entropy == "1.6644977792"
         assert len(entropy.replace(".", "").lstrip("0")) <= 12
+
+
+# ---------------------------------------------------------------------------
+# The subcommand table
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_table_keywords_are_runner_parameters(command):
+    _, runner, _, flags = SUBCOMMANDS[command]
+    if isinstance(runner, str):
+        runner = getattr(aent.experiments, runner)
+    parameters = inspect.signature(runner).parameters
+    assert [keyword for _, keyword, _, _ in flags if keyword not in parameters] == []
+
+
+OMITTED_FLAG_CONFIGS = {
+    "profile": (
+        ["profile", "<eye>"],
+        "# config profile base=2 chi_max= input=<eye> tool_version=0.1.0",
+    ),
+    "page-bench": (
+        ["page-bench", "--size", "8"],
+        "# config page-bench base=2 chi_max= seed=0 seeds=10 size=8 tool_version=0.1.0",
+    ),
+    "cardy": (
+        ["cardy", "--T-grid", "8,16,32,64"],
+        "# config cardy d_mult=16 d_qk= qk_std=0.65 seed=0 seeds=5 t_grid=8,16,32,64 "
+        "tool_version=0.1.0",
+    ),
+    "valley": (
+        ["valley", "--dout", "16", "--din", "16", "--rank", "1,2"],
+        "# config valley base=2 d_in=16 d_out=16 ranks=1,2 seed=0 seeds=20 tool_version=0.1.0",
+    ),
+    "mp-compare": (
+        ["mp-compare", "--gaussian", "16x16"],
+        "# config mp-compare bins=64 c=1 cut=4 source=gaussian:16x16:seed=0 tool_version=0.1.0",
+    ),
+    "attn": (
+        ["attn", "--T", "8"],
+        "# config attn base=2 causal=false chi_max= d=8 d_qk=8 heads=4 qk_std=0.65 rope=false "
+        "rope_theta=10000 seed=0 seeds=1 t=8 tool_version=0.1.0",
+    ),
+    "adapters-count": (
+        ["adapters-count"],
+        "# config adapters-count specs=full,lora,mps_adapt tool_version=0.1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_omitted_flags_echo_the_experiment_defaults(tmp_path, command):
+    eye = str(tmp_path / "eye.aent")
+    write_matrix(eye, np.eye(4))
+    argv, expected = OMITTED_FLAG_CONFIGS[command]
+    code, lines = run_to_file(tmp_path, [eye if arg == "<eye>" else arg for arg in argv])
+    assert code == 0
+    assert lines[1] == expected.replace("<eye>", eye)
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert f"aent {command}" in capsys.readouterr().out
+
+
+def _readme_synopsis() -> dict[str, str]:
+    """README "Command line" synopsis: subcommand -> its entry, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    entries: dict[str, str] = {}
+    for line in block.splitlines():
+        if line.startswith("aent "):
+            command = line.split()[1]
+            entries[command] = line
+        elif line.strip() and entries:
+            entries[command] += " " + line.strip()
+    return entries
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_readme_synopsis_names_every_flag(command):
+    entry = _readme_synopsis().get(command, "")
+    # flags as written, positionals as their upper-case metavar
+    named = set(re.findall(r"--?[\w-]+|[A-Z]+", entry))
+    flags = [flag if flag.startswith("-") else flag.upper() for flag, _, _, _ in SUBCOMMANDS[command][3]]
+    assert entry and [flag for flag in flags if flag not in named] == []

@@ -9,7 +9,6 @@ from aent import (
     DegenerateInputError,
     InvalidArgumentError,
     MarchenkoPastur,
-    Quartercircle,
     cardy_fit,
     empirical_moments,
     entropy_bounds,
@@ -18,11 +17,10 @@ from aent import (
     mp_density,
     mp_support,
     output_collapse_check,
-    quartercircle_density,
     sample_gaussian_matrix,
     stable_rank,
 )
-from aent.rmt import check_row_stochastic, matrix_state_entropy
+from aent.rmt import _shannon, check_row_stochastic
 
 sorted_spectra = st.lists(
     st.floats(min_value=1e-6, max_value=1e3), min_size=2, max_size=40
@@ -68,54 +66,31 @@ class TestReferenceLaws:
         xs = np.linspace(-1.0, 4.0, 500)
         assert np.all(np.diff(law.cdf(xs)) >= 0.0)
 
-    def test_quartercircle_density_normalization_and_m2(self):
-        sigma = 1.3
-        radius = 2.0 * sigma
-        t = np.linspace(0.0, np.pi / 2, 100001)
-        x = radius * np.sin(t)
-        w = radius * np.cos(t)
-        f = quartercircle_density(x, sigma)
-        assert np.trapezoid(f * w, t) == pytest.approx(1.0, abs=1e-8)
-        assert np.trapezoid(x**2 * f * w, t) == pytest.approx(sigma**2, abs=1e-8)
-
-    def test_quartercircle_cdf_closed_form(self):
-        qc = Quartercircle(1.0)
-        assert qc.cdf(0.0) == 0.0
-        assert qc.cdf(2.0) == pytest.approx(1.0, abs=1e-12)
-        half = (2.0 / math.pi) * (math.asin(0.5) + 0.5 * math.sqrt(0.75))
-        assert qc.cdf(1.0) == pytest.approx(half, abs=1e-12)
-
-    def test_quartercircle_sigma_domain(self):
-        with pytest.raises(InvalidArgumentError):
-            Quartercircle(0.0)
-        with pytest.raises(InvalidArgumentError):
-            quartercircle_density([1.0], -2.0)
-
-
 class TestKsDistance:
     def test_quantile_samples_are_close(self):
-        qc = Quartercircle(1.0)
-        grid = np.linspace(0.0, 2.0, 20001)
+        law = MarchenkoPastur(0.5)
+        grid = np.linspace(*law.support, 20001)
         u = (np.arange(10000) + 0.5) / 10000
-        samples = np.interp(u, qc.cdf(grid), grid)
-        assert ks_distance(samples, qc) <= 0.03
+        samples = np.interp(u, law.cdf(grid), grid)
+        assert ks_distance(samples, law) <= 0.03
 
     def test_gaussian_singulars_match_quartercircle(self):
         t = 512
         g = sample_gaussian_matrix(t, t, seed=0) / math.sqrt(t)
         s = np.linalg.svd(g, compute_uv=False)
-        assert ks_distance(s, Quartercircle(1.0)) <= 0.05
+        # s follows the quartercircle law exactly when s^2 follows MP(1)
+        assert ks_distance(s**2, MarchenkoPastur(1.0)) <= 0.05
         assert empirical_moments(s).m2 == pytest.approx(1.0, abs=0.05)
 
     def test_point_mass_far_from_mp(self):
         assert ks_distance(np.full(50, 1.0), MarchenkoPastur(1.0)) >= 0.5
 
     def test_disjoint_support_saturates(self):
-        assert ks_distance([100.0, 101.0], Quartercircle(1.0)) == 1.0
+        assert ks_distance([100.0, 101.0], MarchenkoPastur(1.0)) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            ks_distance([], Quartercircle(1.0))
+            ks_distance([], MarchenkoPastur(1.0))
 
 
 class TestStableRank:
@@ -173,6 +148,12 @@ class TestEntropyBounds:
             nats.renyi2_bound / math.log(2.0), rel=1e-12
         )
 
+    def test_base_one_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            entropy_bounds([0.5, 0.3, 0.2], base=1)
+        with pytest.raises(InvalidArgumentError):
+            _shannon(np.array([0.5, 0.3, 0.2]), 1.0)
+
     @given(sorted_spectra)
     @settings(max_examples=80, deadline=None)
     def test_bounds_certify_actual_entropies(self, eig):
@@ -225,13 +206,6 @@ class TestEmpiricalMoments:
     def test_needs_two_values(self):
         with pytest.raises(InvalidArgumentError):
             empirical_moments([1.0])
-
-
-class TestMatrixStateEntropy:
-    def test_identity(self):
-        assert matrix_state_entropy(np.eye(8)) == pytest.approx(math.log(8.0))
-        assert matrix_state_entropy(np.eye(8), base=2.0) == pytest.approx(3.0)
-        assert matrix_state_entropy(np.eye(8), alpha=2.0) == pytest.approx(math.log(8.0))
 
 
 class TestCardyFit:
