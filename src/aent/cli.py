@@ -5,7 +5,7 @@ Every subcommand writes CSV whose first line is a timestamp comment
 config-echo comment and the data tables.  Floats print with 12
 significant digits so golden-file comparison is stable.  Exit codes:
 0 success, 2 invalid argument, 3 I/O error, 4 file-format error,
-5 degenerate input.
+5 degenerate input (including a LAPACK routine that does not converge).
 
 The subcommands are built from one table, ``SUBCOMMANDS``.  A flag the
 user leaves out is not passed on at all, so the default in the signature
@@ -18,6 +18,8 @@ import argparse
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
 
 from . import experiments
 from .adapters import AdapterSpec
@@ -85,6 +87,12 @@ def _power_of_two(minimum: int):
         return value
 
     return check
+
+
+def _non_negative(value: int, what: str) -> int:
+    if value < 0:
+        raise InvalidArgumentError(f"{what} must be >= 0, got {value}")
+    return value
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -172,7 +180,7 @@ def _count_adapters(specs: list[AdapterSpec] | None = None) -> ExperimentReport:
 _INT = {"type": int}
 _FLOAT = {"type": float}
 _SEEDS = ("--seeds", "seeds", _INT, None)
-_SEED = ("--seed", "seed", _INT, None)
+_SEED = ("--seed", "seed", _INT, _non_negative)
 _BASE = ("--base", "base", _FLOAT, None)
 _CHI_MAX = ("--chi-max", "chi_max", _INT, None)
 _QK_STD = ("--qk-std", "qk_std", _FLOAT, None)
@@ -262,7 +270,7 @@ def main(argv=None) -> int:
     options = vars(build_parser().parse_args(argv))
     try:
         return _run(options.pop("command"), options)
-    except DegenerateInputError as exc:
+    except (DegenerateInputError, LinAlgError) as exc:
         print(f"aent: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_INPUT
     except FormatError as exc:

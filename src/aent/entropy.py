@@ -142,17 +142,21 @@ class EntanglementProfile:
 def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> EntanglementProfile:
     """Entropy at every cut of the prime-site tensorization of ``matrix``.
 
-    The spectra come from one sequential-SVD sweep; with ``chi_max`` set
-    they describe the truncated state.  ``normalized`` is the entropy
-    divided by log(min(d_left, d_right)) in the same base.
+    Untruncated, ``chi`` counts each cut's Schmidt values above
+    ``SIGMA_FLOOR`` times the largest (:func:`mps.schmidt_values`); with
+    ``chi_max`` set, a sequential-SVD sweep gives the truncated state.
+    ``normalized`` is the entropy divided by log(min(d_left, d_right)).
     """
     log_base = _log_base(base)
     layout, tensor = tensorize(matrix)
     records: list[CutRecord] = []
     if layout.num_cuts == 0:
         return EntanglementProfile(records=records, log_base=base, chi_max=chi_max)
-    chain = mps.decompose(tensor, chi_max=chi_max)
-    for k, sigmas in enumerate(chain.bond_spectra, start=1):
+    if chi_max is None:
+        spectra = mps.schmidt_values(tensor)
+    else:
+        spectra = mps.decompose(tensor, chi_max=chi_max).bond_spectra
+    for k, sigmas in enumerate(spectra, start=1):
         d_left, d_right = layout.cut_dims(k)
         lambdas = normalize_spectrum(sigmas)
         s = von_neumann(lambdas, base=base)

@@ -228,6 +228,8 @@ def valley_experiment(
     """Row-column-cut entropy of Gaussian low-rank updates against log r."""
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
+    if min(ranks, default=1) < 1:
+        raise InvalidArgumentError(f"rank must be >= 1, got {min(ranks)}")
     start = time.perf_counter()
     rows = []
     summary = []

@@ -124,3 +124,36 @@ def cut_spectrum(tensor, cut: int) -> SchmidtSpectrum:
     d_right = int(np.prod(arr.shape[cut:]))
     sigmas = np.linalg.svd(arr.reshape(d_left, d_right), compute_uv=False)
     return SchmidtSpectrum(cut=cut, d_left=d_left, d_right=d_right, sigmas=sigmas)
+
+
+def schmidt_values(tensor) -> list[np.ndarray]:
+    """Descending Schmidt values at cuts 1..n-1, one cut at a time.
+
+    Each is sqrt(eigvalsh) of the Gram matrix on the smaller side of the
+    unfolding, or its exact SVD where the smallest eigenvalue is within
+    100 k eps of the largest: squaring cannot resolve ``SIGMA_FLOOR`` there.
+    An SVD that finds at most half the full rank above 1e-2 ``SIGMA_FLOOR``
+    compresses the unfolding for the later cuts, as the sweep does, so
+    their arrays may be shorter than min(d_left, d_right).
+    """
+    arr = _as_tensor(tensor)
+    top = max(arr.max(), -arr.min())
+    if top == 0:
+        raise DegenerateInputError("cannot decompose an all-zero tensor")
+    # an exact power-of-two rescale keeps the Gram entries from overflowing
+    exponent = int(np.frexp(top)[1])
+    carried = np.ldexp(arr, -exponent).reshape(1, -1)
+    spectra = []
+    for d in arr.shape[:-1]:
+        m = carried = carried.reshape(carried.shape[0] * d, -1)
+        lam = np.linalg.eigvalsh(m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m)[::-1]
+        if lam[-1] > 100 * lam.size * np.finfo(np.float64).eps * lam[0]:
+            sigmas = np.sqrt(lam)
+        else:
+            sigmas = np.linalg.svd(m, compute_uv=False)
+            keep = int(np.count_nonzero(sigmas > 1e-2 * SIGMA_FLOOR * sigmas[0]))
+            if 2 * keep <= sigmas.size:
+                _, s, vh = np.linalg.svd(m, full_matrices=False)
+                carried = s[:keep, None] * vh[:keep]
+        spectra.append(np.ldexp(sigmas, exponent))
+    return spectra

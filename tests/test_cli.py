@@ -105,6 +105,12 @@ def _bad_file(tmp_path, kind):
         (["attn", "--T", "8", "--heads", "1", "--rope", "--rope-theta", "-5"], 2),
         (["attn", "--T", "8", "--heads", "1", "--rope", "--rope-theta", "nan"], 2),
         (["attn", "--T", "8", "--heads", "1", "--rope", "--rope-theta", "inf"], 2),
+        (["page-bench", "--size", "8", "--seeds", "1", "--seed", "-1"], 2),
+        (["cardy", "--T-grid", "8,16,32,64", "--seeds", "1", "--seed", "-1"], 2),
+        (["valley", "--seeds", "1", "--seed", "-1"], 2),
+        (["mp-compare", "--gaussian", "8x8", "--seed", "-1"], 2),
+        (["attn", "--T", "8", "--heads", "1", "--seed", "-1"], 2),
+        (["valley", "--rank", "-1", "--seeds", "1"], 2),
     ],
     ids=[
         "profile-nan",
@@ -122,6 +128,12 @@ def _bad_file(tmp_path, kind):
         "attn-rope-theta-negative",
         "attn-rope-theta-nan",
         "attn-rope-theta-inf",
+        "page-bench-seed-negative",
+        "cardy-seed-negative",
+        "valley-seed-negative",
+        "mp-compare-seed-negative",
+        "attn-seed-negative",
+        "valley-rank-negative",
     ],
 )
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, expected):
@@ -132,6 +144,19 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, expected):
     assert code == expected
     assert lines == []
     assert capsys.readouterr().err.startswith("aent: ")
+
+
+def test_lapack_failure_is_degenerate_input(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    src = tmp_path / "gauss.aent"
+    write_matrix(src, np.random.default_rng(0).standard_normal((8, 6)))
+    code, lines = run_to_file(tmp_path, ["profile", str(src)])
+    assert code == 5
+    assert lines == []
+    assert capsys.readouterr().err == "aent: degenerate input: Eigenvalues did not converge\n"
 
 
 class TestPageBenchCommand:

@@ -10,12 +10,16 @@ from aent import (
     DegenerateInputError,
     InvalidArgumentError,
     binary_entropy,
+    cut_spectrum,
+    decompose,
     normalize_spectrum,
     page_entropy,
     profile,
     renyi,
+    tensorize,
     von_neumann,
 )
+from aent.mps import SIGMA_FLOOR
 
 spectra = hnp.arrays(
     np.float64,
@@ -209,3 +213,78 @@ class TestProfile:
     def test_record_at_missing_cut(self):
         with pytest.raises(InvalidArgumentError):
             profile(np.eye(4)).record_at(9)
+
+
+def _noisy_product(rows, cols, rank, noise, seed):
+    """Gaussian matrix when rank is None, else a rank-r product plus noise."""
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        return rng.standard_normal((rows, cols))
+    product = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    return product + noise * rng.standard_normal((rows, cols))
+
+
+def _assert_untruncated_profile_matches(matrix):
+    """Entropies agree with the sweep; chi is the per-cut count above the floor."""
+    _, tensor = tensorize(matrix)
+    prof = profile(matrix)
+    for rec, sigmas in zip(prof.records, decompose(tensor).bond_spectra, strict=True):
+        lambdas = normalize_spectrum(sigmas)
+        assert abs(rec.entropy - von_neumann(lambdas)) <= 1e-10
+        assert abs(rec.renyi2 - renyi(lambdas, 2.0)) <= 1e-10
+        direct = cut_spectrum(tensor, rec.cut).sigmas
+        assert rec.chi == np.count_nonzero(direct > SIGMA_FLOOR * direct.max())
+
+
+prime_products = st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3).map(math.prod)
+
+
+class TestProfilePaths:
+    """The untruncated profile reads per-cut spectra; the sweep is the reference."""
+
+    @given(
+        prime_products,
+        prime_products,
+        st.none() | st.integers(min_value=1, max_value=4),
+        st.sampled_from([0.0, 1e-6]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_untruncated_matches_sweep(self, rows, cols, rank, noise, seed):
+        _assert_untruncated_profile_matches(_noisy_product(rows, cols, rank, noise, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noise_near_the_floor_counts_per_cut(self, seed):
+        # the sweep's cascaded cutoff keeps fewer values at some interior
+        # cuts of these matrices; chi follows each cut's own unfolding
+        _assert_untruncated_profile_matches(_noisy_product(64, 64, 4, 1e-11, seed))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170])
+    def test_extreme_scales_match_unit_scale(self, scale):
+        # squared entries of 1e160 overflow and of 1e-170 underflow float64
+        matrix = np.random.default_rng(11).standard_normal((32, 16))
+        unit, scaled = profile(matrix), profile(matrix * scale)
+        assert [r.chi for r in scaled.records] == [r.chi for r in unit.records]
+        assert np.allclose(scaled.entropies, unit.entropies, rtol=0.0, atol=1e-12)
+
+    def test_all_zero_still_rejected(self):
+        with pytest.raises(DegenerateInputError, match="cannot decompose an all-zero tensor"):
+            profile(np.zeros((4, 6)))
+
+    def test_rank_one_row_column_cut_is_pure(self):
+        rng = np.random.default_rng(9)
+        matrix = np.outer(rng.standard_normal(45), rng.standard_normal(12))
+        rec = profile(matrix).record_at(3)
+        assert (rec.d_left, rec.d_right, rec.chi) == (45, 12, 1)
+        assert rec.entropy == 0.0
+        assert rec.renyi2 == 0.0
+
+    def test_truncated_profile_is_the_sweep_bit_for_bit(self):
+        matrix = np.random.default_rng(10).standard_normal((32, 48))
+        _, tensor = tensorize(matrix)
+        prof = profile(matrix, chi_max=5)
+        for rec, sigmas in zip(prof.records, decompose(tensor, chi_max=5).bond_spectra, strict=True):
+            lambdas = normalize_spectrum(sigmas)
+            assert rec.chi == sigmas.size
+            assert rec.entropy == von_neumann(lambdas)
+            assert rec.renyi2 == renyi(lambdas, 2.0)

@@ -140,6 +140,11 @@ class TestValleyExperiment:
         with pytest.raises(InvalidArgumentError):
             valley_experiment(seeds=0)
 
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_validated_before_any_draw(self, rank):
+        with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
+            valley_experiment(d_out=8, d_in=8, ranks=(2, rank), seeds=1)
+
 
 class TestMpCompare:
     def test_gaussian_square_matches_mp(self):

@@ -11,6 +11,7 @@ from aent import (
     reconstruct,
     tensorize,
 )
+from aent.mps import schmidt_values
 
 
 def _random_tensor(dims, seed):
@@ -173,3 +174,55 @@ class TestCutSpectrum:
         chain = decompose(tensor)
         for sigmas in chain.bond_spectra:
             assert float(np.sum(sigmas**2)) == pytest.approx(total, rel=1e-10)
+
+
+class TestSchmidtValues:
+    @given(site_dims.filter(lambda dims: len(dims) >= 2), st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_direct_unfolding(self, dims, seed):
+        tensor = _random_tensor(dims, seed)
+        spectra = schmidt_values(tensor)
+        assert len(spectra) == len(dims) - 1
+        for k, sigmas in enumerate(spectra, start=1):
+            direct = cut_spectrum(tensor, k)
+            assert sigmas.size == min(direct.d_left, direct.d_right)
+            assert np.all(np.diff(sigmas) <= 0)
+            assert np.allclose(sigmas, direct.sigmas, rtol=1e-8, atol=1e-8 * direct.sigmas[0])
+
+    def _svd_calls(self, monkeypatch, tensor):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(m.shape) or svd(m, **kw))
+        spectra = schmidt_values(tensor)
+        return spectra, calls
+
+    def test_gaussian_cuts_use_the_gram_spectrum(self, monkeypatch):
+        _, tensor = tensorize(_random_tensor((64, 48), 2))
+        _, calls = self._svd_calls(monkeypatch, tensor)
+        assert calls == []
+
+    def test_rank_deficient_cut_falls_back_to_svd(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        _, tensor = tensorize(np.outer(rng.standard_normal(8), rng.standard_normal(8)))
+        spectra, calls = self._svd_calls(monkeypatch, tensor)
+        # cut 2 (4 x 16) has rank 2, so it falls back and is compressed to two
+        # rows; the row-column cut, now 4 x 8, has rank 1 and is compressed to
+        # one row; the right half is then full rank and read from the Gram
+        assert calls == [(4, 16), (4, 16), (4, 8), (4, 8)]
+        assert np.count_nonzero(spectra[2] > 1e-12 * spectra[2][0]) == 1
+        for k, sigmas in enumerate(spectra, start=1):
+            direct = cut_spectrum(tensor, k).sigmas
+            direct = direct[direct > 1e-12 * direct[0]]
+            assert np.allclose(sigmas[: direct.size], direct, rtol=1e-12)
+            assert np.all(sigmas[direct.size :] <= 1e-12 * sigmas[0])
+
+    def test_single_axis_has_no_cuts(self):
+        assert schmidt_values(np.array([1.0, -2.0, 0.5])) == []
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(DegenerateInputError, match="all-zero"):
+            schmidt_values(np.zeros((2, 3)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            schmidt_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
