@@ -1,8 +1,8 @@
-"""Artificial entanglement profiles of matrices via tensor-train SVD.
+"""Artificial entanglement profiles of matrices via tensor trains.
 
 The package treats a matrix as a pure state on a chain of prime-sized
 sites, takes the Schmidt spectrum at every cut from per-cut Gram spectra
-with an exact-SVD fallback (a sequential-SVD sweep under a bond cap), and
+with an exact-SVD fallback (a sequential Gram/SVD sweep under a bond cap), and
 compares the entropy profiles against random-matrix baselines: the Page
 curve, the Marchenko-Pastur law, the log-scaling entropy law of softmax
 attention, and the rank bound that makes low-rank adapter updates form an

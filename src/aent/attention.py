@@ -26,7 +26,7 @@ import numpy as np
 
 from .entropy import EntanglementProfile, profile
 from .errors import InvalidArgumentError, ShapeMismatchError
-from .rmt import check_row_stochastic
+from .rmt import _seeded_rng, check_row_stochastic
 
 #: Default per-entry standard deviation of Q and K.
 DEFAULT_QK_STD = 0.65
@@ -162,7 +162,7 @@ class AttentionScene:
         d_v = d if d_v is None else d_v
         if v_std is None:
             v_std = 1.0 / math.sqrt(d)
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         q, k = _gaussian_qk(rng, t, d_qk, qk_std)
         v = v_std * rng.standard_normal((t, d_v))
         if rope:

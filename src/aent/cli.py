@@ -89,12 +89,6 @@ def _power_of_two(minimum: int):
     return check
 
 
-def _non_negative(value: int, what: str) -> int:
-    if value < 0:
-        raise InvalidArgumentError(f"{what} must be >= 0, got {value}")
-    return value
-
-
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
@@ -180,7 +174,7 @@ def _count_adapters(specs: list[AdapterSpec] | None = None) -> ExperimentReport:
 _INT = {"type": int}
 _FLOAT = {"type": float}
 _SEEDS = ("--seeds", "seeds", _INT, None)
-_SEED = ("--seed", "seed", _INT, _non_negative)
+_SEED = ("--seed", "seed", _INT, None)
 _BASE = ("--base", "base", _FLOAT, None)
 _CHI_MAX = ("--chi-max", "chi_max", _INT, None)
 _QK_STD = ("--qk-std", "qk_std", _FLOAT, None)

@@ -144,7 +144,7 @@ def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> Entangleme
 
     Untruncated, ``chi`` counts each cut's Schmidt values above
     ``SIGMA_FLOOR`` times the largest (:func:`mps.schmidt_values`); with
-    ``chi_max`` set, a sequential-SVD sweep gives the truncated state.
+    ``chi_max`` set, the sweep of :func:`mps.decompose` gives the truncated state.
     ``normalized`` is the entropy divided by log(min(d_left, d_right)).
     """
     log_base = _log_base(base)

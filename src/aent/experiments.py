@@ -4,7 +4,7 @@ Every experiment returns an ExperimentReport whose tables are plain
 lists of dicts with python scalars only, so the result rows serialize
 identically from run to run.  Wall-clock time is recorded but is the
 one field excluded from any determinism comparison.  Seeding is always
-an explicit integer fed to ``numpy.random.default_rng`` together with
+an explicit integer >= 0 fed to ``numpy.random.default_rng`` together with
 the grid coordinates, so adding or reordering grid points never shifts
 the streams of the others.
 """
@@ -22,9 +22,10 @@ from .adapters import AdapterSpec, param_count, valley_check
 from .attention import DEFAULT_QK_STD, AttentionScene, _gaussian_qk, attention_matrix, mask_ablation, output_operator
 from .entropy import EntanglementProfile, page_entropy, profile
 from .errors import InvalidArgumentError
-from .mps import cut_spectrum
+from .mps import _gram_eigh, _rescaled
 from .rmt import (
     MarchenkoPastur,
+    _seeded_rng,
     cardy_fit,
     entropy_bounds,
     estimate_sigma2,
@@ -176,7 +177,7 @@ def cardy_experiment(
     for t in sizes:
         head = t if d_qk is None else d_qk
         for s in range(seeds):
-            q, k = _gaussian_qk(np.random.default_rng([seed + s, t]), t, head, qk_std)
+            q, k = _gaussian_qk(_seeded_rng([seed + s, t]), t, head, qk_std)
             samples.append((t, attention_matrix(q, k)))
     fit = cardy_fit(samples)
 
@@ -237,7 +238,7 @@ def valley_experiment(
         r = int(r)
         rowcol_vals, interior_vals, passes = [], [], 0
         for s in range(seeds):
-            rng = np.random.default_rng([seed + s, r])
+            rng = _seeded_rng([seed + s, r])
             b = rng.standard_normal((d_out, r))
             a = rng.standard_normal((r, d_in))
             check = valley_check(b @ a, r, base=base)
@@ -298,9 +299,11 @@ def mp_compare(
 ) -> ExperimentReport:
     """KS distance of a cut's scaled reduced-density spectrum to MP(c).
 
-    The reduced density eigenvalues at the cut are scaled by the smaller
-    cut dimension, which maps them onto the MP law with aspect ratio
-    c = d_min/d_max when the input is an i.i.d. Gaussian matrix.
+    The reduced density eigenvalues at the cut (of the unfolding's Gram
+    matrix, or its squared singular values where that cannot resolve
+    them) are scaled by the smaller cut dimension, which maps them onto
+    the MP law with aspect ratio c = d_min/d_max when the input is an
+    i.i.d. Gaussian matrix.
     """
     if bins < 4:
         raise InvalidArgumentError("need at least 4 histogram bins")
@@ -309,14 +312,12 @@ def mp_compare(
     if layout.num_cuts == 0:
         raise InvalidArgumentError("a 1x1 matrix has no cuts to compare at")
     k = layout.n if cut is None else int(cut)
-    if not 1 <= k <= layout.num_cuts:
-        raise InvalidArgumentError(f"cut must be in [1, {layout.num_cuts}], got {k}")
-    spectrum = cut_spectrum(tensor, k)
-    sigmas = np.asarray(spectrum.sigmas)
-    d_min = min(spectrum.d_left, spectrum.d_right)
-    d_max = max(spectrum.d_left, spectrum.d_right)
-    eigs = sigmas**2 / np.dot(sigmas, sigmas)
-    scaled = np.sort(d_min * eigs)
+    d_min, d_max = sorted(layout.cut_dims(k))
+    unfolding, _ = _rescaled(tensor.reshape(layout.cut_dims(k)))
+    eigs, _, resolved = _gram_eigh(unfolding)
+    if not resolved:
+        eigs = np.linalg.svd(unfolding, compute_uv=False) ** 2
+    scaled = np.sort(d_min * eigs / eigs.sum())
     c = d_min / d_max
     law = MarchenkoPastur(c)
     ks = ks_distance(scaled, law)

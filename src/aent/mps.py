@@ -1,10 +1,10 @@
-"""Tensor-train (matrix product state) decomposition by sequential SVD.
+"""Tensor-train (matrix product state) decomposition by a sequential sweep.
 
-The sweep runs left to right.  At bond k the carried matrix is reshaped to
-(chi_prev * d_k, rest), an economy SVD splits off the next core, and the
-product S @ Vh is carried forward.  Because every left factor is
-orthonormal, the singular values found at bond k of an untruncated sweep
-are exactly the Schmidt values of the full tensor across that cut.
+At bond k the carried matrix m is reshaped to (chi_prev * d_k, rest), its
+left factor U (the next core) and values S come from eigh(m @ m^T) or an
+SVD, and S @ Vh = U^T m is carried forward.  As every left factor is
+orthonormal, the values at bond k of an untruncated sweep are exactly the
+Schmidt values of the full tensor across that cut.
 """
 
 from __future__ import annotations
@@ -65,17 +65,40 @@ def _as_tensor(tensor) -> np.ndarray:
     return arr
 
 
-def decompose(tensor, chi_max: int | None = None) -> MpsChain:
-    """Sequential-SVD tensor train of ``tensor``.
-
-    With ``chi_max`` set, at most that many singular values are kept per
-    bond (the largest ones).  Values below ``SIGMA_FLOOR`` times the bond
-    maximum are dropped regardless.  Kept values are stored unnormalized;
-    nothing is rescaled by truncation.
-    """
+def _rescaled(tensor) -> tuple[np.ndarray, int]:
+    """(tensor * 2**-exponent, exponent): exact, largest entry in [0.5, 1), so squares stay in range."""
     arr = _as_tensor(tensor)
-    if not np.any(arr):
+    top = max(arr.max(), -arr.min())
+    if top == 0:
         raise DegenerateInputError("cannot decompose an all-zero tensor")
+    exponent = int(np.frexp(top)[1])
+    return np.ldexp(arr, -exponent), exponent
+
+
+def _gram_eigh(m: np.ndarray, vectors: bool = False):
+    """Eigenpairs of the Gram matrix on the smaller side of ``m`` (rows on a tie).
+
+    Returns the descending eigenvalues, their eigenvector columns (None
+    unless ``vectors``) and whether lam_min > 100 k eps lam_max, without
+    which sqrt(lam) cannot resolve ``SIGMA_FLOOR``.
+    """
+    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    lam, u = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+    resolved = lam[0] > 100 * lam.size * np.finfo(np.float64).eps * lam[-1]
+    return lam[::-1], None if u is None else u[:, ::-1], resolved
+
+
+def decompose(tensor, chi_max: int | None = None) -> MpsChain:
+    """Tensor train of ``tensor`` by a left-to-right sweep.
+
+    A wide unfolding m is split by eigh(m @ m^T), whose top eigenvectors
+    form the core; a tall one, or one whose Gram spectrum cannot resolve
+    ``SIGMA_FLOOR``, by an economy SVD.  With ``chi_max`` set, at most that
+    many values, the largest (ties broken arbitrarily), are kept per bond.
+    Values below ``SIGMA_FLOOR`` times the bond maximum are dropped
+    regardless.  Kept values are stored unnormalized.
+    """
+    arr, exponent = _rescaled(tensor)
     if chi_max is not None and chi_max < 1:
         raise InvalidArgumentError(f"chi_max must be >= 1, got {chi_max}")
 
@@ -85,16 +108,18 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     carried = arr.reshape(1, -1)
     chi = 1
     for d in dims[:-1]:
-        mat = carried.reshape(chi * d, -1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        keep = int(np.count_nonzero(s > SIGMA_FLOOR * s[0]))
-        if chi_max is not None:
-            keep = min(keep, chi_max)
+        m = carried.reshape(chi * d, -1)
+        lam, u, resolved = _gram_eigh(m, vectors=True) if m.shape[0] <= m.shape[1] else (None, None, False)
+        if resolved:
+            s = np.sqrt(lam)
+        else:
+            u, s, vh = np.linalg.svd(m, full_matrices=False)
+        keep = min(int(np.count_nonzero(s > SIGMA_FLOOR * s[0])), chi_max or s.size)
         cores.append(u[:, :keep].reshape(chi, d, keep))
-        spectra.append(s[:keep].copy())
-        carried = s[:keep, None] * vh[:keep]
+        spectra.append(np.ldexp(s[:keep], exponent))
+        carried = u[:, :keep].T @ m if resolved else s[:keep, None] * vh[:keep]
         chi = keep
-    cores.append(carried.reshape(chi, dims[-1], 1))
+    cores.append(np.ldexp(carried, exponent).reshape(chi, dims[-1], 1))
     return MpsChain(cores=cores, bond_spectra=spectra, chi_max=chi_max)
 
 
@@ -112,8 +137,8 @@ def reconstruct(mps: MpsChain) -> np.ndarray:
 def cut_spectrum(tensor, cut: int) -> SchmidtSpectrum:
     """Schmidt values across one cut, by direct SVD of the unfolding.
 
-    This is the reference the sweep is checked against; it does not share
-    code with :func:`decompose`.
+    This is the reference the Gram spectra are checked against; it does
+    not share code with :func:`decompose` or :func:`schmidt_values`.
     """
     arr = _as_tensor(tensor)
     if arr.ndim < 2:
@@ -130,24 +155,18 @@ def schmidt_values(tensor) -> list[np.ndarray]:
     """Descending Schmidt values at cuts 1..n-1, one cut at a time.
 
     Each is sqrt(eigvalsh) of the Gram matrix on the smaller side of the
-    unfolding, or its exact SVD where the smallest eigenvalue is within
-    100 k eps of the largest: squaring cannot resolve ``SIGMA_FLOOR`` there.
+    unfolding, or its exact SVD where that cannot resolve ``SIGMA_FLOOR``.
     An SVD that finds at most half the full rank above 1e-2 ``SIGMA_FLOOR``
     compresses the unfolding for the later cuts, as the sweep does, so
     their arrays may be shorter than min(d_left, d_right).
     """
-    arr = _as_tensor(tensor)
-    top = max(arr.max(), -arr.min())
-    if top == 0:
-        raise DegenerateInputError("cannot decompose an all-zero tensor")
-    # an exact power-of-two rescale keeps the Gram entries from overflowing
-    exponent = int(np.frexp(top)[1])
-    carried = np.ldexp(arr, -exponent).reshape(1, -1)
+    arr, exponent = _rescaled(tensor)
+    carried = arr.reshape(1, -1)
     spectra = []
     for d in arr.shape[:-1]:
         m = carried = carried.reshape(carried.shape[0] * d, -1)
-        lam = np.linalg.eigvalsh(m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m)[::-1]
-        if lam[-1] > 100 * lam.size * np.finfo(np.float64).eps * lam[0]:
+        lam, _, resolved = _gram_eigh(m)
+        if resolved:
             sigmas = np.sqrt(lam)
         else:
             sigmas = np.linalg.svd(m, compute_uv=False)

@@ -18,12 +18,18 @@ from .entropy import _log_base, binary_entropy, normalize_spectrum, renyi, von_n
 from .errors import DegenerateInputError, InvalidArgumentError
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for an int or a list of ints, each >= 0."""
+    if np.min(seed) < 0:
+        raise InvalidArgumentError(f"seed entries must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def sample_gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
     """i.i.d. standard normal entries from a seeded generator."""
     if rows < 1 or cols < 1:
         raise InvalidArgumentError("matrix dimensions must be >= 1")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((rows, cols))
+    return _seeded_rng(seed).standard_normal((rows, cols))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import aent.experiments
-from aent import write_matrix
+from aent import MarchenkoPastur, ks_distance, write_matrix
 from aent.cli import SUBCOMMANDS, main
 
 PROFILE_HEADER = "cut,d_left,d_right,chi,entropy,renyi2,normalized"
@@ -93,6 +93,7 @@ def _bad_file(tmp_path, kind):
         (["profile", "<nan>"], 2),
         (["profile", "<inf>"], 2),
         (["mp-compare", "<nan>"], 2),
+        (["mp-compare", "<zero>"], 5),
         (["profile", "<huge-dims>"], 4),
         (["profile", "<eye>", "--base", "1"], 2),
         (["profile", "<eye>", "--base", "0"], 2),
@@ -116,6 +117,7 @@ def _bad_file(tmp_path, kind):
         "profile-nan",
         "profile-inf",
         "mp-compare-nan",
+        "mp-compare-zero",
         "profile-huge-dims",
         "base-1",
         "base-0",
@@ -138,8 +140,9 @@ def _bad_file(tmp_path, kind):
 )
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, expected):
     files = {f"<{kind}>": _bad_file(tmp_path, kind) for kind in ("nan", "inf", "huge-dims")}
-    files["<eye>"] = str(tmp_path / "eye.aent")
-    write_matrix(files["<eye>"], np.eye(4))
+    for kind, matrix in (("eye", np.eye(4)), ("zero", np.zeros((6, 4)))):
+        files[f"<{kind}>"] = str(tmp_path / f"{kind}.aent")
+        write_matrix(files[f"<{kind}>"], matrix)
     code, lines = run_to_file(tmp_path, [files.get(arg, arg) for arg in argv])
     assert code == expected
     assert lines == []
@@ -270,6 +273,25 @@ class TestMpCompareCommand:
             tmp_path, ["mp-compare", "--gaussian", "8x8", "--cut", "99"]
         )
         assert code == 2
+
+    def test_rank_deficient_file_matches_the_svd_spectrum(self, tmp_path):
+        # rounding puts about half of the 1020 zero eigenvalues of the Gram
+        # matrix below 0, so this cut is read from the SVD; each zero must
+        # land in the first bin, while the four signal values (about 256
+        # each) lie above the last one
+        rng = np.random.default_rng(8)
+        matrix = rng.standard_normal((1024, 4)) @ rng.standard_normal((4, 1024))
+        src, out_json = tmp_path / "rank4.aent", tmp_path / "out.json"
+        write_matrix(src, matrix)
+        code, _ = run_to_file(tmp_path, ["mp-compare", str(src), "--json", str(out_json)])
+        assert code == 0
+        tables = json.loads(out_json.read_text())["tables"]
+        summary = tables["summary"][0]
+        assert summary["values"] == 1024
+        assert tables["histogram"][0]["count"] == sum(row["count"] for row in tables["histogram"]) == 1020
+        sigmas = np.linalg.svd(matrix, compute_uv=False)
+        reference = ks_distance(np.sort(1024 * sigmas**2 / np.dot(sigmas, sigmas)), MarchenkoPastur(1.0))
+        assert abs(summary["ks_distance"] - reference) <= 1e-9
 
 
 class TestAttnCommand:

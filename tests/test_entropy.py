@@ -267,6 +267,14 @@ class TestProfilePaths:
         assert [r.chi for r in scaled.records] == [r.chi for r in unit.records]
         assert np.allclose(scaled.entropies, unit.entropies, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_truncated_extreme_scales_match_unit_scale(self, scale):
+        # the capped sweep squares entries in its Gram matrices too
+        matrix = np.random.default_rng(11).standard_normal((64, 48))
+        unit, scaled = profile(matrix, chi_max=4), profile(matrix * scale, chi_max=4)
+        assert [r.chi for r in scaled.records] == [r.chi for r in unit.records]
+        assert np.allclose(scaled.entropies, unit.entropies, rtol=0.0, atol=1e-12)
+
     def test_all_zero_still_rejected(self):
         with pytest.raises(DegenerateInputError, match="cannot decompose an all-zero tensor"):
             profile(np.zeros((4, 6)))

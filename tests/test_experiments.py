@@ -6,6 +6,7 @@ import pytest
 
 from aent import (
     REFERENCE_ADAPTER_SPECS,
+    DegenerateInputError,
     ExperimentReport,
     InvalidArgumentError,
     adapter_count_rows,
@@ -166,6 +167,21 @@ class TestMpCompare:
         assert summary["cut"] == 3
         assert summary["c"] == 0.25
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_extreme_scales_match_unit_scale(self, scale):
+        # squared values of 1e160 overflow and of 1e-170 underflow float64
+        matrix = sample_gaussian_matrix(64, 48, seed=3)
+        unit, scaled = mp_compare(matrix), mp_compare(matrix * scale)
+        ks = [r.tables["summary"][0]["ks_distance"] for r in (unit, scaled)]
+        assert abs(ks[1] - ks[0]) <= 1e-12
+        counts = [[row["count"] for row in r.tables["histogram"]] for r in (unit, scaled)]
+        assert counts[1] == counts[0]
+        assert sum(counts[0]) == 48
+
+    def test_all_zero_rejected(self):
+        with pytest.raises(DegenerateInputError, match="all-zero"):
+            mp_compare(np.zeros((8, 6)))
+
     def test_validation(self):
         matrix = sample_gaussian_matrix(8, 8, seed=2)
         with pytest.raises(InvalidArgumentError):
@@ -174,6 +190,25 @@ class TestMpCompare:
             mp_compare(matrix, bins=2)
         with pytest.raises(InvalidArgumentError):
             mp_compare(np.ones((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: page_bench(8, seeds=1, seed=-1),
+        lambda: cardy_experiment(t_grid=(8, 16, 32, 64), seeds=1, seed=-1),
+        lambda: valley_experiment(d_out=8, d_in=8, ranks=(1,), seeds=1, seed=-1),
+        lambda: attn_experiment(8, heads=1, seed=-1),
+    ],
+    ids=["page-bench", "cardy", "valley", "attn"],
+)
+def test_negative_seed_rejected_before_any_draw(monkeypatch, run):
+    draws = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or default_rng(seed))
+    with pytest.raises(InvalidArgumentError, match="seed entries must be >= 0"):
+        run()
+    assert draws == []
 
 
 class TestAttnExperiment:

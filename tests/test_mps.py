@@ -8,6 +8,7 @@ from aent import (
     InvalidArgumentError,
     cut_spectrum,
     decompose,
+    profile,
     reconstruct,
     tensorize,
 )
@@ -22,6 +23,14 @@ def _random_tensor(dims, seed):
 site_dims = st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=6).filter(
     lambda dims: int(np.prod(dims)) <= 2000
 )
+
+
+def _svd_call_log(monkeypatch):
+    """The shapes of all later np.linalg.svd calls, in order."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(m.shape) or svd(m, **kw))
+    return calls
 
 
 class TestDecompose:
@@ -190,9 +199,7 @@ class TestSchmidtValues:
             assert np.allclose(sigmas, direct.sigmas, rtol=1e-8, atol=1e-8 * direct.sigmas[0])
 
     def _svd_calls(self, monkeypatch, tensor):
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(m.shape) or svd(m, **kw))
+        calls = _svd_call_log(monkeypatch)
         spectra = schmidt_values(tensor)
         return spectra, calls
 
@@ -226,3 +233,72 @@ class TestSchmidtValues:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidArgumentError):
             schmidt_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def _svd_sweep(tensor, chi_max=None):
+    """Bond spectra of the sequential sweep with an economy SVD at every bond."""
+    spectra, carried, chi = [], tensor.reshape(1, -1), 1
+    for d in tensor.shape[:-1]:
+        _, s, vh = np.linalg.svd(carried.reshape(chi * d, -1), full_matrices=False)
+        chi = int(np.count_nonzero(s > 1e-12 * s[0]))
+        chi = chi if chi_max is None else min(chi, chi_max)
+        spectra.append(s[:chi])
+        carried = s[:chi, None] * vh[:chi]
+    return spectra
+
+
+def _bond_entropy_bits(sigmas):
+    p = sigmas**2 / np.dot(sigmas, sigmas)
+    return float(-(p * np.log2(p)).sum())
+
+
+class TestGramSweep:
+    """decompose splits wide bonds by eigh of the Gram matrix; an SVD-only sweep is the reference."""
+
+    @given(
+        site_dims.filter(lambda dims: len(dims) >= 2),
+        st.none() | st.integers(min_value=1, max_value=8),
+        st.none() | st.integers(min_value=1, max_value=4),
+        st.sampled_from([0.0, 1e-3, 1e-6]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_svd_sweep(self, dims, chi_max, rank, noise, seed):
+        rng = np.random.default_rng(seed)
+        tensor = rng.standard_normal(dims)
+        if rank is not None:
+            rows = int(np.prod(dims[: len(dims) // 2]))
+            product = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, tensor.size // rows))
+            tensor = product.reshape(dims) + noise * tensor
+        chain = decompose(tensor, chi_max=chi_max)
+        reference = _svd_sweep(tensor, chi_max)
+        assert len(chain.bond_spectra) == len(reference)
+        for swept, direct in zip(chain.bond_spectra, reference):
+            assert swept.size == direct.size
+            assert np.allclose(swept, direct, rtol=1e-8, atol=1e-8 * direct[0])
+            assert abs(_bond_entropy_bits(swept) - _bond_entropy_bits(direct)) <= 1e-10
+
+    def test_gaussian_wide_cuts_use_the_gram_matrix(self, monkeypatch):
+        _, tensor = tensorize(_random_tensor((64, 48), 2))
+        calls = _svd_call_log(monkeypatch)
+        decompose(tensor, chi_max=8)
+        # the right end of a capped sweep is tall: 16 x 12, 16 x 6, 12 x 3
+        assert calls
+        assert all(rows > cols for rows, cols in calls)
+
+    def test_rank_one_wide_cut_falls_back_to_svd(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        _, tensor = tensorize(np.outer(rng.standard_normal(8), rng.standard_normal(8)))
+        calls = _svd_call_log(monkeypatch)
+        decompose(tensor, chi_max=4)
+        assert any(rows <= cols for rows, cols in calls)
+
+    def test_degenerate_spectrum_is_capped_and_deterministic(self):
+        # every Schmidt value of the identity ties, so which ones a cap of 4
+        # keeps is arbitrary and later cuts may differ from an SVD sweep's;
+        # only the cap and the repeat are checked
+        first, again = profile(np.eye(64), chi_max=4), profile(np.eye(64), chi_max=4)
+        assert first == again
+        for rec in first.records:
+            assert rec.chi <= 4
+            assert rec.entropy <= 2.0 + 1e-12
