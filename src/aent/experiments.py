@@ -22,7 +22,7 @@ from .adapters import AdapterSpec, param_count, valley_check
 from .attention import DEFAULT_QK_STD, AttentionScene, _gaussian_qk, attention_matrix, mask_ablation, output_operator
 from .entropy import EntanglementProfile, page_entropy, profile
 from .errors import InvalidArgumentError
-from .mps import _gram_eigh, _rescaled
+from .mps import _rescaled, _sigmas
 from .rmt import (
     MarchenkoPastur,
     _seeded_rng,
@@ -299,11 +299,10 @@ def mp_compare(
 ) -> ExperimentReport:
     """KS distance of a cut's scaled reduced-density spectrum to MP(c).
 
-    The reduced density eigenvalues at the cut (of the unfolding's Gram
-    matrix, or its squared singular values where that cannot resolve
-    them) are scaled by the smaller cut dimension, which maps them onto
-    the MP law with aspect ratio c = d_min/d_max when the input is an
-    i.i.d. Gaussian matrix.
+    The reduced density eigenvalues at the cut, the squared Schmidt values
+    of :func:`mps._sigmas`, are scaled by the smaller cut dimension, which
+    maps them onto the MP law with aspect ratio c = d_min/d_max when the
+    input is an i.i.d. Gaussian matrix.
     """
     if bins < 4:
         raise InvalidArgumentError("need at least 4 histogram bins")
@@ -314,9 +313,7 @@ def mp_compare(
     k = layout.n if cut is None else int(cut)
     d_min, d_max = sorted(layout.cut_dims(k))
     unfolding, _ = _rescaled(tensor.reshape(layout.cut_dims(k)))
-    eigs, _, resolved = _gram_eigh(unfolding)
-    if not resolved:
-        eigs = np.linalg.svd(unfolding, compute_uv=False) ** 2
+    eigs = _sigmas(unfolding) ** 2
     scaled = np.sort(d_min * eigs / eigs.sum())
     c = d_min / d_max
     law = MarchenkoPastur(c)

@@ -75,26 +75,38 @@ def _rescaled(tensor) -> tuple[np.ndarray, int]:
     return np.ldexp(arr, -exponent), exponent
 
 
-def _gram_eigh(m: np.ndarray, vectors: bool = False):
-    """Eigenpairs of the Gram matrix on the smaller side of ``m`` (rows on a tie).
+_PROBE = 64
 
-    Returns the descending eigenvalues, their eigenvector columns (None
-    unless ``vectors``) and whether lam_min > 100 k eps lam_max, without
-    which sqrt(lam) cannot resolve ``SIGMA_FLOOR``.
+
+def _sigmas(m: np.ndarray, vectors: bool = False):
+    """Descending singular values of a rescaled unfolding ``m``.
+
+    sqrt(eigh) of the k x k Gram matrix on the smaller side (rows side with
+    ``vectors``) where lam_min > 100 k eps lam_max resolves ``SIGMA_FLOOR``,
+    tried first on the leading ``_PROBE`` block once k >= 4 ``_PROBE`` (by
+    Cauchy interlacing the whole fails where it does); else an SVD.  With
+    ``vectors`` (a tall ``m`` takes the SVD) returns (u, s, vh), vh None on the Gram path.
     """
-    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    lam, u = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
-    resolved = lam[0] > 100 * lam.size * np.finfo(np.float64).eps * lam[-1]
-    return lam[::-1], None if u is None else u[:, ::-1], resolved
+    g = m if m.shape[0] <= m.shape[1] else m.T
+    tol = 100 * g.shape[0] * np.finfo(np.float64).eps
+    gram = g is m or not vectors
+    if gram and g.shape[0] >= 4 * _PROBE:
+        lam = np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T)
+        gram = lam[0] > tol * lam[-1]
+    if gram:
+        lam, u = np.linalg.eigh(g @ g.T) if vectors else (np.linalg.eigvalsh(g @ g.T), None)
+        if lam[0] > tol * lam[-1]:
+            return (u[:, ::-1], np.sqrt(lam[::-1]), None) if vectors else np.sqrt(lam[::-1])
+    return np.linalg.svd(m, full_matrices=False) if vectors else np.linalg.svd(m, compute_uv=False)
 
 
 def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     """Tensor train of ``tensor`` by a left-to-right sweep.
 
-    A wide unfolding m is split by eigh(m @ m^T), whose top eigenvectors
-    form the core; a tall one, or one whose Gram spectrum cannot resolve
-    ``SIGMA_FLOOR``, by an economy SVD.  With ``chi_max`` set, at most that
-    many values, the largest (ties broken arbitrarily), are kept per bond.
+    Each bond is split by :func:`_sigmas`: a wide unfolding by the top
+    eigenvectors of its Gram matrix, a tall or unresolved one by an SVD.
+    With ``chi_max`` set, at most that many values, the largest (ties
+    broken arbitrarily), are kept per bond.
     Values below ``SIGMA_FLOOR`` times the bond maximum are dropped
     regardless.  Kept values are stored unnormalized.
     """
@@ -109,15 +121,11 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     chi = 1
     for d in dims[:-1]:
         m = carried.reshape(chi * d, -1)
-        lam, u, resolved = _gram_eigh(m, vectors=True) if m.shape[0] <= m.shape[1] else (None, None, False)
-        if resolved:
-            s = np.sqrt(lam)
-        else:
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
+        u, s, vh = _sigmas(m, vectors=True)
         keep = min(int(np.count_nonzero(s > SIGMA_FLOOR * s[0])), chi_max or s.size)
         cores.append(u[:, :keep].reshape(chi, d, keep))
         spectra.append(np.ldexp(s[:keep], exponent))
-        carried = u[:, :keep].T @ m if resolved else s[:keep, None] * vh[:keep]
+        carried = u[:, :keep].T @ m if vh is None else s[:keep, None] * vh[:keep]
         chi = keep
     cores.append(np.ldexp(carried, exponent).reshape(chi, dims[-1], 1))
     return MpsChain(cores=cores, bond_spectra=spectra, chi_max=chi_max)
@@ -154,25 +162,20 @@ def cut_spectrum(tensor, cut: int) -> SchmidtSpectrum:
 def schmidt_values(tensor) -> list[np.ndarray]:
     """Descending Schmidt values at cuts 1..n-1, one cut at a time.
 
-    Each is sqrt(eigvalsh) of the Gram matrix on the smaller side of the
-    unfolding, or its exact SVD where that cannot resolve ``SIGMA_FLOOR``.
-    An SVD that finds at most half the full rank above 1e-2 ``SIGMA_FLOOR``
-    compresses the unfolding for the later cuts, as the sweep does, so
-    their arrays may be shorter than min(d_left, d_right).
+    Each is read by :func:`_sigmas`, from the Gram matrix of the unfolding
+    or its exact SVD.  An SVD that finds at most half the full rank above
+    1e-2 ``SIGMA_FLOOR`` compresses the unfolding for the later cuts, as
+    the sweep does, so their arrays may be shorter than min(d_left, d_right).
     """
     arr, exponent = _rescaled(tensor)
     carried = arr.reshape(1, -1)
     spectra = []
     for d in arr.shape[:-1]:
         m = carried = carried.reshape(carried.shape[0] * d, -1)
-        lam, _, resolved = _gram_eigh(m)
-        if resolved:
-            sigmas = np.sqrt(lam)
-        else:
-            sigmas = np.linalg.svd(m, compute_uv=False)
-            keep = int(np.count_nonzero(sigmas > 1e-2 * SIGMA_FLOOR * sigmas[0]))
-            if 2 * keep <= sigmas.size:
-                _, s, vh = np.linalg.svd(m, full_matrices=False)
-                carried = s[:keep, None] * vh[:keep]
+        sigmas = _sigmas(m)
+        keep = int(np.count_nonzero(sigmas > 1e-2 * SIGMA_FLOOR * sigmas[0]))
+        if 2 * keep <= sigmas.size:
+            _, s, vh = np.linalg.svd(m, full_matrices=False)
+            carried = s[:keep, None] * vh[:keep]
         spectra.append(np.ldexp(sigmas, exponent))
     return spectra

@@ -19,8 +19,8 @@ from .errors import DegenerateInputError, InvalidArgumentError
 
 
 def _seeded_rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` for an int or a list of ints, each >= 0."""
-    if np.min(seed) < 0:
+    """``np.random.default_rng(seed)``; an int seed, or each int in a list of them, must be >= 0."""
+    if isinstance(seed, (int, np.integer, list, tuple, np.ndarray)) and np.min(seed, initial=0) < 0:
         raise InvalidArgumentError(f"seed entries must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 

@@ -9,6 +9,7 @@ from aent import (
     DegenerateInputError,
     ExperimentReport,
     InvalidArgumentError,
+    MarchenkoPastur,
     adapter_count_rows,
     attn_experiment,
     cardy_experiment,
@@ -18,6 +19,7 @@ from aent import (
     page_bench,
     page_entropy,
     sample_gaussian_matrix,
+    ks_distance,
     valley_experiment,
 )
 
@@ -177,6 +179,18 @@ class TestMpCompare:
         counts = [[row["count"] for row in r.tables["histogram"]] for r in (unit, scaled)]
         assert counts[1] == counts[0]
         assert sum(counts[0]) == 48
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_rank_deficient_cut_matches_the_svd_spectrum(self, noise):
+        # on a square cut the MP CDF grows like sqrt(x) from 0, so the KS
+        # distance reads noise eigenvalues far below what a Gram spectrum resolves
+        rng = np.random.default_rng(11)
+        matrix = rng.standard_normal((256, 4)) @ rng.standard_normal((4, 256))
+        matrix += noise * rng.standard_normal((256, 256))
+        ks = mp_compare(matrix).tables["summary"][0]["ks_distance"]
+        sigmas = np.linalg.svd(matrix, compute_uv=False)
+        reference = ks_distance(np.sort(256 * sigmas**2 / np.dot(sigmas, sigmas)), MarchenkoPastur(1.0))
+        assert abs(ks - reference) <= 1e-12
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError, match="all-zero"):

@@ -12,7 +12,7 @@ from aent import (
     reconstruct,
     tensorize,
 )
-from aent.mps import schmidt_values
+from aent.mps import _PROBE, _sigmas, schmidt_values
 
 
 def _random_tensor(dims, seed):
@@ -25,11 +25,11 @@ site_dims = st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=6).filter(
 )
 
 
-def _svd_call_log(monkeypatch):
-    """The shapes of all later np.linalg.svd calls, in order."""
+def _svd_call_log(monkeypatch, name="svd"):
+    """The shapes of all later calls of np.linalg.<name>, in order."""
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(m.shape) or svd(m, **kw))
+    fn = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda m, **kw: calls.append(m.shape) or fn(m, **kw))
     return calls
 
 
@@ -302,3 +302,60 @@ class TestGramSweep:
         for rec in first.records:
             assert rec.chi <= 4
             assert rec.entropy <= 2.0 + 1e-12
+
+
+class TestSigmas:
+    """_sigmas tests the leading Gram block before forming the whole Gram matrix."""
+
+    def _low_rank(self, rows, cols, rank, seed=3):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+    @pytest.mark.parametrize("shape", [(4 * _PROBE, 5 * _PROBE), (5 * _PROBE, 4 * _PROBE)])
+    def test_rank_deficient_probe_skips_the_gram_matrix(self, monkeypatch, shape):
+        m = self._low_rank(*shape, rank=_PROBE // 2)
+        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        svd_calls = _svd_call_log(monkeypatch)
+        sigmas = _sigmas(m)
+        assert eig_calls == [(_PROBE, _PROBE)]
+        assert svd_calls == [shape]
+        assert np.array_equal(sigmas, np.linalg.svd(m, compute_uv=False))
+
+    def test_rank_deficient_probe_skips_eigh_with_vectors(self, monkeypatch):
+        m = self._low_rank(4 * _PROBE, 5 * _PROBE, rank=4)
+        eigh_calls = _svd_call_log(monkeypatch, "eigh")
+        u, s, vh = _sigmas(m, vectors=True)
+        assert eigh_calls == [] and vh is not None
+        assert np.allclose((u * s) @ vh, m, atol=1e-12 * s[0])
+
+    def test_full_rank_probe_goes_on_to_the_gram_matrix(self, monkeypatch):
+        m = np.random.default_rng(5).standard_normal((4 * _PROBE, 5 * _PROBE))
+        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        svd_calls = _svd_call_log(monkeypatch)
+        sigmas = _sigmas(m)
+        assert eig_calls == [(_PROBE, _PROBE), (4 * _PROBE, 4 * _PROBE)]
+        assert svd_calls == []
+        direct = np.linalg.svd(m, compute_uv=False)
+        assert np.allclose(sigmas, direct, rtol=1e-10)
+
+    def test_full_rank_probe_over_a_rank_deficient_whole_falls_back(self, monkeypatch):
+        # the first _PROBE rows are independent, the rest repeat them
+        top = np.random.default_rng(6).standard_normal((_PROBE, 5 * _PROBE))
+        m = np.vstack([top, top[::-1], top, top])
+        svd_calls = _svd_call_log(monkeypatch)
+        sigmas = _sigmas(m)
+        assert svd_calls == [m.shape]
+        assert np.count_nonzero(sigmas > 1e-12 * sigmas[0]) == _PROBE
+
+    def test_small_gram_matrix_is_not_probed(self, monkeypatch):
+        m = self._low_rank(4 * _PROBE - 1, 5 * _PROBE, rank=4)
+        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        _sigmas(m)
+        assert eig_calls == [(4 * _PROBE - 1, 4 * _PROBE - 1)]
+
+    def test_tall_unfolding_with_vectors_goes_straight_to_the_svd(self, monkeypatch):
+        m = np.random.default_rng(7).standard_normal((3 * _PROBE, 2))
+        eig_calls = _svd_call_log(monkeypatch, "eigh") + _svd_call_log(monkeypatch, "eigvalsh")
+        svd_calls = _svd_call_log(monkeypatch)
+        _sigmas(m, vectors=True)
+        assert svd_calls == [m.shape] and eig_calls == []

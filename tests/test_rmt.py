@@ -282,3 +282,17 @@ class TestSampleGaussian:
     def test_dimension_validation(self):
         with pytest.raises(InvalidArgumentError):
             sample_gaussian_matrix(0, 3, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            sample_gaussian_matrix(2, 3, seed=-1)
+        with pytest.raises(InvalidArgumentError):
+            sample_gaussian_matrix(2, 3, seed=[4, -1])
+
+    def test_non_integer_seeds_pass_through(self):
+        assert sample_gaussian_matrix(2, 3, seed=None).shape == (2, 3)
+        gen = np.random.default_rng(7)
+        expected = np.random.default_rng(7).standard_normal((2, 3))
+        assert np.array_equal(sample_gaussian_matrix(2, 3, seed=gen), expected)
+        seq = np.random.SeedSequence(7)
+        assert np.array_equal(sample_gaussian_matrix(2, 3, seed=seq), expected)
