@@ -41,8 +41,11 @@ def _gaussian_qk(rng: np.random.Generator, t: int, d_qk: int, qk_std: float) -> 
         raise InvalidArgumentError(f"T must be >= 1, got {t}")
     if not (math.isfinite(qk_std) and qk_std >= 0.0):
         raise InvalidArgumentError(f"qk_std must be finite and >= 0, got {qk_std}")
-    q = qk_std * rng.standard_normal((t, d_qk))
-    k = qk_std * rng.standard_normal((t, d_qk))
+    with np.errstate(over="ignore"):
+        q = qk_std * rng.standard_normal((t, d_qk))
+        k = qk_std * rng.standard_normal((t, d_qk))
+    if not (np.isfinite(q).all() and np.isfinite(k).all()):
+        raise InvalidArgumentError(f"qk_std = {qk_std} overflows float64 in the query/key draw")
     return q, k
 
 
@@ -58,8 +61,18 @@ def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.n
         raise ShapeMismatchError(
             f"Q and K must share shape (T, d_qk), got {q.shape} and {k.shape}"
         )
-    logits = q @ k.T / math.sqrt(q.shape[1])
-    return _softmax_rows(logits, causal=causal)
+    return _softmax_rows(_logits(q, k), causal=causal)
+
+
+def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Q K^T / sqrt(d_qk), rejected if any entry overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = q @ k.T / math.sqrt(q.shape[1])
+    if not np.isfinite(logits).all():
+        raise InvalidArgumentError(
+            "attention logits Q K^T / sqrt(d_qk) overflow float64; reduce qk_std"
+        )
+    return logits
 
 
 def _softmax_rows(logits: np.ndarray, causal: bool) -> np.ndarray:
@@ -200,7 +213,7 @@ class MaskAblation:
 
 def mask_ablation(scene: AttentionScene, chi_max: int | None = None, base: float = 2.0) -> MaskAblation:
     """Profile the scene's attention with the causal mask on and off."""
-    logits = scene.q @ scene.k.T / math.sqrt(scene.d_qk)
+    logits = _logits(scene.q, scene.k)
     a_masked = _softmax_rows(logits, causal=True)
     a_unmasked = _softmax_rows(logits, causal=False)
     return MaskAblation(

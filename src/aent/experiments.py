@@ -26,6 +26,7 @@ from .mps import _rescaled, _sigmas
 from .rmt import (
     MarchenkoPastur,
     _seeded_rng,
+    _stochastic_spectrum,
     cardy_fit,
     entropy_bounds,
     estimate_sigma2,
@@ -394,7 +395,7 @@ def attn_experiment(
             )
             sigma_op = output_operator(scene.x)
             prof_sigma = profile(sigma_op, chi_max=chi_max, base=base)
-            sv = np.linalg.svd(scene.a, compute_uv=False)
+            sv, _, _ = _stochastic_spectrum(scene.a)
             s1 = float(sv[0])
             p1 = float(sv[0] ** 2 / np.dot(sv, sv))
             sigma2 = estimate_sigma2(scene.a)

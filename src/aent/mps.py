@@ -65,13 +65,26 @@ def _as_tensor(tensor) -> np.ndarray:
     return arr
 
 
+# Largest entries within 2**+-_SAFE_EXPONENT are not rescaled: every Gram
+# entry stays below 2**263 and every square that can pass the 1e-2
+# SIGMA_FLOOR cut above 2**-300, far inside float64 and LAPACK's unscaled range.
+_SAFE_EXPONENT = 100
+
+
 def _rescaled(tensor) -> tuple[np.ndarray, int]:
-    """(tensor * 2**-exponent, exponent): exact, largest entry in [0.5, 1), so squares stay in range."""
+    """(tensor * 2**-exponent, exponent), exact, so squares stay in range.
+
+    Outside the safe range the largest entry is scaled into [0.5, 1); inside
+    it the tensor itself comes back with exponent 0, so callers must not
+    write into the array.
+    """
     arr = _as_tensor(tensor)
     top = max(arr.max(), -arr.min())
     if top == 0:
         raise DegenerateInputError("cannot decompose an all-zero tensor")
     exponent = int(np.frexp(top)[1])
+    if abs(exponent) <= _SAFE_EXPONENT:
+        return arr, 0
     return np.ldexp(arr, -exponent), exponent
 
 

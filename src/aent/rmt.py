@@ -234,13 +234,36 @@ def empirical_moments(rescaled_singulars) -> Moments:
     )
 
 
+def _stochastic_spectrum(a: np.ndarray, bulk: bool = False):
+    """(sigmas, bulk_eigs, svd) of a square ``a`` whose rows sum to ~1; see :func:`cardy_fit`.
+
+    ``sigmas`` are A's singular values, descending, from the SVD when ``svd``;
+    ``bulk_eigs`` are the eigenvalues of B B^T, or None without ``bulk``.
+    """
+    t = a.shape[0]
+    b = a - 1.0 / t
+    delta = b.sum(axis=1)
+    # b is dropped and A A^T built in place, so at most three T x T arrays
+    # are live; broadcast temporaries would raise the peak
+    gram = b @ b.T
+    del b
+    bulk_eigs = np.clip(np.linalg.eigvalsh(gram), 0.0, None) if bulk else None
+    gram += delta[:, None] / t
+    gram += (delta + 1.0) / t
+    lam = np.linalg.eigvalsh(gram)
+    if lam[0] > t * np.finfo(np.float64).eps * lam[-1]:
+        return np.sqrt(lam[::-1]), bulk_eigs, False
+    return np.linalg.svd(a, compute_uv=False), bulk_eigs, True
+
+
 @dataclass
 class CardyFit:
     """Least-squares fit of attention entropy against ln T.
 
     ``points`` holds (T, S) with S in nats.  The estimates suffixed
     ``_largest_t`` are averaged over the samples at the largest T, where
-    the limit quantities are least biased.
+    the limit quantities are least biased.  ``svd_fallbacks`` counts the
+    samples whose spectrum came from an SVD rather than the Gram matrix.
     """
 
     points: list[tuple[int, float]]
@@ -253,6 +276,7 @@ class CardyFit:
     p1_largest_t: float
     renyi2_largest_t: float
     renyi2_predicted: float
+    svd_fallbacks: int
 
     @property
     def relative_slope_deviation(self) -> float:
@@ -266,8 +290,17 @@ def cardy_fit(attention_samples) -> CardyFit:
 
     ``attention_samples`` is a sequence of (T, A) pairs covering at least
     four distinct T values.  sigma^2 is estimated from the Frobenius norm
-    of the bulk at the largest T only; the predicted slope is
-    sigma^2/(1+sigma^2).
+    of the bulk B = A - (1/T) 11^T at the largest T only; the predicted
+    slope is sigma^2/(1+sigma^2).
+
+    Spectra come from Gram matrices, not SVDs.  Per sample one product
+    B B^T gives A A^T through the exact identity
+    A A^T = B B^T + (delta 1^T + 1 delta^T + 11^T)/T, delta = A 1 - 1,
+    which holds whatever the row sums; the bulk spectrum, needed only at
+    the largest T, is eigvalsh(B B^T) clipped at 0.  The values of A are
+    the sqrt of eigvalsh(A A^T) unless lam_min <= T eps lam_max, where the
+    Gram cannot resolve the small end (a rank-deficient or near-uniform A)
+    and an SVD of A is taken instead; ``svd_fallbacks`` counts those.
     """
     samples = [(int(t), check_row_stochastic(a)) for t, a in attention_samples]
     sizes = sorted({t for t, _ in samples})
@@ -279,8 +312,10 @@ def cardy_fit(attention_samples) -> CardyFit:
 
     points: list[tuple[int, float]] = []
     s1_vals, p1_vals, renyi2_vals, sigma2_vals, m2log_vals = [], [], [], [], []
+    svd_fallbacks = 0
     for t, a in samples:
-        sigmas = np.linalg.svd(a, compute_uv=False)
+        sigmas, bulk_eigs, svd = _stochastic_spectrum(a, bulk=t == t_largest)
+        svd_fallbacks += svd
         lambdas = normalize_spectrum(sigmas)
         points.append((t, von_neumann(lambdas, base=math.e)))
         if t == t_largest:
@@ -288,9 +323,7 @@ def cardy_fit(attention_samples) -> CardyFit:
             p1_vals.append(float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)))
             renyi2_vals.append(renyi(lambdas, 2.0, base=math.e))
             sigma2_vals.append(estimate_sigma2(a))
-            bulk = a - 1.0 / t
-            bulk_sigmas = np.linalg.svd(bulk, compute_uv=False)
-            moments = empirical_moments(math.sqrt(t) * bulk_sigmas)
+            moments = empirical_moments(np.sqrt(t * bulk_eigs))
             m2log_vals.append(moments.m2log)
 
     log_t = np.log([t for t, _ in points])
@@ -314,6 +347,7 @@ def cardy_fit(attention_samples) -> CardyFit:
         p1_largest_t=float(np.mean(p1_vals)),
         renyi2_largest_t=float(np.mean(renyi2_vals)),
         renyi2_predicted=2.0 * math.log1p(sigma2),
+        svd_fallbacks=svd_fallbacks,
     )
 
 

@@ -16,6 +16,12 @@ from aent import (
 
 
 class TestAttentionMatrix:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_logit_overflow_rejected(self):
+        big = np.full((4, 2), 1e200)
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            attention_matrix(big, big)
+
     def test_zero_logits_give_uniform_rows(self):
         a = attention_matrix(np.zeros((6, 4)), np.zeros((6, 4)))
         assert np.allclose(a, 1.0 / 6.0, atol=1e-15)
@@ -140,6 +146,13 @@ class TestAttentionScene:
     def test_qk_std_validated(self, qk_std):
         with pytest.raises(InvalidArgumentError):
             AttentionScene.build(8, seed=0, qk_std=qk_std)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("qk_std, rope", [(1e300, False), (1e300, True), (1e308, True)])
+    def test_overflow_rejected_without_warnings(self, qk_std, rope):
+        # 1e300 overflows only the logits; 1e308 already the draw
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            AttentionScene.build(8, seed=0, qk_std=qk_std, rope=rope)
 
     def test_seed_reproducible(self):
         a = AttentionScene.build(8, seed=11)

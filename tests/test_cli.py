@@ -112,6 +112,8 @@ def _bad_file(tmp_path, kind):
         (["mp-compare", "--gaussian", "8x8", "--seed", "-1"], 2),
         (["attn", "--T", "8", "--heads", "1", "--seed", "-1"], 2),
         (["valley", "--rank", "-1", "--seeds", "1"], 2),
+        (["cardy", "--T-grid", "8,16,32,64", "--seeds", "1", "--qk-std", "1e300"], 2),
+        (["attn", "--T", "8", "--heads", "1", "--qk-std", "1e300"], 2),
     ],
     ids=[
         "profile-nan",
@@ -136,8 +138,11 @@ def _bad_file(tmp_path, kind):
         "mp-compare-seed-negative",
         "attn-seed-negative",
         "valley-rank-negative",
+        "cardy-logit-overflow",
+        "attn-logit-overflow",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, expected):
     files = {f"<{kind}>": _bad_file(tmp_path, kind) for kind in ("nan", "inf", "huge-dims")}
     for kind, matrix in (("eye", np.eye(4)), ("zero", np.zeros((6, 4)))):
@@ -146,7 +151,9 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, expected):
     code, lines = run_to_file(tmp_path, [files.get(arg, arg) for arg in argv])
     assert code == expected
     assert lines == []
-    assert capsys.readouterr().err.startswith("aent: ")
+    err = capsys.readouterr().err
+    assert err.startswith("aent: ")
+    assert err.count("\n") == 1
 
 
 def test_lapack_failure_is_degenerate_input(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from aent import (
     REFERENCE_ADAPTER_SPECS,
+    AttentionScene,
     DegenerateInputError,
     ExperimentReport,
     InvalidArgumentError,
@@ -251,6 +252,17 @@ class TestAttnExperiment:
         a = attn_experiment(8, heads=2, seeds=1, seed=4)
         b = attn_experiment(8, heads=2, seeds=1, seed=4)
         assert a.tables == b.tables
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("qk_std", [1e-8, 0.1, 0.65, 5.0])
+    def test_head_spectra_match_svd_reference(self, qk_std, causal):
+        for t in (16, 64, 256):
+            report = attn_experiment(t, heads=2, causal=causal, qk_std=qk_std, seed=3)
+            for row in report.tables["heads"]:
+                scene = AttentionScene.build(t, seed=[row["seed"], row["head"]], causal=causal, qk_std=qk_std)
+                sv = np.linalg.svd(scene.a, compute_uv=False)
+                assert row["s1"] == pytest.approx(sv[0], abs=1e-12, rel=1e-9)
+                assert row["p1"] == pytest.approx(sv[0] ** 2 / np.dot(sv, sv), abs=1e-12, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -12,7 +12,7 @@ from aent import (
     reconstruct,
     tensorize,
 )
-from aent.mps import _PROBE, _sigmas, schmidt_values
+from aent.mps import _PROBE, _rescaled, _sigmas, schmidt_values
 
 
 def _random_tensor(dims, seed):
@@ -359,3 +359,24 @@ class TestSigmas:
         svd_calls = _svd_call_log(monkeypatch)
         _sigmas(m, vectors=True)
         assert svd_calls == [m.shape] and eig_calls == []
+
+
+class TestRescaled:
+    base = np.array([[0.75, -0.5], [0.25, 0.1]])
+
+    @pytest.mark.parametrize("power", [100, 0, -100])
+    def test_safe_range_returns_the_tensor_itself(self, power):
+        arr = np.ldexp(self.base, power)
+        out, exponent = _rescaled(arr)
+        assert exponent == 0
+        assert np.shares_memory(out, arr)
+
+    @pytest.mark.parametrize("power", [101, -101, 531, -565])
+    def test_outside_it_the_top_entry_moves_into_half_to_one(self, power):
+        out, exponent = _rescaled(np.ldexp(self.base, power))
+        assert exponent == power
+        assert np.array_equal(out, self.base)
+
+    def test_finite_check_kept(self):
+        with pytest.raises(InvalidArgumentError):
+            _rescaled(np.array([[1.0, np.nan]]))

@@ -20,7 +20,9 @@ from aent import (
     sample_gaussian_matrix,
     stable_rank,
 )
-from aent.rmt import _shannon, check_row_stochastic
+from aent.attention import _gaussian_qk, attention_matrix
+from aent.entropy import normalize_spectrum, renyi, von_neumann
+from aent.rmt import _seeded_rng, _shannon, _stochastic_spectrum, check_row_stochastic
 
 sorted_spectra = st.lists(
     st.floats(min_value=1e-6, max_value=1e3), min_size=2, max_size=40
@@ -247,6 +249,118 @@ class TestCardyFit:
         samples = [(t, np.eye(t) * 2.0) for t in (4, 8, 16, 32)]
         with pytest.raises(InvalidArgumentError):
             cardy_fit(samples)
+
+
+def _svd_call_log(monkeypatch):
+    """The shapes of all later np.linalg.svd calls, in order."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(m.shape) or svd(m, **kw))
+    return calls
+
+
+def _svd_cardy_fields(samples) -> dict:
+    """The fields of cardy_fit, from direct SVDs of each A and of its bulk."""
+    t_largest = max(t for t, _ in samples)
+    points, s1, p1, renyi2, sigma2, m2log = [], [], [], [], [], []
+    for t, a in samples:
+        sigmas = np.linalg.svd(a, compute_uv=False)
+        lambdas = normalize_spectrum(sigmas)
+        points.append(von_neumann(lambdas, base=math.e))
+        if t == t_largest:
+            s1.append(sigmas[0])
+            p1.append(sigmas[0] ** 2 / np.dot(sigmas, sigmas))
+            renyi2.append(renyi(lambdas, 2.0, base=math.e))
+            sigma2.append(estimate_sigma2(a))
+            bulk = np.linalg.svd(a - 1.0 / t, compute_uv=False)
+            m2log.append(empirical_moments(math.sqrt(t) * bulk).m2log)
+    slope, intercept = np.polyfit(np.log([t for t, _ in samples]), points, 1)
+    s2 = float(np.mean(sigma2))
+    charge = s2 / (1.0 + s2)
+    return {
+        "points": points,
+        "slope": slope,
+        "intercept": intercept,
+        "sigma2_estimate": s2,
+        "predicted_charge": charge,
+        "constant_c": (1.0 + charge) * math.log1p(s2) - float(np.mean(m2log)) / (1.0 + s2),
+        "s1_largest_t": float(np.mean(s1)),
+        "p1_largest_t": float(np.mean(p1)),
+        "renyi2_largest_t": float(np.mean(renyi2)),
+        "renyi2_predicted": 2.0 * math.log1p(s2),
+    }
+
+
+def _scenes(qk_std, causal, sizes=(16, 32, 64, 128, 256), seeds=2):
+    samples = []
+    for t in sizes:
+        for s in range(seeds):
+            q, k = _gaussian_qk(_seeded_rng([s, t]), t, t, qk_std)
+            samples.append((t, attention_matrix(q, k, causal=causal)))
+    return samples
+
+
+def _duplicated_rows(t, seed):
+    """Row-stochastic t x t matrix of rank t/2: each row appears twice."""
+    q, k = _gaussian_qk(_seeded_rng([seed, t]), t, t, 0.65)
+    return np.repeat(attention_matrix(q, k)[: t // 2], 2, axis=0)
+
+
+class TestGramSpectra:
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("qk_std", [1e-8, 0.1, 0.65, 5.0])
+    def test_cardy_fit_matches_svd_reference(self, qk_std, causal):
+        samples = _scenes(qk_std, causal)
+        fit = cardy_fit(samples)
+        ref = _svd_cardy_fields(samples)
+        assert [t for t, _ in fit.points] == [t for t, _ in samples]
+        assert [s for _, s in fit.points] == pytest.approx(ref.pop("points"), abs=1e-12, rel=1e-9)
+        for name, expected in ref.items():
+            assert getattr(fit, name) == pytest.approx(expected, abs=1e-12, rel=1e-9), name
+
+    def test_rank_deficient_sample_takes_the_svd_and_keeps_its_zeros(self, monkeypatch):
+        a = _duplicated_rows(32, 1)
+        calls = _svd_call_log(monkeypatch)
+        sigmas, _, svd = _stochastic_spectrum(a)
+        assert svd
+        assert calls == [(32, 32)]
+        assert np.count_nonzero(normalize_spectrum(sigmas)) == 16
+        # the Gram alone would leave values near sqrt(eps) above the floor
+        lam = np.linalg.eigvalsh(a @ a.T)
+        assert lam[0] <= 32 * np.finfo(np.float64).eps * lam[-1]
+
+    def test_svd_fallbacks_counted(self):
+        samples = [(t, _duplicated_rows(t, 2)) for t in (8, 16, 32, 64)]
+        samples += _scenes(0.65, False, sizes=(64,), seeds=1)
+        fit = cardy_fit(samples)
+        assert fit.svd_fallbacks == 4
+        assert [s for _, s in fit.points] == pytest.approx(
+            _svd_cardy_fields(samples)["points"], abs=1e-12, rel=1e-9
+        )
+
+    def test_gaussian_scene_makes_no_svd_call(self, monkeypatch):
+        samples = _scenes(0.65, False, sizes=(32, 64, 128, 256), seeds=1)
+        calls = _svd_call_log(monkeypatch)
+        fit = cardy_fit(samples)
+        assert calls == []
+        assert fit.svd_fallbacks == 0
+
+    def test_bulk_identity_holds_off_stochastic(self):
+        t = 64
+        (_, a), = _scenes(0.65, False, sizes=(t,), seeds=1)
+        # rows now sum to 1 +- 1e-7, inside the 1e-6 tolerance of cardy_fit
+        a = a * (1.0 + 1e-7 * np.linspace(-1.0, 1.0, t))[:, None]
+        check_row_stochastic(a)
+        sigmas, bulk_eigs, svd = _stochastic_spectrum(a, bulk=True)
+        assert not svd
+        direct = np.linalg.svd(a, compute_uv=False)
+        assert sigmas**2 == pytest.approx(direct**2, abs=1e-14)
+        bulk = np.linalg.svd(a - 1.0 / t, compute_uv=False)
+        assert np.sort(bulk_eigs)[::-1] == pytest.approx(bulk**2, abs=1e-14)
+
+    def test_bulk_omitted_unless_asked(self):
+        (_, a), = _scenes(0.65, False, sizes=(16,), seeds=1)
+        assert _stochastic_spectrum(a)[1] is None
 
 
 class TestOutputCollapse:
