@@ -70,7 +70,7 @@ def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
         logits = q @ k.T / math.sqrt(q.shape[1])
     if not np.isfinite(logits).all():
         raise InvalidArgumentError(
-            "attention logits Q K^T / sqrt(d_qk) overflow float64; reduce qk_std"
+            "attention logits Q K^T / sqrt(d_qk) are not finite (float64 overflow); reduce qk_std"
         )
     return logits
 

@@ -16,12 +16,6 @@ from aent import (
 
 
 class TestAttentionMatrix:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_logit_overflow_rejected(self):
-        big = np.full((4, 2), 1e200)
-        with pytest.raises(InvalidArgumentError, match="overflow"):
-            attention_matrix(big, big)
-
     def test_zero_logits_give_uniform_rows(self):
         a = attention_matrix(np.zeros((6, 4)), np.zeros((6, 4)))
         assert np.allclose(a, 1.0 / 6.0, atol=1e-15)

@@ -376,7 +376,3 @@ class TestRescaled:
         out, exponent = _rescaled(np.ldexp(self.base, power))
         assert exponent == power
         assert np.array_equal(out, self.base)
-
-    def test_finite_check_kept(self):
-        with pytest.raises(InvalidArgumentError):
-            _rescaled(np.array([[1.0, np.nan]]))
