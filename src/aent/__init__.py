@@ -64,7 +64,7 @@ from .experiments import (
     valley_experiment,
 )
 from .matrixfile import read_matrix, write_matrix
-from .mps import MpsChain, SchmidtSpectrum, cut_spectrum, decompose, reconstruct
+from .mps import MpsChain, decompose, reconstruct
 from .rmt import (
     CardyFit,
     CollapseReport,
@@ -103,7 +103,6 @@ __all__ = [
     "Moments",
     "MpsChain",
     "REFERENCE_ADAPTER_SPECS",
-    "SchmidtSpectrum",
     "ShapeMismatchError",
     "SiteLayout",
     "ValleyCheck",
@@ -116,7 +115,6 @@ __all__ = [
     "cardy_fit",
     "collapse_experiment",
     "collapse_spectrum",
-    "cut_spectrum",
     "decompose",
     "empirical_moments",
     "entropy_bounds",

@@ -13,8 +13,7 @@ the rescaled bulk spectrum of A - (1/T) 11^T is the same law at every
 sequence length; with a fixed head width the per-row softmax
 temperatures spread as T grows and the bulk moments drift.  Value
 entries default to variance 1/d so that V V^T approximates the identity
-when d_v = d is large.  All scales are recorded in the scene because the
-bulk spread depends on them.
+when d_v = d is large.
 """
 
 from __future__ import annotations
@@ -137,20 +136,10 @@ def output_operator(x) -> np.ndarray:
 class AttentionScene:
     """One single-head attention draw and everything derived from it.
 
-    ``d`` is the model width; it sets only the defaults d_v = d and
-    v_std = 1/sqrt(d).
+    ``build``'s ``d`` is the model width; it sets only the defaults
+    d_v = d and v_std = 1/sqrt(d).
     """
 
-    t: int
-    d: int
-    d_qk: int
-    d_v: int
-    seed: object
-    causal: bool
-    rope: bool
-    rope_theta: float
-    qk_std: float
-    v_std: float
     q: np.ndarray
     k: np.ndarray
     a: np.ndarray
@@ -183,22 +172,7 @@ class AttentionScene:
             k = apply_rope(k, rope_theta)
         a = attention_matrix(q, k, causal=causal)
         x = a @ v
-        return cls(
-            t=t,
-            d=d,
-            d_qk=d_qk,
-            d_v=d_v,
-            seed=seed,
-            causal=causal,
-            rope=rope,
-            rope_theta=rope_theta,
-            qk_std=qk_std,
-            v_std=v_std,
-            q=q,
-            k=k,
-            a=a,
-            x=x,
-        )
+        return cls(q=q, k=k, a=a, x=x)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from . import experiments
 from .adapters import AdapterSpec
 from .entropy import profile
 from .errors import DegenerateInputError, FormatError, InvalidArgumentError
-from .experiments import ExperimentReport, _profile_rows
+from .experiments import ExperimentReport, _echoed, _profile_rows
 from .matrixfile import read_matrix
 from .rmt import sample_gaussian_matrix
 from .version import __version__
@@ -138,13 +138,10 @@ def _adapter_specs(texts: list[str], what: str) -> list[AdapterSpec]:
 # Runners of the subcommands that are not a single experiment call
 
 
+@_echoed
 def _profile_file(input: str, chi_max: int | None = None, base: float = 2.0) -> ExperimentReport:
     prof = profile(read_matrix(input), chi_max=chi_max, base=base)
-    return ExperimentReport(
-        name="profile",
-        config={"input": input, "chi_max": chi_max, "base": base},
-        tables={"cuts": _profile_rows(prof)},
-    )
+    return ExperimentReport(name="profile", tables={"cuts": _profile_rows(prof)})
 
 
 def _mp_compare(

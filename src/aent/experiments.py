@@ -11,6 +11,8 @@ the streams of the others.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 import time
@@ -40,11 +42,16 @@ from .version import __version__
 
 @dataclass
 class ExperimentReport:
-    """Name, config echo, result tables, tool version and wall-clock."""
+    """Name, config echo, result tables, tool version and wall-clock.
+
+    ``config`` echoes every argument of the experiment, defaults included,
+    with any value the experiment normalized (a sorted grid, a resolved
+    default) in place of the raw one.
+    """
 
     name: str
-    config: dict
     tables: dict[str, list[dict]]
+    config: dict = field(default_factory=dict)
     tool_version: str = __version__
     wall_clock_seconds: float = 0.0
     details: object = field(default=None, repr=False, compare=False)
@@ -58,6 +65,27 @@ class ExperimentReport:
             "wall_clock_seconds": self.wall_clock_seconds,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _echoed(fn):
+    """``fn`` timed, with every bound argument echoed into its report's config.
+
+    The body puts in ``config`` only the values it normalizes; those
+    replace the raw arguments of the same name.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        start = time.perf_counter()
+        report = fn(*args, **kwargs)
+        report.wall_clock_seconds = time.perf_counter() - start
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        report.config = {**bound.arguments, **report.config}
+        return report
+
+    return run
 
 
 def _profile_rows(prof: EntanglementProfile, extra: dict | None = None) -> list[dict]:
@@ -81,6 +109,7 @@ def _profile_rows(prof: EntanglementProfile, extra: dict | None = None) -> list[
 # Page benchmark
 
 
+@_echoed
 def page_bench(
     size: int,
     chi_max: int | None = None,
@@ -91,7 +120,6 @@ def page_bench(
     """Mean entanglement profile of square Gaussian matrices vs the Page curve."""
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
-    start = time.perf_counter()
     sums = None
     first = None
     for s in range(seeds):
@@ -130,24 +158,14 @@ def page_bench(
             "cuts": len(rows),
         }
     ]
-    return ExperimentReport(
-        name="page-bench",
-        config={
-            "size": size,
-            "chi_max": chi_max,
-            "seeds": seeds,
-            "seed": seed,
-            "base": base,
-        },
-        tables={"cuts": rows, "summary": summary},
-        wall_clock_seconds=time.perf_counter() - start,
-    )
+    return ExperimentReport(name="page-bench", tables={"cuts": rows, "summary": summary})
 
 
 # ---------------------------------------------------------------------------
 # Attention entropy log-scaling fit
 
 
+@_echoed
 def cardy_experiment(
     t_grid: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048),
     seeds: int = 5,
@@ -173,7 +191,6 @@ def cardy_experiment(
         raise InvalidArgumentError("d_mult must be >= 1")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
-    start = time.perf_counter()
     samples = []
     for t in sizes:
         head = t if d_qk is None else d_qk
@@ -200,18 +217,7 @@ def cardy_experiment(
         }
     ]
     return ExperimentReport(
-        name="cardy",
-        config={
-            "t_grid": sizes,
-            "seeds": seeds,
-            "seed": seed,
-            "d_mult": d_mult,
-            "d_qk": d_qk,
-            "qk_std": qk_std,
-        },
-        tables={"points": points, "fit": fit_rows},
-        wall_clock_seconds=time.perf_counter() - start,
-        details=fit,
+        name="cardy", config={"t_grid": sizes}, tables={"points": points, "fit": fit_rows}, details=fit
     )
 
 
@@ -219,6 +225,7 @@ def cardy_experiment(
 # Entanglement valley of low-rank updates
 
 
+@_echoed
 def valley_experiment(
     d_out: int = 64,
     d_in: int = 64,
@@ -232,7 +239,6 @@ def valley_experiment(
         raise InvalidArgumentError("need at least one seed")
     if min(ranks, default=1) < 1:
         raise InvalidArgumentError(f"rank must be >= 1, got {min(ranks)}")
-    start = time.perf_counter()
     rows = []
     summary = []
     for r in ranks:
@@ -275,16 +281,8 @@ def valley_experiment(
         )
     return ExperimentReport(
         name="valley",
-        config={
-            "d_out": d_out,
-            "d_in": d_in,
-            "ranks": [int(r) for r in ranks],
-            "seeds": seeds,
-            "seed": seed,
-            "base": base,
-        },
+        config={"ranks": [int(r) for r in ranks]},
         tables={"instances": rows, "summary": summary},
-        wall_clock_seconds=time.perf_counter() - start,
     )
 
 
@@ -311,6 +309,11 @@ def mp_compare(
     layout, tensor = tensorize(matrix)
     if layout.num_cuts == 0:
         raise InvalidArgumentError("a 1x1 matrix has no cuts to compare at")
+    if cut is None and not (layout.n and layout.m):
+        raise InvalidArgumentError(
+            f"a matrix of shape {layout.d_out}x{layout.d_in} has no row-column cut; "
+            f"pass --cut in [1, {layout.num_cuts}]"
+        )
     k = layout.n if cut is None else int(cut)
     d_min, d_max = sorted(layout.cut_dims(k))
     unfolding, _ = _rescaled(tensor.reshape(layout.cut_dims(k)))
@@ -358,6 +361,7 @@ def mp_compare(
 # Attention scene profiles and the mask ablation
 
 
+@_echoed
 def attn_experiment(
     t: int,
     heads: int = 4,
@@ -379,7 +383,6 @@ def attn_experiment(
     """
     if heads < 1 or seeds < 1:
         raise InvalidArgumentError("need at least one head and one seed")
-    start = time.perf_counter()
     head_rows, profile_rows, ablation_rows = [], [], []
     for s in range(seeds):
         for h in range(heads):
@@ -428,26 +431,12 @@ def attn_experiment(
                 )
     return ExperimentReport(
         name="attn",
-        config={
-            "t": t,
-            "heads": heads,
-            "seeds": seeds,
-            "seed": seed,
-            "d": t if d is None else d,
-            "d_qk": t if d_qk is None else d_qk,
-            "causal": causal,
-            "rope": rope,
-            "rope_theta": rope_theta,
-            "qk_std": qk_std,
-            "chi_max": chi_max,
-            "base": base,
-        },
+        config={"d": t if d is None else d, "d_qk": t if d_qk is None else d_qk},
         tables={
             "heads": head_rows,
             "profiles": profile_rows,
             "ablation": ablation_rows,
         },
-        wall_clock_seconds=time.perf_counter() - start,
     )
 
 
@@ -468,11 +457,11 @@ def collapse_spectrum(t: int) -> np.ndarray:
     return eig
 
 
+@_echoed
 def collapse_experiment(log2_min: int = 6, log2_max: int = 12) -> ExperimentReport:
     """Entropy collapse S ~ (ln T)/T on constructed near-pure spectra."""
     if log2_min < 1 or log2_max < log2_min:
         raise InvalidArgumentError("need 1 <= log2_min <= log2_max")
-    start = time.perf_counter()
     spectra = [(1 << k, collapse_spectrum(1 << k)) for k in range(log2_min, log2_max + 1)]
     report = output_collapse_check(spectra)
     rows = []
@@ -495,45 +484,34 @@ def collapse_experiment(log2_min: int = 6, log2_max: int = 12) -> ExperimentRepo
             "bound_satisfied": report.bound_satisfied,
         }
     ]
-    return ExperimentReport(
-        name="collapse",
-        config={"log2_min": log2_min, "log2_max": log2_max},
-        tables={"grid": rows, "summary": summary},
-        wall_clock_seconds=time.perf_counter() - start,
-        details=report,
-    )
+    return ExperimentReport(name="collapse", tables={"grid": rows, "summary": summary}, details=report)
 
 
 # ---------------------------------------------------------------------------
 # Adapter parameter counts
 
 
+@_echoed
 def adapter_count_rows(specs: list[AdapterSpec]) -> ExperimentReport:
     """Parameter counts per adapter spec with the ratio against full tuning."""
-    start = time.perf_counter()
     rows = []
     for spec in specs:
-        d_in_effective = spec.d_in if spec.kind != "mps_adapt" else spec.d1 * spec.d2
-        full = spec.d_out * d_in_effective
         params = param_count(spec)
         rows.append(
             {
                 "kind": spec.kind,
                 "d_out": spec.d_out,
-                "d_in": d_in_effective,
+                "d_in": spec.d_in,
                 "r": spec.r,
                 "d1": spec.d1,
                 "d2": spec.d2,
                 "chi": spec.chi,
                 "params": params,
-                "ratio_vs_full": params / full,
+                "ratio_vs_full": params / (spec.d_out * spec.d_in),
             }
         )
     return ExperimentReport(
-        name="adapters-count",
-        config={"specs": [row["kind"] for row in rows]},
-        tables={"counts": rows},
-        wall_clock_seconds=time.perf_counter() - start,
+        name="adapters-count", config={"specs": [row["kind"] for row in rows]}, tables={"counts": rows}
     )
 
 

@@ -19,16 +19,6 @@ from .errors import DegenerateInputError, InvalidArgumentError
 SIGMA_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Singular values of one unfolding, sorted in descending order."""
-
-    cut: int
-    d_left: int
-    d_right: int
-    sigmas: np.ndarray
-
-
 @dataclass
 class MpsChain:
     """Cores of a tensor train plus the singular values kept at each bond.
@@ -153,23 +143,6 @@ def reconstruct(mps: MpsChain) -> np.ndarray:
         left = left @ core.reshape(core.shape[0], -1)
         left = left.reshape(-1, core.shape[2])
     return left.reshape(mps.site_dims)
-
-
-def cut_spectrum(tensor, cut: int) -> SchmidtSpectrum:
-    """Schmidt values across one cut, by direct SVD of the unfolding.
-
-    This is the reference the Gram spectra are checked against; it does
-    not share code with :func:`decompose` or :func:`schmidt_values`.
-    """
-    arr = _as_tensor(tensor)
-    if arr.ndim < 2:
-        raise InvalidArgumentError("cut_spectrum needs at least two axes")
-    if not 1 <= cut <= arr.ndim - 1:
-        raise InvalidArgumentError(f"cut must be in [1, {arr.ndim - 1}], got {cut}")
-    d_left = int(np.prod(arr.shape[:cut]))
-    d_right = int(np.prod(arr.shape[cut:]))
-    sigmas = np.linalg.svd(arr.reshape(d_left, d_right), compute_uv=False)
-    return SchmidtSpectrum(cut=cut, d_left=d_left, d_right=d_right, sigmas=sigmas)
 
 
 def schmidt_values(tensor) -> list[np.ndarray]:

@@ -60,13 +60,13 @@ def mp_density(x, c: float):
 class MarchenkoPastur:
     """MP law as a sampling-free distribution object with pdf/cdf."""
 
-    def __init__(self, c: float, grid_points: int = 4001):
+    def __init__(self, c: float):
         self.c = float(c)
         self.support = mp_support(c)
         lo, hi = self.support
         # CDF via the substitution x = lo + (hi-lo) sin^2(theta), which
         # removes the edge singularities (including x^-1/2 at c = 1).
-        theta = np.linspace(0.0, np.pi / 2.0, grid_points)
+        theta = np.linspace(0.0, np.pi / 2.0, 4001)
         sin2 = np.sin(theta) ** 2
         xs = lo + (hi - lo) * sin2
         if lo == 0.0:
@@ -186,14 +186,14 @@ def entropy_bounds(eigenvalues, base: float = math.e) -> EntropyBounds:
 # Row-stochastic matrices: mean-field split and the entropy scaling fit
 
 
-def check_row_stochastic(a: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Validate that rows sum to 1 within ``tol`` and entries are finite."""
+def check_row_stochastic(a: np.ndarray) -> np.ndarray:
+    """Validate that rows sum to 1 within 1e-6 and entries are finite."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidArgumentError("expected a square attention matrix")
     row_sums = arr.sum(axis=1)
     worst = float(np.abs(row_sums - 1.0).max())
-    if not np.isfinite(worst) or worst > tol:
+    if not np.isfinite(worst) or worst > 1e-6:
         raise InvalidArgumentError(
             f"matrix is not row-stochastic: max |row sum - 1| = {worst!r}"
         )

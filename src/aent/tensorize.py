@@ -10,8 +10,8 @@ column sites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -33,10 +33,6 @@ def prime_factorize(n: int) -> list[int]:
     if n > 1:
         factors.append(n)
     return factors
-
-
-def _prod(xs) -> int:
-    return int(reduce(lambda a, b: a * b, xs, 1))
 
 
 @dataclass(frozen=True)
@@ -66,11 +62,11 @@ class SiteLayout:
 
     @property
     def d_out(self) -> int:
-        return _prod(self.out_sites)
+        return math.prod(self.out_sites)
 
     @property
     def d_in(self) -> int:
-        return _prod(self.in_sites)
+        return math.prod(self.in_sites)
 
     @property
     def num_cuts(self) -> int:
@@ -83,7 +79,7 @@ class SiteLayout:
             raise InvalidArgumentError(
                 f"cut must be in [1, {len(sites) - 1}], got {cut}"
             )
-        return _prod(sites[:cut]), _prod(sites[cut:])
+        return math.prod(sites[:cut]), math.prod(sites[cut:])
 
 
 def as_matrix(matrix) -> np.ndarray:

@@ -114,12 +114,14 @@ class TestSplitAndOutput:
 
 class TestAttentionScene:
     def test_defaults_and_shapes(self):
+        # d_qk, d and d_v default to T, and v_std to 1/sqrt(d)
         scene = AttentionScene.build(16, seed=3)
-        assert (scene.d, scene.d_qk, scene.d_v) == (16, 16, 16)
-        assert scene.v_std == pytest.approx(1.0 / 4.0)
-        assert scene.q.shape == (16, 16)
+        assert scene.q.shape == scene.k.shape == (16, 16)
         assert scene.a.shape == (16, 16)
         assert scene.x.shape == (16, 16)
+        rng = np.random.default_rng(3)
+        rng.standard_normal((2, 16, 16))  # Q and K
+        assert np.allclose(scene.x, scene.a @ (rng.standard_normal((16, 16)) / 4.0), atol=1e-12)
 
     def test_invariants(self):
         scene = AttentionScene.build(64, d=64, d_qk=128, d_v=32, seed=3, qk_std=0.5)
@@ -129,7 +131,8 @@ class TestAttentionScene:
         rng = np.random.default_rng(3)
         assert np.array_equal(scene.q, 0.5 * rng.standard_normal((64, 128)))
         assert np.array_equal(scene.k, 0.5 * rng.standard_normal((64, 128)))
-        v = scene.v_std * rng.standard_normal((64, 32))
+        # V defaults to entries of std 1/sqrt(d) = 1/8
+        v = rng.standard_normal((64, 32)) / 8.0
         assert np.allclose(scene.x, scene.a @ v, atol=1e-12)
         # 8192 entries each: the sample std is within 5 percent of qk_std
         for m in (scene.q, scene.k):
@@ -162,7 +165,10 @@ class TestAttentionScene:
     def test_rope_scene_still_stochastic(self):
         scene = AttentionScene.build(8, seed=4, rope=True)
         assert np.allclose(scene.a.sum(axis=1), 1.0, atol=1e-9)
-        assert scene.rope and scene.rope_theta == 10000.0
+        # the default RoPE base is 10000, applied to the default-std draw
+        rng = np.random.default_rng(4)
+        assert np.array_equal(scene.q, apply_rope(0.65 * rng.standard_normal((8, 8)), 10000.0))
+        assert np.array_equal(scene.k, apply_rope(0.65 * rng.standard_normal((8, 8)), 10000.0))
 
     def test_output_operator_tracks_attention_gram(self):
         # with d_v = 16 T the value map is near-isometric, so X X^T stays

@@ -114,6 +114,8 @@ def _bad_file(tmp_path, kind):
         (["valley", "--rank", "-1", "--seeds", "1"], 2),
         (["cardy", "--T-grid", "8,16,32,64", "--seeds", "1", "--qk-std", "1e300"], 2),
         (["attn", "--T", "8", "--heads", "1", "--qk-std", "1e300"], 2),
+        (["mp-compare", "--gaussian", "1x8"], 2),
+        (["mp-compare", "--gaussian", "8x1"], 2),
     ],
     ids=[
         "profile-nan",
@@ -140,6 +142,8 @@ def _bad_file(tmp_path, kind):
         "valley-rank-negative",
         "cardy-logit-overflow",
         "attn-logit-overflow",
+        "mp-compare-1xN",
+        "mp-compare-Nx1",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -431,6 +435,60 @@ def test_omitted_flags_echo_the_experiment_defaults(tmp_path, command):
     code, lines = run_to_file(tmp_path, [eye if arg == "<eye>" else arg for arg in argv])
     assert code == 0
     assert lines[1] == expected.replace("<eye>", eye)
+
+
+#: command -> runs of (argv, config items it must echo).  Together the runs
+#: give every flag of the command a value other than its default, and each
+#: item names the flag's runner keyword, except that mp-compare echoes its
+#: input, --gaussian and --seed as ``source``.  Cardy echoes its grid sorted.
+ALL_FLAG_RUNS = {
+    "profile": [(["profile", "<eye>", "--chi-max", "3", "--base", "3"], "input=<eye> chi_max=3 base=3")],
+    "page-bench": [
+        (
+            ["page-bench", "--size", "16", "--chi-max", "2", "--seeds", "2", "--seed", "3", "--base", "3"],
+            "size=16 chi_max=2 seeds=2 seed=3 base=3",
+        )
+    ],
+    "cardy": [
+        (
+            ["cardy", "--T-grid", "32,8,16,64", "--seeds", "1", "--d-mult", "2", "--qk-std", "0.5", "--seed", "1"],
+            "t_grid=8,16,32,64 seeds=1 d_mult=2 qk_std=0.5 seed=1",
+        )
+    ],
+    "valley": [
+        (
+            ["valley", "--dout", "8", "--din", "4", "--rank", "2,1", "--seeds", "2", "--seed", "1", "--base", "3"],
+            "d_out=8 d_in=4 ranks=2,1 seeds=2 seed=1 base=3",
+        )
+    ],
+    "mp-compare": [
+        (["mp-compare", "<eye>", "--cut", "2", "--bins", "8"], "source=file:<eye> cut=2 bins=8"),
+        (["mp-compare", "--gaussian", "8x4", "--seed", "2"], "source=gaussian:8x4:seed=2"),
+    ],
+    "attn": [
+        (
+            ["attn", "--T", "4", "--seeds", "2", "--heads", "1", "--causal", "--rope", "--rope-theta", "100",
+             "--qk-std", "0.5", "--chi-max", "2", "--seed", "1"],
+            "t=4 seeds=2 heads=1 causal=true rope=true rope_theta=100 qk_std=0.5 chi_max=2 seed=1",
+        )
+    ],
+    "adapters-count": [(["adapters-count", "--spec", "lora:8,8,2"], "specs=lora")],
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_every_flag_given_is_echoed(tmp_path, command):
+    eye = str(tmp_path / "eye.aent")
+    write_matrix(eye, np.eye(4))
+    given = set()
+    for argv, items in ALL_FLAG_RUNS[command]:
+        given.update(argv)
+        code, lines = run_to_file(tmp_path, [eye if arg == "<eye>" else arg for arg in argv])
+        assert code == 0
+        echo = lines[1].split()
+        assert [item for item in items.replace("<eye>", eye).split() if item not in echo] == []
+    flags = [flag if flag.startswith("-") else "<eye>" for flag, _, _, _ in SUBCOMMANDS[command][3]]
+    assert [flag for flag in flags if flag not in given] == []
 
 
 @pytest.mark.parametrize("command", list(SUBCOMMANDS))

@@ -10,7 +10,6 @@ from aent import (
     DegenerateInputError,
     InvalidArgumentError,
     binary_entropy,
-    cut_spectrum,
     decompose,
     normalize_spectrum,
     page_entropy,
@@ -20,6 +19,7 @@ from aent import (
     von_neumann,
 )
 from aent.mps import SIGMA_FLOOR
+from svd_reference import cut_spectrum
 
 spectra = hnp.arrays(
     np.float64,

@@ -1,9 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+import aent.experiments
 from aent import (
     REFERENCE_ADAPTER_SPECS,
     AttentionScene,
@@ -48,6 +50,38 @@ class TestExperimentReport:
         a = ExperimentReport(name="x", config={}, tables={}, wall_clock_seconds=1.0)
         b = ExperimentReport(name="x", config={}, tables={}, wall_clock_seconds=1.0)
         assert a == b
+
+    def test_positional_arguments_are_echoed_by_name(self):
+        report = attn_experiment(4, 1, 1, 8, 2)
+        assert report.config == {
+            "t": 4,
+            "heads": 1,
+            "seeds": 1,
+            "d": 8,
+            "d_qk": 2,
+            "causal": False,
+            "rope": False,
+            "rope_theta": 10000.0,
+            "qk_std": 0.65,
+            "chi_max": None,
+            "base": 2.0,
+            "seed": 0,
+        }
+        assert report.wall_clock_seconds > 0.0
+        assert collapse_experiment(2, 3).config == {"log2_min": 2, "log2_max": 3}
+
+    def test_every_experiment_but_mp_compare_echoes_its_signature(self):
+        # mp_compare's config describes its input (source, resolved cut, c)
+        # rather than echoing its matrix argument
+        plain = [
+            name
+            for name, fn in inspect.getmembers(aent.experiments, inspect.isfunction)
+            if fn.__module__ == "aent.experiments"
+            and not name.startswith("_")
+            and inspect.signature(fn, eval_str=True).return_annotation is ExperimentReport
+            and not hasattr(fn, "__wrapped__")
+        ]
+        assert plain == ["mp_compare"]
 
 
 class TestPageBench:
@@ -205,6 +239,12 @@ class TestMpCompare:
             mp_compare(matrix, bins=2)
         with pytest.raises(InvalidArgumentError):
             mp_compare(np.ones((1, 1)))
+
+    @pytest.mark.parametrize("shape", [(1, 8), (8, 1)])
+    def test_no_row_column_cut_asks_for_a_cut(self, shape):
+        with pytest.raises(InvalidArgumentError, match=r"has no row-column cut; pass --cut in \[1, 2\]"):
+            mp_compare(np.ones(shape))
+        assert mp_compare(np.ones(shape), cut=1).tables["summary"][0]["cut"] == 1
 
 
 @pytest.mark.parametrize(
