@@ -20,6 +20,14 @@ from .tensorize import prime_factorize
 
 VALID_KINDS = ("full", "lora", "mps_adapt")
 
+#: Adapter kind -> the fields its command-line spec lists after ``KIND:``,
+#: in order; ``mps`` is short for ``mps_adapt``.
+_SPEC_FIELDS = {
+    "full": ("d_out", "d_in"),
+    "lora": ("d_out", "d_in", "r"),
+    "mps_adapt": ("d_out", "d_in", "r", "d1", "d2", "chi"),
+}
+
 
 @dataclass(frozen=True)
 class AdapterSpec:
@@ -56,6 +64,12 @@ class AdapterSpec:
                 )
             if self.chi < 1:
                 raise InvalidArgumentError(f"chi must be >= 1, got {self.chi}")
+
+    @property
+    def text(self) -> str:
+        """The spec in command-line syntax, e.g. ``lora:8,8,2`` or ``mps:16,16,4,4,4,2``."""
+        kind = "mps" if self.kind == "mps_adapt" else self.kind
+        return f"{kind}:" + ",".join(str(getattr(self, name)) for name in _SPEC_FIELDS[self.kind])
 
 
 def param_count(spec: AdapterSpec) -> int:

@@ -22,7 +22,7 @@ from pathlib import Path
 from numpy.linalg import LinAlgError
 
 from . import experiments
-from .adapters import AdapterSpec
+from .adapters import _SPEC_FIELDS, AdapterSpec
 from .entropy import profile
 from .errors import DegenerateInputError, FormatError, InvalidArgumentError
 from .experiments import ExperimentReport, _echoed, _profile_rows
@@ -107,21 +107,13 @@ def _power_of_two_grid(text: str, what: str) -> tuple[int, ...]:
     return tuple(_power_of_two(2)(t, f"{what} entry") for t in _parse_int_list(text, what))
 
 
-#: Adapter kind -> the AdapterSpec fields its spec lists, in order.
-_ADAPTER_FIELDS = {
-    "full": ("d_out", "d_in"),
-    "lora": ("d_out", "d_in", "r"),
-    "mps_adapt": ("d_out", "d_in", "r", "d1", "d2", "chi"),
-}
-
-
 def _parse_adapter_spec(text: str) -> AdapterSpec:
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind == "mps":
         kind = "mps_adapt"
     fields = _parse_int_list(rest, f"adapter spec {text!r}")
-    names = _ADAPTER_FIELDS.get(kind)
+    names = _SPEC_FIELDS.get(kind)
     if names is None or len(names) != len(fields):
         raise InvalidArgumentError(
             f"adapter spec {text!r} not understood; use full:DOUT,DIN or "
@@ -145,17 +137,21 @@ def _profile_file(input: str, chi_max: int | None = None, base: float = 2.0) -> 
 
 
 def _mp_compare(
-    input: str | None = None, gaussian: str | None = None, seed: int = 0, cut: int | None = None, bins: int = 64
+    input: str | None = None, gaussian: str | None = None, seed: int | None = None, cut: int | None = None,
+    bins: int = 64,
 ) -> ExperimentReport:
     if (input is None) == (gaussian is None):
         raise InvalidArgumentError("give exactly one of an input file or --gaussian")
     if input is not None:
+        if seed is not None:
+            raise InvalidArgumentError("--seed applies only with --gaussian")
         matrix = read_matrix(input)
         source = f"file:{input}"
     else:
         dims = _parse_int_list(gaussian.replace("x", ","), "--gaussian")
         if len(dims) != 2:
             raise InvalidArgumentError("--gaussian wants ROWSxCOLS")
+        seed = 0 if seed is None else seed
         matrix = sample_gaussian_matrix(dims[0], dims[1], [seed, dims[0], dims[1]])
         source = f"gaussian:{dims[0]}x{dims[1]}:seed={seed}"
     return experiments.mp_compare(matrix, cut=cut, bins=bins, source=source)

@@ -143,8 +143,11 @@ def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> Entangleme
     """Entropy at every cut of the prime-site tensorization of ``matrix``.
 
     Untruncated, ``chi`` counts each cut's Schmidt values above
-    ``SIGMA_FLOOR`` times the largest (:func:`mps.schmidt_values`); with
-    ``chi_max`` set, the sweep of :func:`mps.decompose` gives the truncated state.
+    ``SIGMA_FLOOR`` times the largest (:func:`mps.schmidt_values`: two
+    apex Gram products of the tensor, every other cut's Gram matrix an
+    exact partial trace of its neighbour's, whose condition number is no
+    larger); with ``chi_max`` set, the sweep of :func:`mps.decompose`
+    gives the truncated state.
     ``normalized`` is the entropy divided by log(min(d_left, d_right)).
     """
     log_base = _log_base(base)

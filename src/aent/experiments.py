@@ -511,7 +511,7 @@ def adapter_count_rows(specs: list[AdapterSpec]) -> ExperimentReport:
             }
         )
     return ExperimentReport(
-        name="adapters-count", config={"specs": [row["kind"] for row in rows]}, tables={"counts": rows}
+        name="adapters-count", config={"specs": [spec.text for spec in specs]}, tables={"counts": rows}
     )
 
 

@@ -5,10 +5,20 @@ left factor U (the next core) and values S come from eigh(m @ m^T) or an
 SVD, and S @ Vh = U^T m is carried forward.  As every left factor is
 orthonormal, the values at bond k of an untruncated sweep are exactly the
 Schmidt values of the full tensor across that cut.
+
+The untruncated Schmidt values need no cores, only the Gram matrix on the
+smaller side of each cut, the reduced density matrix rho_A = Tr_B rho of
+the state.  :func:`schmidt_values` multiplies the tensor by itself twice,
+at the two apex cuts where the smaller side flips from left to right, and
+reads every other cut's Gram matrix as an exact partial trace of its
+neighbour's, walking outward one site at a time.  Tracing out a site sums
+d principal blocks, so it cannot raise the condition number:
+cond(Tr_i G) <= cond(G).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +91,16 @@ def _rescaled(tensor) -> tuple[np.ndarray, int]:
 _PROBE = 64
 
 
+def _gram(g: np.ndarray) -> np.ndarray:
+    """g @ g.T, the Gram matrix on the rows side of ``g``."""
+    return g @ g.T
+
+
+def _resolved(lam: np.ndarray, k: int) -> bool:
+    """Ascending Gram eigenvalues ``lam`` of a k x k cut resolve ``SIGMA_FLOOR``."""
+    return bool(lam[0] > 100 * k * np.finfo(np.float64).eps * lam[-1])
+
+
 def _sigmas(m: np.ndarray, vectors: bool = False):
     """Descending singular values of a rescaled unfolding ``m``.
 
@@ -91,14 +111,13 @@ def _sigmas(m: np.ndarray, vectors: bool = False):
     ``vectors`` (a tall ``m`` takes the SVD) returns (u, s, vh), vh None on the Gram path.
     """
     g = m if m.shape[0] <= m.shape[1] else m.T
-    tol = 100 * g.shape[0] * np.finfo(np.float64).eps
+    k = g.shape[0]
     gram = g is m or not vectors
-    if gram and g.shape[0] >= 4 * _PROBE:
-        lam = np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T)
-        gram = lam[0] > tol * lam[-1]
+    if gram and k >= 4 * _PROBE:
+        gram = _resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k)
     if gram:
-        lam, u = np.linalg.eigh(g @ g.T) if vectors else (np.linalg.eigvalsh(g @ g.T), None)
-        if lam[0] > tol * lam[-1]:
+        lam, u = np.linalg.eigh(_gram(g)) if vectors else (np.linalg.eigvalsh(_gram(g)), None)
+        if _resolved(lam, k):
             return (u[:, ::-1], np.sqrt(lam[::-1]), None) if vectors else np.sqrt(lam[::-1])
     return np.linalg.svd(m, full_matrices=False) if vectors else np.linalg.svd(m, compute_uv=False)
 
@@ -145,23 +164,80 @@ def reconstruct(mps: MpsChain) -> np.ndarray:
     return left.reshape(mps.site_dims)
 
 
-def schmidt_values(tensor) -> list[np.ndarray]:
-    """Descending Schmidt values at cuts 1..n-1, one cut at a time.
+def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
+    """(Schmidt values at every cut, None) from two Gram products, or (None, cut) at an unresolved apex.
 
-    Each is read by :func:`_sigmas`, from the Gram matrix of the unfolding
-    or its exact SVD.  An SVD that finds at most half the full rank above
-    1e-2 ``SIGMA_FLOOR`` compresses the unfolding for the later cuts, as
-    the sweep does, so their arrays may be shorter than min(d_left, d_right).
+    The left apex is the last cut whose left side is the smaller (m @ m^T),
+    the right apex the next one (m^T @ m); both are tested, as
+    :func:`_sigmas` tests a cut, before any walk starts.  The returned cut
+    is an apex whose Gram matrix failed that test, or None where a probe
+    failed first.  Walking outward, each cut's Gram matrix is its
+    neighbour's with one site traced out.  Every cut keeps the test, probe
+    included; one that fails below a resolved apex (by the condition bound,
+    essentially never) takes its own SVD.
+    """
+    dims = arr.shape
+    lefts = [math.prod(dims[:cut]) for cut in range(1, len(dims))]
+    apex = sum(left * left <= arr.size for left in lefts)
+    spectra: dict[int, np.ndarray] = {}
+    walks = []
+    for cut, rows in ((apex, True), (apex + 1, False)):
+        if not 1 <= cut < len(dims):
+            continue
+        m = arr.reshape(lefts[cut - 1], -1)
+        g = m if rows else m.T
+        k = g.shape[0]
+        if k >= 4 * _PROBE and not _resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k):
+            return None, None
+        gram = _gram(g)
+        lam = np.linalg.eigvalsh(gram)
+        if not _resolved(lam, k):
+            return None, cut
+        spectra[cut] = np.sqrt(lam[::-1])
+        walks.append((gram, rows, range(cut - 1, 0, -1) if rows else range(cut + 1, len(dims))))
+    for gram, rows, cuts in walks:
+        for cut in cuts:
+            k = min(lefts[cut - 1], arr.size // lefts[cut - 1])
+            d = dims[cut] if rows else dims[cut - 1]  # the one site between this cut and the last
+            if rows:
+                gram = gram.reshape(k, d, k, d).trace(axis1=1, axis2=3)
+            else:
+                gram = gram.reshape(d, k, d, k).trace(axis1=0, axis2=2)
+            if k < 4 * _PROBE or _resolved(np.linalg.eigvalsh(gram[:_PROBE, :_PROBE]), k):
+                lam = np.linalg.eigvalsh(gram)
+                if _resolved(lam, k):
+                    spectra[cut] = np.sqrt(lam[::-1])
+                    continue
+            spectra[cut] = np.linalg.svd(arr.reshape(lefts[cut - 1], -1), compute_uv=False)
+    return [spectra[cut] for cut in range(1, len(dims))], None
+
+
+def schmidt_values(tensor) -> list[np.ndarray]:
+    """Descending Schmidt values at cuts 1..n-1.
+
+    The two apex cuts, where the smaller side flips from left to right,
+    each take one Gram product of the whole tensor; every other cut's Gram
+    matrix is an exact partial trace of its neighbour's, one site at a
+    time, whose condition number is no larger.  Each cut passes the
+    resolution test of :func:`_sigmas` or takes the SVD of its unfolding.
+    A tensor with an unresolved apex is low rank and goes cut by cut
+    through :func:`_sigmas` instead: an SVD that finds at most half the
+    full rank above 1e-2 ``SIGMA_FLOOR`` compresses the unfolding for the
+    later cuts, as the sweep does, so their arrays may be shorter than
+    min(d_left, d_right).
     """
     arr, exponent = _rescaled(tensor)
-    carried = arr.reshape(1, -1)
-    spectra = []
-    for d in arr.shape[:-1]:
-        m = carried = carried.reshape(carried.shape[0] * d, -1)
-        sigmas = _sigmas(m)
-        keep = int(np.count_nonzero(sigmas > 1e-2 * SIGMA_FLOOR * sigmas[0]))
-        if 2 * keep <= sigmas.size:
-            _, s, vh = np.linalg.svd(m, full_matrices=False)
-            carried = s[:keep, None] * vh[:keep]
-        spectra.append(np.ldexp(sigmas, exponent))
-    return spectra
+    spectra, unresolved = _ladder(arr)
+    if spectra is None:
+        spectra, carried = [], arr.reshape(1, -1)
+        for cut, d in enumerate(arr.shape[:-1], start=1):
+            m = carried = carried.reshape(carried.shape[0] * d, -1)
+            # an apex still uncompressed would fail the Gram test again, as it did in the ladder
+            failed = cut == unresolved and m.size == arr.size
+            sigmas = np.linalg.svd(m, compute_uv=False) if failed else _sigmas(m)
+            keep = int(np.count_nonzero(sigmas > 1e-2 * SIGMA_FLOOR * sigmas[0]))
+            if 2 * keep <= sigmas.size:
+                _, s, vh = np.linalg.svd(m, full_matrices=False)
+                carried = s[:keep, None] * vh[:keep]
+            spectra.append(sigmas)
+    return [np.ldexp(sigmas, exponent) for sigmas in spectra]

@@ -116,6 +116,7 @@ def _bad_file(tmp_path, kind):
         (["attn", "--T", "8", "--heads", "1", "--qk-std", "1e300"], 2),
         (["mp-compare", "--gaussian", "1x8"], 2),
         (["mp-compare", "--gaussian", "8x1"], 2),
+        (["mp-compare", "<eye>", "--seed", "3"], 2),
     ],
     ids=[
         "profile-nan",
@@ -144,6 +145,7 @@ def _bad_file(tmp_path, kind):
         "attn-logit-overflow",
         "mp-compare-1xN",
         "mp-compare-Nx1",
+        "mp-compare-file-seed",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -278,6 +280,12 @@ class TestMpCompareCommand:
 
     def test_bad_gaussian_shape(self, tmp_path):
         assert run_to_file(tmp_path, ["mp-compare", "--gaussian", "8x8x8"])[0] == 2
+
+    def test_seed_with_a_file_is_refused(self, tmp_path, capsys):
+        src = tmp_path / "g.aent"
+        write_matrix(src, np.eye(4))
+        assert run_to_file(tmp_path, ["mp-compare", str(src), "--seed", "0"])[0] == 2
+        assert capsys.readouterr().err == "aent: invalid argument: --seed applies only with --gaussian\n"
 
     def test_bad_cut(self, tmp_path):
         code, _ = run_to_file(
@@ -422,7 +430,8 @@ OMITTED_FLAG_CONFIGS = {
     ),
     "adapters-count": (
         ["adapters-count"],
-        "# config adapters-count specs=full,lora,mps_adapt tool_version=0.1.0",
+        "# config adapters-count specs=full:4096,4096,lora:4096,4096,256,mps:4096,4096,256,64,64,32 "
+        "tool_version=0.1.0",
     ),
 }
 
@@ -472,7 +481,7 @@ ALL_FLAG_RUNS = {
             "t=4 seeds=2 heads=1 causal=true rope=true rope_theta=100 qk_std=0.5 chi_max=2 seed=1",
         )
     ],
-    "adapters-count": [(["adapters-count", "--spec", "lora:8,8,2"], "specs=lora")],
+    "adapters-count": [(["adapters-count", "--spec", "lora:8,8,2"], "specs=lora:8,8,2")],
 }
 
 

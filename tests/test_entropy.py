@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -249,6 +249,13 @@ class TestProfilePaths:
         st.sampled_from([0.0, 1e-6]),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
+    @example(rows=32, cols=64, rank=None, noise=0.0, seed=0)
+    @example(rows=27, cols=81, rank=None, noise=0.0, seed=1)
+    @example(rows=25, cols=125, rank=None, noise=0.0, seed=2)
+    @example(rows=729, cols=625, rank=None, noise=0.0, seed=3)
+    @example(rows=2048, cols=384, rank=None, noise=0.0, seed=4)
+    @example(rows=16, cols=32, rank=8, noise=0.0, seed=5)  # only the right apex resolves
+    @example(rows=32, cols=16, rank=8, noise=0.0, seed=6)  # only the left apex resolves
     @settings(max_examples=60, deadline=None)
     def test_untruncated_matches_sweep(self, rows, cols, rank, noise, seed):
         _assert_untruncated_profile_matches(_noisy_product(rows, cols, rank, noise, seed))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aent import (
@@ -11,6 +11,7 @@ from aent import (
     reconstruct,
     tensorize,
 )
+from aent import mps
 from aent.mps import _PROBE, _rescaled, _sigmas, schmidt_values
 from svd_reference import cut_spectrum
 
@@ -174,8 +175,43 @@ class TestCutSpectrum:
             assert float(np.sum(sigmas**2)) == pytest.approx(total, rel=1e-10)
 
 
+def _low_rank_tensor(dims, cut, rank, seed):
+    """A tensor whose unfolding at ``cut`` is a Gaussian product of rank ``rank``."""
+    rng = np.random.default_rng(seed)
+    left = int(np.prod(dims[:cut]))
+    right = int(np.prod(dims)) // left
+    return (rng.standard_normal((left, rank)) @ rng.standard_normal((rank, right))).reshape(dims)
+
+
+def _resolved_by_gram(tensor, cut):
+    """The resolution test of _sigmas, applied to the direct singular values."""
+    spectrum = cut_spectrum(tensor, cut)
+    lam = spectrum.sigmas**2
+    return lam[-1] > 100 * lam.size * np.finfo(np.float64).eps * lam[0]
+
+
+def _apexes(dims):
+    """The cuts where the smaller side flips from left to right."""
+    apex = sum(int(np.prod(dims[:cut])) ** 2 <= int(np.prod(dims)) for cut in range(1, len(dims)))
+    return apex, apex + 1
+
+
+@st.composite
+def low_rank_cuts(draw):
+    """(dims, cut, rank) with rank below the smaller side of that cut."""
+    dims = draw(site_dims.filter(lambda dims: len(dims) >= 2))
+    cut = draw(st.integers(min_value=1, max_value=len(dims) - 1))
+    small = min(int(np.prod(dims[:cut])), int(np.prod(dims[cut:])))
+    return dims, cut, draw(st.integers(min_value=1, max_value=max(small - 1, 1)))
+
+
 class TestSchmidtValues:
     @given(site_dims.filter(lambda dims: len(dims) >= 2), st.integers(min_value=0, max_value=2**31 - 1))
+    @example(dims=(2,) * 10, seed=0)
+    @example(dims=(3,) * 6, seed=1)
+    @example(dims=(5,) * 4, seed=2)
+    @example(dims=(3,) * 6 + (5,) * 4, seed=3)  # 729 x 625
+    @example(dims=(2,) * 18 + (3,), seed=4)  # 2048 x 384, apexes past the probe size
     @settings(max_examples=30, deadline=None)
     def test_matches_direct_unfolding(self, dims, seed):
         tensor = _random_tensor(dims, seed)
@@ -186,6 +222,57 @@ class TestSchmidtValues:
             assert sigmas.size == min(direct.d_left, direct.d_right)
             assert np.all(np.diff(sigmas) <= 0)
             assert np.allclose(sigmas, direct.sigmas, rtol=1e-8, atol=1e-8 * direct.sigmas[0])
+
+    @given(low_rank_cuts(), st.integers(min_value=0, max_value=2**31 - 1))
+    @example(case=((2,) * 9, 5, 8), seed=0)  # the left apex resolves, the right one does not
+    @example(case=((3, 5, 2, 3, 5), 2, 12), seed=0)  # the right apex resolves, the left one does not
+    @settings(max_examples=40, deadline=None)
+    def test_low_rank_matches_direct_unfolding(self, case, seed):
+        tensor = _low_rank_tensor(*case, seed)
+        for k, sigmas in enumerate(schmidt_values(tensor), start=1):
+            # the carried loop may drop values below 1e-2 SIGMA_FLOOR
+            direct = cut_spectrum(tensor, k).sigmas
+            assert sigmas.size <= direct.size
+            assert np.all(np.diff(sigmas) <= 0)
+            padded = np.concatenate([sigmas, np.zeros(direct.size - sigmas.size)])
+            assert np.allclose(padded, direct, rtol=1e-8, atol=1e-8 * direct[0])
+
+    @pytest.mark.parametrize(
+        "dims,cut,rank",
+        [((2,) * 9, 5, 8), ((2,) * 10, 5, 16), ((3, 5, 2, 3, 5), 3, 10), ((3, 5, 2, 3, 5), 2, 12)],
+    )
+    def test_one_unresolved_apex_sends_the_tensor_to_the_carried_loop(self, monkeypatch, dims, cut, rank):
+        tensor = _low_rank_tensor(dims, cut, rank, seed=5)
+        assert sorted(_resolved_by_gram(tensor, apex) for apex in _apexes(dims)) == [False, True]
+        spectra = schmidt_values(tensor)
+        monkeypatch.setattr(mps, "_ladder", lambda arr: (None, None))
+        carried = schmidt_values(tensor)
+        assert all(np.array_equal(a, b) for a, b in zip(spectra, carried, strict=True))
+
+    def test_unresolved_apex_gram_is_formed_once(self, monkeypatch):
+        # the noise keeps every cut above the compression cutoff, so the
+        # carried loop reaches the apex (cut 5, 32 x 32) uncompressed
+        dims = (2,) * 10
+        tensor = _low_rank_tensor(dims, 5, 4, seed=1) + 1e-7 * _random_tensor(dims, 2)
+        assert not _resolved_by_gram(tensor, 5)
+        products, gram = [], mps._gram
+        monkeypatch.setattr(mps, "_gram", lambda g: products.append(g.shape) or gram(g))
+        spectra = schmidt_values(tensor)
+        assert products.count((32, 32)) == 1
+        assert [sigmas.size for sigmas in spectra] == [min(2**k, 2 ** (10 - k)) for k in range(1, 10)]
+        monkeypatch.setattr(mps, "_ladder", lambda arr: (None, None))
+        carried = schmidt_values(tensor)
+        assert all(np.array_equal(a, b) for a, b in zip(spectra, carried, strict=True))
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 5, 3, 2), (2,) * 16, (5, 3, 2, 2)])
+    def test_full_rank_tensor_is_multiplied_at_most_twice(self, monkeypatch, dims):
+        tensor = _random_tensor(dims, 8)
+        products, gram = [], mps._gram
+        monkeypatch.setattr(mps, "_gram", lambda g: products.append(g.size) or gram(g))
+        svd_calls = _svd_call_log(monkeypatch)
+        schmidt_values(tensor)
+        assert products == [tensor.size] * 2
+        assert svd_calls == []
 
     def _svd_calls(self, monkeypatch, tensor):
         calls = _svd_call_log(monkeypatch)
