@@ -165,6 +165,12 @@ def page_bench(
 # Attention entropy log-scaling fit
 
 
+def _cardy_sample(t: int, d_qk: int, qk_std: float, seed) -> np.ndarray:
+    """One T x T attention matrix; Q and K are dropped on return."""
+    q, k = _gaussian_qk(_seeded_rng(seed), t, d_qk, qk_std)
+    return attention_matrix(q, k)
+
+
 @_echoed
 def cardy_experiment(
     t_grid: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048),
@@ -183,6 +189,10 @@ def cardy_experiment(
     across the grid.  ``d_mult`` (the width of a simulated context, in
     units of T) has no effect on the draw, since Q and K have the same
     law at every context width; it is still validated and echoed.
+
+    Samples are drawn largest T first and handed to :func:`cardy_fit` one
+    at a time, so one attention matrix is alive at once and the bulk
+    spectrum is taken at the largest T only.
     """
     sizes = sorted(set(int(t) for t in t_grid))
     if len(sizes) < 4:
@@ -191,13 +201,12 @@ def cardy_experiment(
         raise InvalidArgumentError("d_mult must be >= 1")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
-    samples = []
-    for t in sizes:
-        head = t if d_qk is None else d_qk
-        for s in range(seeds):
-            q, k = _gaussian_qk(_seeded_rng([seed + s, t]), t, head, qk_std)
-            samples.append((t, attention_matrix(q, k)))
-    fit = cardy_fit(samples)
+    _seeded_rng([seed, sizes[0]])  # a negative seed fails before any draw, named at the smallest T
+    fit = cardy_fit(
+        (t, _cardy_sample(t, t if d_qk is None else d_qk, qk_std, [seed + s, t]))
+        for t in reversed(sizes)
+        for s in range(seeds)
+    )
 
     points = [
         {"t": int(t), "entropy_nats": float(s_nats)} for t, s_nats in fit.points

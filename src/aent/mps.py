@@ -110,16 +110,24 @@ def _sigmas(m: np.ndarray, vectors: bool = False):
     Cauchy interlacing the whole fails where it does); else an SVD.  With
     ``vectors`` (a tall ``m`` takes the SVD) returns (u, s, vh), vh None on the Gram path.
     """
+    found = _gram_sigmas(m, vectors)
+    if found is not None:
+        return found
+    return np.linalg.svd(m, full_matrices=False) if vectors else np.linalg.svd(m, compute_uv=False)
+
+
+def _gram_sigmas(m: np.ndarray, vectors: bool = False):
+    """What :func:`_sigmas` reads from the Gram matrix, or None where it takes the SVD."""
     g = m if m.shape[0] <= m.shape[1] else m.T
     k = g.shape[0]
-    gram = g is m or not vectors
-    if gram and k >= 4 * _PROBE:
-        gram = _resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k)
-    if gram:
-        lam, u = np.linalg.eigh(_gram(g)) if vectors else (np.linalg.eigvalsh(_gram(g)), None)
-        if _resolved(lam, k):
-            return (u[:, ::-1], np.sqrt(lam[::-1]), None) if vectors else np.sqrt(lam[::-1])
-    return np.linalg.svd(m, full_matrices=False) if vectors else np.linalg.svd(m, compute_uv=False)
+    if vectors and g is not m:
+        return None
+    if k >= 4 * _PROBE and not _resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k):
+        return None
+    lam, u = np.linalg.eigh(_gram(g)) if vectors else (np.linalg.eigvalsh(_gram(g)), None)
+    if not _resolved(lam, k):
+        return None
+    return (u[:, ::-1], np.sqrt(lam[::-1]), None) if vectors else np.sqrt(lam[::-1])
 
 
 def decompose(tensor, chi_max: int | None = None) -> MpsChain:
@@ -212,6 +220,27 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
     return [spectra[cut] for cut in range(1, len(dims))], None
 
 
+def _svd_compressed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(descending singular values of ``m``, ``m`` or its compression for the later cuts).
+
+    Where at most half the values are above 1e-2 ``SIGMA_FLOOR``, the rows
+    are compressed to those values, as the sweep does, which leaves every
+    later Schmidt value unchanged.  An unfolding at least twice as long as
+    it is wide is first reduced by one QR to its small triangular factor r,
+    which has the same values; the vectors of a compression then come from
+    a second SVD of r, not of the unfolding.  A tall m = q r compresses to
+    S_k Vh_k of r; a wide m = r^T q^T to U_k^T m, whose U is r's V.
+    """
+    wide, tall = m.shape[1] >= 2 * m.shape[0], m.shape[0] >= 2 * m.shape[1]
+    r = np.linalg.qr(m.T if wide else m, mode="r") if wide or tall else m
+    sigmas = np.linalg.svd(r, compute_uv=False)
+    keep = int(np.count_nonzero(sigmas > 1e-2 * SIGMA_FLOOR * sigmas[0]))
+    if 2 * keep > sigmas.size:
+        return sigmas, m
+    _, s, vh = np.linalg.svd(r, full_matrices=False)
+    return sigmas, vh[:keep] @ m if wide else s[:keep, None] * vh[:keep]
+
+
 def schmidt_values(tensor) -> list[np.ndarray]:
     """Descending Schmidt values at cuts 1..n-1.
 
@@ -221,23 +250,21 @@ def schmidt_values(tensor) -> list[np.ndarray]:
     time, whose condition number is no larger.  Each cut passes the
     resolution test of :func:`_sigmas` or takes the SVD of its unfolding.
     A tensor with an unresolved apex is low rank and goes cut by cut
-    through :func:`_sigmas` instead: an SVD that finds at most half the
-    full rank above 1e-2 ``SIGMA_FLOOR`` compresses the unfolding for the
-    later cuts, as the sweep does, so their arrays may be shorter than
-    min(d_left, d_right).
+    instead: the Gram spectrum of :func:`_sigmas` where it resolves (it
+    keeps every value, so nothing is compressed), else
+    :func:`_svd_compressed`, which may compress the unfolding for the later
+    cuts, so their arrays may be shorter than min(d_left, d_right).
     """
     arr, exponent = _rescaled(tensor)
     spectra, unresolved = _ladder(arr)
     if spectra is None:
         spectra, carried = [], arr.reshape(1, -1)
         for cut, d in enumerate(arr.shape[:-1], start=1):
-            m = carried = carried.reshape(carried.shape[0] * d, -1)
+            carried = carried.reshape(carried.shape[0] * d, -1)
             # an apex still uncompressed would fail the Gram test again, as it did in the ladder
-            failed = cut == unresolved and m.size == arr.size
-            sigmas = np.linalg.svd(m, compute_uv=False) if failed else _sigmas(m)
-            keep = int(np.count_nonzero(sigmas > 1e-2 * SIGMA_FLOOR * sigmas[0]))
-            if 2 * keep <= sigmas.size:
-                _, s, vh = np.linalg.svd(m, full_matrices=False)
-                carried = s[:keep, None] * vh[:keep]
+            failed = cut == unresolved and carried.size == arr.size
+            sigmas = None if failed else _gram_sigmas(carried)
+            if sigmas is None:
+                sigmas, carried = _svd_compressed(carried)
             spectra.append(sigmas)
     return [np.ldexp(sigmas, exponent) for sigmas in spectra]

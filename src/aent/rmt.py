@@ -288,10 +288,16 @@ class CardyFit:
 def cardy_fit(attention_samples) -> CardyFit:
     """Fit S(A) = slope * ln T + intercept over row-stochastic samples.
 
-    ``attention_samples`` is a sequence of (T, A) pairs covering at least
-    four distinct T values.  sigma^2 is estimated from the Frobenius norm
-    of the bulk B = A - (1/T) 11^T at the largest T only; the predicted
-    slope is sigma^2/(1+sigma^2).
+    ``attention_samples`` is any iterable of (T, A) pairs covering at least
+    four distinct T values.  Each sample is reduced as it arrives, to its
+    entropy point and, at the largest T seen so far, a few statistics;
+    no reference to A is kept, so a generator holds one matrix at a time.
+    Statistics from a smaller T are dropped when a larger T arrives, so
+    any order gives the same fit, but the bulk spectrum is computed for
+    every sample at the largest T so far: largest T first is cheapest.
+    ``points`` comes back sorted stably by T.  sigma^2 is estimated from
+    the Frobenius norm of the bulk B = A - (1/T) 11^T at the largest T
+    only; the predicted slope is sigma^2/(1+sigma^2).
 
     Spectra come from Gram matrices, not SVDs.  Per sample one product
     B B^T gives A A^T through the exact identity
@@ -302,37 +308,39 @@ def cardy_fit(attention_samples) -> CardyFit:
     Gram cannot resolve the small end (a rank-deficient or near-uniform A)
     and an SVD of A is taken instead; ``svd_fallbacks`` counts those.
     """
-    samples = [(int(t), check_row_stochastic(a)) for t, a in attention_samples]
-    sizes = sorted({t for t, _ in samples})
-    if len(sizes) < 4:
-        raise InvalidArgumentError(
-            f"need >= 4 distinct T values for the fit, got {len(sizes)}"
-        )
-    t_largest = sizes[-1]
-
     points: list[tuple[int, float]] = []
-    s1_vals, p1_vals, renyi2_vals, sigma2_vals, m2log_vals = [], [], [], [], []
+    t_largest, largest_t_stats = -math.inf, []
     svd_fallbacks = 0
-    for t, a in samples:
+    for t, a in attention_samples:
+        t, a = int(t), check_row_stochastic(a)
+        if t > t_largest:
+            t_largest, largest_t_stats = t, []
         sigmas, bulk_eigs, svd = _stochastic_spectrum(a, bulk=t == t_largest)
         svd_fallbacks += svd
         lambdas = normalize_spectrum(sigmas)
         points.append((t, von_neumann(lambdas, base=math.e)))
         if t == t_largest:
-            s1_vals.append(float(sigmas[0]))
-            p1_vals.append(float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)))
-            renyi2_vals.append(renyi(lambdas, 2.0, base=math.e))
-            sigma2_vals.append(estimate_sigma2(a))
-            moments = empirical_moments(np.sqrt(t * bulk_eigs))
-            m2log_vals.append(moments.m2log)
+            largest_t_stats.append((
+                float(sigmas[0]),
+                float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)),
+                renyi(lambdas, 2.0, base=math.e),
+                estimate_sigma2(a),
+                empirical_moments(np.sqrt(t * bulk_eigs)).m2log,
+            ))
+        del a  # before the next sample is drawn
+    sizes = {t for t, _ in points}
+    if len(sizes) < 4:
+        raise InvalidArgumentError(
+            f"need >= 4 distinct T values for the fit, got {len(sizes)}"
+        )
+    points.sort(key=lambda point: point[0])
 
     log_t = np.log([t for t, _ in points])
     entropies = np.array([s for _, s in points])
     slope, intercept = np.polyfit(log_t, entropies, 1)
 
-    sigma2 = float(np.mean(sigma2_vals))
+    s1, p1, renyi2, sigma2, m2log = (float(np.mean(column)) for column in zip(*largest_t_stats))
     charge = sigma2 / (1.0 + sigma2)
-    m2log = float(np.mean(m2log_vals))
     constant_c = (
         math.log1p(sigma2) + charge * math.log1p(sigma2) - m2log / (1.0 + sigma2)
     )
@@ -343,9 +351,9 @@ def cardy_fit(attention_samples) -> CardyFit:
         sigma2_estimate=sigma2,
         predicted_charge=charge,
         constant_c=constant_c,
-        s1_largest_t=float(np.mean(s1_vals)),
-        p1_largest_t=float(np.mean(p1_vals)),
-        renyi2_largest_t=float(np.mean(renyi2_vals)),
+        s1_largest_t=s1,
+        p1_largest_t=p1,
+        renyi2_largest_t=renyi2,
         renyi2_predicted=2.0 * math.log1p(sigma2),
         svd_fallbacks=svd_fallbacks,
     )

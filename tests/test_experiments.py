@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -147,6 +148,23 @@ class TestCardyExperiment:
         wide = cardy_experiment(d_mult=16, **kwargs)
         assert narrow.tables == wide.tables
         assert (narrow.config["d_mult"], wide.config["d_mult"]) == (1, 16)
+
+    def test_one_attention_matrix_alive_at_a_time(self, monkeypatch):
+        alive, drawn = set(), []
+        draw = aent.experiments.attention_matrix
+
+        def tracked(q, k):
+            assert not alive, "an earlier attention matrix is still referenced"
+            a = draw(q, k)
+            alive.add(id(a))
+            weakref.finalize(a, alive.discard, id(a))
+            drawn.append(a.shape[0])
+            return a
+
+        monkeypatch.setattr(aent.experiments, "attention_matrix", tracked)
+        report = cardy_experiment(t_grid=(8, 16, 32, 64), seeds=2)
+        assert drawn == [64, 64, 32, 32, 16, 16, 8, 8]
+        assert [p["t"] for p in report.tables["points"]] == [8, 8, 16, 16, 32, 32, 64, 64]
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -12,7 +12,7 @@ from aent import (
     tensorize,
 )
 from aent import mps
-from aent.mps import _PROBE, _rescaled, _sigmas, schmidt_values
+from aent.mps import _PROBE, _rescaled, _sigmas, _svd_compressed, schmidt_values
 from svd_reference import cut_spectrum
 
 
@@ -287,11 +287,14 @@ class TestSchmidtValues:
     def test_rank_deficient_cut_falls_back_to_svd(self, monkeypatch):
         rng = np.random.default_rng(4)
         _, tensor = tensorize(np.outer(rng.standard_normal(8), rng.standard_normal(8)))
+        qr_calls = _svd_call_log(monkeypatch, "qr")
         spectra, calls = self._svd_calls(monkeypatch, tensor)
-        # cut 2 (4 x 16) has rank 2, so it falls back and is compressed to two
-        # rows; the row-column cut, now 4 x 8, has rank 1 and is compressed to
-        # one row; the right half is then full rank and read from the Gram
-        assert calls == [(4, 16), (4, 16), (4, 8), (4, 8)]
+        # cut 2 (4 x 16) has rank 2: one QR reduces it to a 4 x 4 factor, whose
+        # values are the spectrum and whose vectors compress it to two rows; the
+        # row-column cut, now 4 x 8, has rank 1 and is compressed to one row the
+        # same way; the right half is then full rank and read from the Gram
+        assert qr_calls == [(16, 4), (8, 4)]
+        assert calls == [(4, 4)] * 4
         assert np.count_nonzero(spectra[2] > 1e-12 * spectra[2][0]) == 1
         for k, sigmas in enumerate(spectra, start=1):
             direct = cut_spectrum(tensor, k).sigmas
@@ -435,6 +438,28 @@ class TestSigmas:
         svd_calls = _svd_call_log(monkeypatch)
         _sigmas(m, vectors=True)
         assert svd_calls == [m.shape] and eig_calls == []
+
+
+class TestSvdCompressed:
+    """_svd_compressed: the values of a failed cut and the rows the later cuts need."""
+
+    @pytest.mark.parametrize("shape", [(8, 64), (64, 8), (16, 24), (24, 16)])
+    def test_low_rank_unfolding_is_compressed_to_its_rank(self, shape):
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+        sigmas, compressed = _svd_compressed(m)
+        direct = np.linalg.svd(m, compute_uv=False)
+        assert np.allclose(sigmas, direct, rtol=1e-12, atol=1e-12 * direct[0])
+        # the same Gram on the columns side leaves every later cut's values unchanged
+        assert compressed.shape == (3, shape[1])
+        assert np.allclose(compressed.T @ compressed, m.T @ m, rtol=0, atol=1e-12 * direct[0] ** 2)
+
+    def test_unfolding_above_half_rank_is_kept(self):
+        m = np.random.default_rng(3).standard_normal((8, 64))
+        m[-1] = m[0]
+        sigmas, kept = _svd_compressed(m)
+        assert kept is m
+        assert np.count_nonzero(sigmas > 1e-12 * sigmas[0]) == 7
 
 
 class TestRescaled:

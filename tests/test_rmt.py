@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aent import (
+    CardyFit,
     DegenerateInputError,
     InvalidArgumentError,
     MarchenkoPastur,
@@ -304,6 +306,32 @@ def _duplicated_rows(t, seed):
     """Row-stochastic t x t matrix of rank t/2: each row appears twice."""
     q, k = _gaussian_qk(_seeded_rng([seed, t]), t, t, 0.65)
     return np.repeat(attention_matrix(q, k)[: t // 2], 2, axis=0)
+
+
+class TestStreamedFit:
+    def test_generator_fit_is_bit_identical_to_the_list_fit(self):
+        samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)[::-1]
+        listed = cardy_fit(samples)
+        streamed = cardy_fit(sample for sample in samples)
+        for name in (f.name for f in dataclasses.fields(CardyFit)):
+            assert getattr(streamed, name) == getattr(listed, name), name
+
+    def test_any_order_gives_the_same_fit_with_points_sorted_by_t(self):
+        samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)
+        ascending = cardy_fit(samples)
+        shuffled = [samples[i] for i in np.random.default_rng(0).permutation(len(samples))]
+        fit = cardy_fit(shuffled)
+        assert [t for t, _ in fit.points] == sorted(t for t, _ in samples)
+        assert sorted(fit.points) == sorted(ascending.points)
+        for name in (f.name for f in dataclasses.fields(CardyFit)):
+            if name != "points":
+                assert getattr(fit, name) == pytest.approx(getattr(ascending, name), abs=1e-12, rel=0), name
+
+    @pytest.mark.parametrize("sizes", [(16, 8, 4, 8), ()])
+    def test_a_stream_of_fewer_than_four_sizes_is_refused(self, sizes):
+        samples = ((t, np.full((t, t), 1.0 / t)) for t in sizes)
+        with pytest.raises(InvalidArgumentError, match="need >= 4 distinct T"):
+            cardy_fit(samples)
 
 
 class TestGramSpectra:
