@@ -31,7 +31,6 @@ from .attention import (
     apply_rope,
     attention_matrix,
     mask_ablation,
-    outlier_bulk_split,
     output_operator,
 )
 from .entropy import (
@@ -70,9 +69,7 @@ from .rmt import (
     CollapseReport,
     EntropyBounds,
     MarchenkoPastur,
-    Moments,
     cardy_fit,
-    empirical_moments,
     entropy_bounds,
     estimate_sigma2,
     ks_distance,
@@ -100,7 +97,6 @@ __all__ = [
     "InvalidArgumentError",
     "MarchenkoPastur",
     "MaskAblation",
-    "Moments",
     "MpsChain",
     "REFERENCE_ADAPTER_SPECS",
     "ShapeMismatchError",
@@ -116,7 +112,6 @@ __all__ = [
     "collapse_experiment",
     "collapse_spectrum",
     "decompose",
-    "empirical_moments",
     "entropy_bounds",
     "estimate_sigma2",
     "interior_cut_range",
@@ -129,7 +124,6 @@ __all__ = [
     "mps_adapter_materialize",
     "mps_adapter_update",
     "normalize_spectrum",
-    "outlier_bulk_split",
     "output_collapse_check",
     "output_operator",
     "page_bench",

@@ -37,7 +37,6 @@ class AdapterSpec:
     d_out: int
     d_in: int
     r: int | None = None
-    alpha: float | None = None
     d1: int | None = None
     d2: int | None = None
     chi: int | None = None

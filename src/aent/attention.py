@@ -25,7 +25,7 @@ import numpy as np
 
 from .entropy import EntanglementProfile, profile
 from .errors import InvalidArgumentError, ShapeMismatchError
-from .rmt import _seeded_rng, check_row_stochastic
+from .rmt import _seeded_rng
 
 #: Default per-entry standard deviation of Q and K.
 DEFAULT_QK_STD = 0.65
@@ -109,18 +109,6 @@ def apply_rope(m: np.ndarray, theta_base: float = 10000.0) -> np.ndarray:
     out[:, :half] = first * cos - second * sin
     out[:, half:] = first * sin + second * cos
     return out
-
-
-def outlier_bulk_split(a) -> tuple[np.ndarray, np.ndarray]:
-    """Split a row-stochastic A into the rank-1 mean field and the bulk.
-
-    The mean field is (1/T) 11^T; the bulk A - mean_field has zero row
-    sums and is Frobenius-orthogonal to the mean field.
-    """
-    arr = check_row_stochastic(a)
-    t = arr.shape[0]
-    mean_field = np.full((t, t), 1.0 / t)
-    return mean_field, arr - mean_field
 
 
 def output_operator(x) -> np.ndarray:

@@ -30,7 +30,6 @@ from .rmt import (
     _seeded_rng,
     _stochastic_spectrum,
     cardy_fit,
-    entropy_bounds,
     estimate_sigma2,
     ks_distance,
     output_collapse_check,
@@ -191,8 +190,8 @@ def cardy_experiment(
     law at every context width; it is still validated and echoed.
 
     Samples are drawn largest T first and handed to :func:`cardy_fit` one
-    at a time, so one attention matrix is alive at once and the bulk
-    spectrum is taken at the largest T only.
+    at a time, so one attention matrix is alive at once and the
+    largest-T statistics are taken for the first group only.
     """
     sizes = sorted(set(int(t) for t in t_grid))
     if len(sizes) < 4:
@@ -218,7 +217,6 @@ def cardy_experiment(
             "sigma2": fit.sigma2_estimate,
             "predicted_charge": fit.predicted_charge,
             "relative_slope_deviation": fit.relative_slope_deviation,
-            "constant_c": fit.constant_c,
             "s1_largest_t": fit.s1_largest_t,
             "p1_largest_t": fit.p1_largest_t,
             "renyi2_largest_t": fit.renyi2_largest_t,
@@ -407,7 +405,7 @@ def attn_experiment(
             )
             sigma_op = output_operator(scene.x)
             prof_sigma = profile(sigma_op, chi_max=chi_max, base=base)
-            sv, _, _ = _stochastic_spectrum(scene.a)
+            sv, _ = _stochastic_spectrum(scene.a)
             s1 = float(sv[0])
             p1 = float(sv[0] ** 2 / np.dot(sv, sv))
             sigma2 = estimate_sigma2(scene.a)
@@ -471,21 +469,20 @@ def collapse_experiment(log2_min: int = 6, log2_max: int = 12) -> ExperimentRepo
     """Entropy collapse S ~ (ln T)/T on constructed near-pure spectra."""
     if log2_min < 1 or log2_max < log2_min:
         raise InvalidArgumentError("need 1 <= log2_min <= log2_max")
-    spectra = [(1 << k, collapse_spectrum(1 << k)) for k in range(log2_min, log2_max + 1)]
-    report = output_collapse_check(spectra)
-    rows = []
-    for (t, eig), row in zip(spectra, report.rows):
-        bounds = entropy_bounds(eig)
-        rows.append(
-            {
-                "t": row.size,
-                "eta": bounds.eta,
-                "delta1": row.delta1,
-                "entropy_nats": row.entropy,
-                "vn_bound": row.vn_bound,
-                "ratio": row.ratio,
-            }
-        )
+    report = output_collapse_check(
+        [(1 << k, collapse_spectrum(1 << k)) for k in range(log2_min, log2_max + 1)]
+    )
+    rows = [
+        {
+            "t": row.size,
+            "eta": row.eta,
+            "delta1": row.delta1,
+            "entropy_nats": row.entropy,
+            "vn_bound": row.vn_bound,
+            "ratio": row.ratio,
+        }
+        for row in report.rows
+    ]
     summary = [
         {
             "ratio_spread": report.ratio_spread,

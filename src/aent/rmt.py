@@ -139,19 +139,13 @@ class EntropyBounds:
 
     ``vn_bound`` is the max-entropy bound evaluated at the exact tail mass
     1 - p_1 = delta1/(1+delta1); it never exceeds log T and is certified
-    >= the von Neumann entropy for every spectrum.  ``vn_bound_lemma`` is
-    the looser textbook form h2(delta) + delta log(T-1) with
-    delta = min(1, delta1), recorded as well; it is only a valid bound
-    while delta is below the uniform point (T-1)/T, so certification uses
-    ``vn_bound``.
+    >= the von Neumann entropy for every spectrum.
     """
 
     size: int
     eta: float
     delta1: float
-    delta: float
     vn_bound: float
-    vn_bound_lemma: float
     renyi2_bound: float
     log_base: float
 
@@ -164,26 +158,22 @@ def entropy_bounds(eigenvalues, base: float = math.e) -> EntropyBounds:
     t = arr.size
     eta = stable_rank(arr) - 1.0
     delta1 = float(arr[1:].sum() / arr[0])
-    delta = min(1.0, delta1)
     log_t_minus_1 = math.log(t - 1) / log_base if t > 1 else 0.0
     tail = delta1 / (1.0 + delta1)
     vn_bound = binary_entropy(tail, base=base) + tail * log_t_minus_1
-    vn_lemma = binary_entropy(delta, base=base) + delta * log_t_minus_1
     renyi2_bound = 2.0 * math.log1p(delta1) / log_base
     return EntropyBounds(
         size=t,
         eta=eta,
         delta1=delta1,
-        delta=delta,
         vn_bound=vn_bound,
-        vn_bound_lemma=vn_lemma,
         renyi2_bound=renyi2_bound,
         log_base=base,
     )
 
 
 # ---------------------------------------------------------------------------
-# Row-stochastic matrices: mean-field split and the entropy scaling fit
+# Row-stochastic matrices: bulk mass and the entropy scaling fit
 
 
 def check_row_stochastic(a: np.ndarray) -> np.ndarray:
@@ -208,37 +198,10 @@ def estimate_sigma2(a) -> float:
     return float(np.vdot(bulk, bulk).real)
 
 
-@dataclass(frozen=True)
-class Moments:
-    m2: float
-    m4: float
-    m2log: float
+def _stochastic_spectrum(a: np.ndarray):
+    """(sigmas, svd) of a square ``a`` whose rows sum to ~1; see :func:`cardy_fit`.
 
-
-def empirical_moments(rescaled_singulars) -> Moments:
-    """(m2, m4, m2log) of rescaled bulk singular values x_i = sqrt(T) s_i.
-
-    m2log applies the 0 log 0 = 0 convention: zero values contribute
-    nothing but still count toward the 1/T normalization.
-    """
-    xs = np.asarray(rescaled_singulars, dtype=np.float64)
-    if xs.ndim != 1 or xs.size < 2:
-        raise InvalidArgumentError("expected at least two rescaled values")
-    t = xs.size
-    sq = xs**2
-    pos = sq[sq > 0.0]
-    return Moments(
-        m2=float(sq.sum() / t),
-        m4=float((sq**2).sum() / t),
-        m2log=float((pos * np.log(pos)).sum() / t),
-    )
-
-
-def _stochastic_spectrum(a: np.ndarray, bulk: bool = False):
-    """(sigmas, bulk_eigs, svd) of a square ``a`` whose rows sum to ~1; see :func:`cardy_fit`.
-
-    ``sigmas`` are A's singular values, descending, from the SVD when ``svd``;
-    ``bulk_eigs`` are the eigenvalues of B B^T, or None without ``bulk``.
+    ``sigmas`` are A's singular values, descending, from the SVD when ``svd``.
     """
     t = a.shape[0]
     b = a - 1.0 / t
@@ -247,13 +210,12 @@ def _stochastic_spectrum(a: np.ndarray, bulk: bool = False):
     # are live; broadcast temporaries would raise the peak
     gram = b @ b.T
     del b
-    bulk_eigs = np.clip(np.linalg.eigvalsh(gram), 0.0, None) if bulk else None
     gram += delta[:, None] / t
     gram += (delta + 1.0) / t
     lam = np.linalg.eigvalsh(gram)
     if lam[0] > t * np.finfo(np.float64).eps * lam[-1]:
-        return np.sqrt(lam[::-1]), bulk_eigs, False
-    return np.linalg.svd(a, compute_uv=False), bulk_eigs, True
+        return np.sqrt(lam[::-1]), False
+    return np.linalg.svd(a, compute_uv=False), True
 
 
 @dataclass
@@ -271,7 +233,6 @@ class CardyFit:
     intercept: float
     sigma2_estimate: float
     predicted_charge: float
-    constant_c: float
     s1_largest_t: float
     p1_largest_t: float
     renyi2_largest_t: float
@@ -293,8 +254,8 @@ def cardy_fit(attention_samples) -> CardyFit:
     entropy point and, at the largest T seen so far, a few statistics;
     no reference to A is kept, so a generator holds one matrix at a time.
     Statistics from a smaller T are dropped when a larger T arrives, so
-    any order gives the same fit, but the bulk spectrum is computed for
-    every sample at the largest T so far: largest T first is cheapest.
+    any order gives the same fit, but they are computed for every sample
+    at the largest T so far: largest T first is cheapest.
     ``points`` comes back sorted stably by T.  sigma^2 is estimated from
     the Frobenius norm of the bulk B = A - (1/T) 11^T at the largest T
     only; the predicted slope is sigma^2/(1+sigma^2).
@@ -302,11 +263,10 @@ def cardy_fit(attention_samples) -> CardyFit:
     Spectra come from Gram matrices, not SVDs.  Per sample one product
     B B^T gives A A^T through the exact identity
     A A^T = B B^T + (delta 1^T + 1 delta^T + 11^T)/T, delta = A 1 - 1,
-    which holds whatever the row sums; the bulk spectrum, needed only at
-    the largest T, is eigvalsh(B B^T) clipped at 0.  The values of A are
-    the sqrt of eigvalsh(A A^T) unless lam_min <= T eps lam_max, where the
-    Gram cannot resolve the small end (a rank-deficient or near-uniform A)
-    and an SVD of A is taken instead; ``svd_fallbacks`` counts those.
+    which holds whatever the row sums.  The values of A are the sqrt of
+    eigvalsh(A A^T) unless lam_min <= T eps lam_max, where the Gram cannot
+    resolve the small end (a rank-deficient or near-uniform A) and an SVD
+    of A is taken instead; ``svd_fallbacks`` counts those.
     """
     points: list[tuple[int, float]] = []
     t_largest, largest_t_stats = -math.inf, []
@@ -315,7 +275,7 @@ def cardy_fit(attention_samples) -> CardyFit:
         t, a = int(t), check_row_stochastic(a)
         if t > t_largest:
             t_largest, largest_t_stats = t, []
-        sigmas, bulk_eigs, svd = _stochastic_spectrum(a, bulk=t == t_largest)
+        sigmas, svd = _stochastic_spectrum(a)
         svd_fallbacks += svd
         lambdas = normalize_spectrum(sigmas)
         points.append((t, von_neumann(lambdas, base=math.e)))
@@ -325,7 +285,6 @@ def cardy_fit(attention_samples) -> CardyFit:
                 float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)),
                 renyi(lambdas, 2.0, base=math.e),
                 estimate_sigma2(a),
-                empirical_moments(np.sqrt(t * bulk_eigs)).m2log,
             ))
         del a  # before the next sample is drawn
     sizes = {t for t, _ in points}
@@ -339,18 +298,14 @@ def cardy_fit(attention_samples) -> CardyFit:
     entropies = np.array([s for _, s in points])
     slope, intercept = np.polyfit(log_t, entropies, 1)
 
-    s1, p1, renyi2, sigma2, m2log = (float(np.mean(column)) for column in zip(*largest_t_stats))
+    s1, p1, renyi2, sigma2 = (float(np.mean(column)) for column in zip(*largest_t_stats))
     charge = sigma2 / (1.0 + sigma2)
-    constant_c = (
-        math.log1p(sigma2) + charge * math.log1p(sigma2) - m2log / (1.0 + sigma2)
-    )
     return CardyFit(
         points=points,
         slope=float(slope),
         intercept=float(intercept),
         sigma2_estimate=sigma2,
         predicted_charge=charge,
-        constant_c=constant_c,
         s1_largest_t=s1,
         p1_largest_t=p1,
         renyi2_largest_t=renyi2,
@@ -368,6 +323,7 @@ class CollapseRow:
     size: int
     entropy: float
     vn_bound: float
+    eta: float
     delta1: float
     ratio: float
 
@@ -407,6 +363,7 @@ def output_collapse_check(spectra_by_size) -> CollapseReport:
                 size=t,
                 entropy=s,
                 vn_bound=bounds.vn_bound,
+                eta=bounds.eta,
                 delta1=bounds.delta1,
                 ratio=s * t / math.log(t),
             )

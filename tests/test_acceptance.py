@@ -17,8 +17,8 @@ from aent import (
     collapse_experiment,
     decompose,
     entropy_bounds,
+    estimate_sigma2,
     mp_compare,
-    outlier_bulk_split,
     page_bench,
     reconstruct,
     sample_gaussian_matrix,
@@ -223,11 +223,11 @@ def test_08_meanfield_split_identities():
         t = int(rng.integers(4, 65))
         a = rng.gamma(shape=1.0, scale=1.0, size=(t, t))
         a /= a.sum(axis=1, keepdims=True)
-        mean_field, bulk = outlier_bulk_split(a)
+        mean_field = np.full((t, t), 1.0 / t)
         lhs = float(np.vdot(a, a).real)
-        rhs = 1.0 + float(np.vdot(bulk, bulk).real)
+        rhs = 1.0 + estimate_sigma2(a)
         worst_norm = max(worst_norm, abs(lhs - rhs))
-        worst_inner = max(worst_inner, abs(float(np.vdot(mean_field, bulk).real)))
+        worst_inner = max(worst_inner, abs(float(np.vdot(mean_field, a - mean_field).real)))
     wall = time.perf_counter() - start
 
     ok = worst_norm <= 1e-8 and worst_inner <= 1e-10 and wall <= 10.0
@@ -235,8 +235,8 @@ def test_08_meanfield_split_identities():
         8,
         "mean-field split identities",
         ok,
-        f"max | ||A||_F^2 - (1 + ||bulk||_F^2) | = {worst_norm:.2e} (tol 1e-8); "
-        f"max |<mean_field, bulk>| = {worst_inner:.2e} (tol 1e-10) over 100 "
+        f"max | ||A||_F^2 - (1 + estimate_sigma2(A)) | = {worst_norm:.2e} (tol 1e-8); "
+        f"max |<J/T, A - J/T>| = {worst_inner:.2e} (tol 1e-10) over 100 "
         f"row-stochastic draws; wall {wall:.1f}s (limit 10s)",
     )
 

@@ -10,7 +10,6 @@ from aent import (
     apply_rope,
     attention_matrix,
     mask_ablation,
-    outlier_bulk_split,
     output_operator,
 )
 
@@ -86,16 +85,6 @@ class TestRope:
 
 
 class TestSplitAndOutput:
-    def test_split_reassembles_and_is_orthogonal(self):
-        rng = np.random.default_rng(7)
-        a = attention_matrix(rng.standard_normal((8, 4)), rng.standard_normal((8, 4)))
-        mean_field, bulk = outlier_bulk_split(a)
-        assert np.allclose(mean_field + bulk, a, atol=1e-15)
-        assert np.allclose(mean_field, 1.0 / 8.0, atol=1e-15)
-        assert np.allclose(bulk.sum(axis=1), 0.0, atol=1e-12)
-        assert abs(float(np.vdot(mean_field, bulk))) <= 1e-12
-        assert float(np.vdot(mean_field, mean_field)) == pytest.approx(1.0, abs=1e-12)
-
     def test_output_operator_psd_and_symmetric(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((6, 10))

@@ -219,7 +219,17 @@ class TestCardyCommand:
         assert code == 0
         assert "qk_std=0.65" in lines[1]
         assert "# table points" in lines
-        assert "# table fit" in lines
+        assert lines[lines.index("# table fit") + 1].split(",") == [
+            "slope",
+            "intercept",
+            "sigma2",
+            "predicted_charge",
+            "relative_slope_deviation",
+            "s1_largest_t",
+            "p1_largest_t",
+            "renyi2_largest_t",
+            "renyi2_predicted",
+        ]
 
     def test_grid_validation(self, tmp_path):
         code, _ = run_to_file(

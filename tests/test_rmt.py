@@ -12,7 +12,6 @@ from aent import (
     InvalidArgumentError,
     MarchenkoPastur,
     cardy_fit,
-    empirical_moments,
     entropy_bounds,
     estimate_sigma2,
     ks_distance,
@@ -84,7 +83,7 @@ class TestKsDistance:
         s = np.linalg.svd(g, compute_uv=False)
         # s follows the quartercircle law exactly when s^2 follows MP(1)
         assert ks_distance(s**2, MarchenkoPastur(1.0)) <= 0.05
-        assert empirical_moments(s).m2 == pytest.approx(1.0, abs=0.05)
+        assert np.mean(s**2) == pytest.approx(1.0, abs=0.05)
 
     def test_point_mass_far_from_mp(self):
         assert ks_distance(np.full(50, 1.0), MarchenkoPastur(1.0)) >= 0.5
@@ -136,8 +135,6 @@ class TestEntropyBounds:
         # uniform is the max-entropy spectrum at its own tail mass, so the
         # certified bound lands exactly on log T
         assert b.vn_bound == pytest.approx(math.log(t), abs=1e-12)
-        if t > 1:
-            assert b.vn_bound_lemma == pytest.approx(math.log(t - 1), abs=1e-12)
 
     def test_flat_tail_saturates_cauchy_schwarz(self):
         t, eps = 17, 1e-3
@@ -196,22 +193,6 @@ class TestRowStochastic:
         assert estimate_sigma2(np.eye(8)) == pytest.approx(7.0, abs=1e-12)
 
 
-class TestEmpiricalMoments:
-    def test_all_ones(self):
-        m = empirical_moments(np.ones(4))
-        assert (m.m2, m.m4, m.m2log) == (1.0, 1.0, 0.0)
-
-    def test_zero_entries_skipped_in_log(self):
-        m = empirical_moments([math.sqrt(2.0), 0.0])
-        assert m.m2 == pytest.approx(1.0)
-        assert m.m4 == pytest.approx(2.0)
-        assert m.m2log == pytest.approx(math.log(2.0))
-
-    def test_needs_two_values(self):
-        with pytest.raises(InvalidArgumentError):
-            empirical_moments([1.0])
-
-
 class TestCardyFit:
     def test_uniform_scenes_give_zero_slope_and_charge(self):
         samples = [(t, np.full((t, t), 1.0 / t)) for t in (4, 8, 16, 32)]
@@ -223,7 +204,6 @@ class TestCardyFit:
         assert fit.s1_largest_t == pytest.approx(1.0)
         assert fit.p1_largest_t == pytest.approx(1.0)
         assert fit.renyi2_largest_t == 0.0
-        assert fit.constant_c == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_scenes_exact_line(self):
         sizes = (4, 8, 16, 32)
@@ -262,9 +242,9 @@ def _svd_call_log(monkeypatch):
 
 
 def _svd_cardy_fields(samples) -> dict:
-    """The fields of cardy_fit, from direct SVDs of each A and of its bulk."""
+    """The fields of cardy_fit, from a direct SVD of each A."""
     t_largest = max(t for t, _ in samples)
-    points, s1, p1, renyi2, sigma2, m2log = [], [], [], [], [], []
+    points, s1, p1, renyi2, sigma2 = [], [], [], [], []
     for t, a in samples:
         sigmas = np.linalg.svd(a, compute_uv=False)
         lambdas = normalize_spectrum(sigmas)
@@ -274,8 +254,6 @@ def _svd_cardy_fields(samples) -> dict:
             p1.append(sigmas[0] ** 2 / np.dot(sigmas, sigmas))
             renyi2.append(renyi(lambdas, 2.0, base=math.e))
             sigma2.append(estimate_sigma2(a))
-            bulk = np.linalg.svd(a - 1.0 / t, compute_uv=False)
-            m2log.append(empirical_moments(math.sqrt(t) * bulk).m2log)
     slope, intercept = np.polyfit(np.log([t for t, _ in samples]), points, 1)
     s2 = float(np.mean(sigma2))
     charge = s2 / (1.0 + s2)
@@ -285,7 +263,6 @@ def _svd_cardy_fields(samples) -> dict:
         "intercept": intercept,
         "sigma2_estimate": s2,
         "predicted_charge": charge,
-        "constant_c": (1.0 + charge) * math.log1p(s2) - float(np.mean(m2log)) / (1.0 + s2),
         "s1_largest_t": float(np.mean(s1)),
         "p1_largest_t": float(np.mean(p1)),
         "renyi2_largest_t": float(np.mean(renyi2)),
@@ -349,7 +326,7 @@ class TestGramSpectra:
     def test_rank_deficient_sample_takes_the_svd_and_keeps_its_zeros(self, monkeypatch):
         a = _duplicated_rows(32, 1)
         calls = _svd_call_log(monkeypatch)
-        sigmas, _, svd = _stochastic_spectrum(a)
+        sigmas, svd = _stochastic_spectrum(a)
         assert svd
         assert calls == [(32, 32)]
         assert np.count_nonzero(normalize_spectrum(sigmas)) == 16
@@ -379,16 +356,18 @@ class TestGramSpectra:
         # rows now sum to 1 +- 1e-7, inside the 1e-6 tolerance of cardy_fit
         a = a * (1.0 + 1e-7 * np.linspace(-1.0, 1.0, t))[:, None]
         check_row_stochastic(a)
-        sigmas, bulk_eigs, svd = _stochastic_spectrum(a, bulk=True)
+        sigmas, svd = _stochastic_spectrum(a)
         assert not svd
         direct = np.linalg.svd(a, compute_uv=False)
         assert sigmas**2 == pytest.approx(direct**2, abs=1e-14)
-        bulk = np.linalg.svd(a - 1.0 / t, compute_uv=False)
-        assert np.sort(bulk_eigs)[::-1] == pytest.approx(bulk**2, abs=1e-14)
 
-    def test_bulk_omitted_unless_asked(self):
-        (_, a), = _scenes(0.65, False, sizes=(16,), seeds=1)
-        assert _stochastic_spectrum(a)[1] is None
+    def test_one_eigvalsh_per_sample(self, monkeypatch):
+        samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)[::-1]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        cardy_fit(samples)
+        assert calls == [(t, t) for t, _ in samples]
 
 
 class TestOutputCollapse:
