@@ -34,15 +34,18 @@ DEFAULT_QK_STD = 0.65
 def _gaussian_qk(rng: np.random.Generator, t: int, d_qk: int, qk_std: float) -> tuple[np.ndarray, np.ndarray]:
     """Independent (T, d_qk) query and key matrices with i.i.d. N(0, qk_std^2) entries.
 
-    Q is drawn from ``rng`` before K.
+    Q is drawn from ``rng`` before K.  Each draw is scaled in place, so
+    no second (T, d_qk) array is made per matrix.
     """
     if t < 1:
         raise InvalidArgumentError(f"T must be >= 1, got {t}")
     if not (math.isfinite(qk_std) and qk_std >= 0.0):
         raise InvalidArgumentError(f"qk_std must be finite and >= 0, got {qk_std}")
     with np.errstate(over="ignore"):
-        q = qk_std * rng.standard_normal((t, d_qk))
-        k = qk_std * rng.standard_normal((t, d_qk))
+        q = rng.standard_normal((t, d_qk))
+        q *= qk_std
+        k = rng.standard_normal((t, d_qk))
+        k *= qk_std
     if not (np.isfinite(q).all() and np.isfinite(k).all()):
         raise InvalidArgumentError(f"qk_std = {qk_std} overflows float64 in the query/key draw")
     return q, k
@@ -52,7 +55,9 @@ def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.n
     """Row-wise softmax of Q K^T / sqrt(d_qk), optionally causally masked.
 
     Masking sets logits above the diagonal to -inf before the softmax, so
-    masked entries come out exactly zero.
+    masked entries come out exactly zero.  ``q`` and ``k`` are not written;
+    the logits are formed, divided and pushed through the softmax in one
+    T x T array, which is returned.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -64,9 +69,13 @@ def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.n
 
 
 def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Q K^T / sqrt(d_qk), rejected if any entry overflows float64."""
+    """Q K^T / sqrt(d_qk), rejected if any entry overflows float64.
+
+    The product is divided in place, so one T x T array is made.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = q @ k.T / math.sqrt(q.shape[1])
+        logits = q @ k.T
+        logits /= math.sqrt(q.shape[1])
     if not np.isfinite(logits).all():
         raise InvalidArgumentError(
             "attention logits Q K^T / sqrt(d_qk) are not finite (float64 overflow); reduce qk_std"
@@ -75,14 +84,17 @@ def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray, causal: bool) -> np.ndarray:
-    work = np.array(logits, dtype=np.float64)
+    """Row-wise softmax of float64 ``logits``, written over them and returned.
+
+    A caller that still needs its logits passes a copy.
+    """
     if causal:
-        t = work.shape[0]
-        work[np.triu_indices(t, k=1)] = -np.inf
-    work -= work.max(axis=1, keepdims=True)
-    np.exp(work, out=work)
-    work /= work.sum(axis=1, keepdims=True)
-    return work
+        t = logits.shape[0]
+        logits[np.arange(t)[:, None] < np.arange(t)] = -np.inf
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def apply_rope(m: np.ndarray, theta_base: float = 10000.0) -> np.ndarray:
@@ -176,7 +188,7 @@ class MaskAblation:
 def mask_ablation(scene: AttentionScene, chi_max: int | None = None, base: float = 2.0) -> MaskAblation:
     """Profile the scene's attention with the causal mask on and off."""
     logits = _logits(scene.q, scene.k)
-    a_masked = _softmax_rows(logits, causal=True)
+    a_masked = _softmax_rows(logits.copy(), causal=True)
     a_unmasked = _softmax_rows(logits, causal=False)
     return MaskAblation(
         a_masked=a_masked,

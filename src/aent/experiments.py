@@ -30,7 +30,6 @@ from .rmt import (
     _seeded_rng,
     _stochastic_spectrum,
     cardy_fit,
-    estimate_sigma2,
     ks_distance,
     output_collapse_check,
     sample_gaussian_matrix,
@@ -405,10 +404,9 @@ def attn_experiment(
             )
             sigma_op = output_operator(scene.x)
             prof_sigma = profile(sigma_op, chi_max=chi_max, base=base)
-            sv, _ = _stochastic_spectrum(scene.a)
+            sv, _, sigma2 = _stochastic_spectrum(scene.a)
             s1 = float(sv[0])
             p1 = float(sv[0] ** 2 / np.dot(sv, sv))
-            sigma2 = estimate_sigma2(scene.a)
             ablation = mask_ablation(scene, chi_max=chi_max, base=base)
             # one of the ablation's two matrices is scene.a, bit for bit
             prof_a = ablation.profile_masked if causal else ablation.profile_unmasked

@@ -60,8 +60,6 @@ def _as_tensor(tensor) -> np.ndarray:
         raise InvalidArgumentError("expected a tensor with at least one axis")
     if arr.size == 0:
         raise InvalidArgumentError("expected a non-empty tensor")
-    if not np.isfinite(arr).all():
-        raise InvalidArgumentError("tensor has NaN or infinite entries")
     return arr
 
 
@@ -76,10 +74,14 @@ def _rescaled(tensor) -> tuple[np.ndarray, int]:
 
     Outside the safe range the largest entry is scaled into [0.5, 1); inside
     it the tensor itself comes back with exponent 0, so callers must not
-    write into the array.
+    write into the array.  NaN and +-inf propagate through max and min, so
+    those two passes are also the finiteness check.
     """
     arr = _as_tensor(tensor)
-    top = max(arr.max(), -arr.min())
+    top, bottom = arr.max(), arr.min()
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise InvalidArgumentError("tensor has NaN or infinite entries")
+    top = max(top, -bottom)
     if top == 0:
         raise DegenerateInputError("cannot decompose an all-zero tensor")
     exponent = int(np.frexp(top)[1])
@@ -92,7 +94,13 @@ _PROBE = 64
 
 
 def _gram(g: np.ndarray) -> np.ndarray:
-    """g @ g.T, the Gram matrix on the rows side of ``g``."""
+    """g @ g.T, the Gram matrix on the rows side of ``g``.
+
+    numpy fills both triangles of the product identically, and a partial
+    trace keeps that exact symmetry, so each Gram matrix larger than the
+    probe goes to LAPACK as its F-order view ``gram.T``: the same input,
+    read without a transposing copy.
+    """
     return g @ g.T
 
 
@@ -124,7 +132,7 @@ def _gram_sigmas(m: np.ndarray, vectors: bool = False):
         return None
     if k >= 4 * _PROBE and not _resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k):
         return None
-    lam, u = np.linalg.eigh(_gram(g)) if vectors else (np.linalg.eigvalsh(_gram(g)), None)
+    lam, u = np.linalg.eigh(_gram(g).T) if vectors else (np.linalg.eigvalsh(_gram(g).T), None)
     if not _resolved(lam, k):
         return None
     return (u[:, ::-1], np.sqrt(lam[::-1]), None) if vectors else np.sqrt(lam[::-1])
@@ -198,7 +206,7 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
         if k >= 4 * _PROBE and not _resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k):
             return None, None
         gram = _gram(g)
-        lam = np.linalg.eigvalsh(gram)
+        lam = np.linalg.eigvalsh(gram.T)
         if not _resolved(lam, k):
             return None, cut
         spectra[cut] = np.sqrt(lam[::-1])
@@ -212,7 +220,7 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
             else:
                 gram = gram.reshape(d, k, d, k).trace(axis1=0, axis2=2)
             if k < 4 * _PROBE or _resolved(np.linalg.eigvalsh(gram[:_PROBE, :_PROBE]), k):
-                lam = np.linalg.eigvalsh(gram)
+                lam = np.linalg.eigvalsh(gram.T)
                 if _resolved(lam, k):
                     spectra[cut] = np.sqrt(lam[::-1])
                     continue

@@ -142,12 +142,10 @@ class EntropyBounds:
     >= the von Neumann entropy for every spectrum.
     """
 
-    size: int
     eta: float
     delta1: float
     vn_bound: float
     renyi2_bound: float
-    log_base: float
 
 
 def entropy_bounds(eigenvalues, base: float = math.e) -> EntropyBounds:
@@ -162,14 +160,7 @@ def entropy_bounds(eigenvalues, base: float = math.e) -> EntropyBounds:
     tail = delta1 / (1.0 + delta1)
     vn_bound = binary_entropy(tail, base=base) + tail * log_t_minus_1
     renyi2_bound = 2.0 * math.log1p(delta1) / log_base
-    return EntropyBounds(
-        size=t,
-        eta=eta,
-        delta1=delta1,
-        vn_bound=vn_bound,
-        renyi2_bound=renyi2_bound,
-        log_base=base,
-    )
+    return EntropyBounds(eta=eta, delta1=delta1, vn_bound=vn_bound, renyi2_bound=renyi2_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +190,28 @@ def estimate_sigma2(a) -> float:
 
 
 def _stochastic_spectrum(a: np.ndarray):
-    """(sigmas, svd) of a square ``a`` whose rows sum to ~1; see :func:`cardy_fit`.
+    """(sigmas, svd, sigma2) of a square ``a`` whose rows sum to ~1; see :func:`cardy_fit`.
 
-    ``sigmas`` are A's singular values, descending, from the SVD when ``svd``.
+    ``sigmas`` are A's singular values, descending, from the SVD when ``svd``;
+    ``sigma2`` is :func:`estimate_sigma2` of ``a``, read from the same bulk.
     """
     t = a.shape[0]
     b = a - 1.0 / t
+    sigma2 = float(np.vdot(b, b).real)
     delta = b.sum(axis=1)
     # b is dropped and A A^T built in place, so at most three T x T arrays
     # are live; broadcast temporaries would raise the peak
     gram = b @ b.T
     del b
-    gram += delta[:, None] / t
-    gram += (delta + 1.0) / t
-    lam = np.linalg.eigvalsh(gram)
+    # B B^T is exactly symmetric, but the corrections round differently at
+    # (i, j) and (j, i); added transposed, they make gram.T, the F-order view
+    # LAPACK reads without a copy, bit for bit B B^T + delta 1^T/T + 1 (delta + 1)^T/T
+    gram += delta / t
+    gram += ((delta + 1.0) / t)[:, None]
+    lam = np.linalg.eigvalsh(gram.T)
     if lam[0] > t * np.finfo(np.float64).eps * lam[-1]:
-        return np.sqrt(lam[::-1]), False
-    return np.linalg.svd(a, compute_uv=False), True
+        return np.sqrt(lam[::-1]), False, sigma2
+    return np.linalg.svd(a, compute_uv=False), True, sigma2
 
 
 @dataclass
@@ -257,8 +253,9 @@ def cardy_fit(attention_samples) -> CardyFit:
     any order gives the same fit, but they are computed for every sample
     at the largest T so far: largest T first is cheapest.
     ``points`` comes back sorted stably by T.  sigma^2 is estimated from
-    the Frobenius norm of the bulk B = A - (1/T) 11^T at the largest T
-    only; the predicted slope is sigma^2/(1+sigma^2).
+    the Frobenius norm of the bulk B = A - (1/T) 11^T, the B whose Gram
+    matrix gives the spectrum, at the largest T only; the predicted slope
+    is sigma^2/(1+sigma^2).
 
     Spectra come from Gram matrices, not SVDs.  Per sample one product
     B B^T gives A A^T through the exact identity
@@ -275,7 +272,7 @@ def cardy_fit(attention_samples) -> CardyFit:
         t, a = int(t), check_row_stochastic(a)
         if t > t_largest:
             t_largest, largest_t_stats = t, []
-        sigmas, svd = _stochastic_spectrum(a)
+        sigmas, svd, sigma2 = _stochastic_spectrum(a)
         svd_fallbacks += svd
         lambdas = normalize_spectrum(sigmas)
         points.append((t, von_neumann(lambdas, base=math.e)))
@@ -284,7 +281,7 @@ def cardy_fit(attention_samples) -> CardyFit:
                 float(sigmas[0]),
                 float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)),
                 renyi(lambdas, 2.0, base=math.e),
-                estimate_sigma2(a),
+                sigma2,
             ))
         del a  # before the next sample is drawn
     sizes = {t for t, _ in points}

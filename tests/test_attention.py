@@ -40,6 +40,14 @@ class TestAttentionMatrix:
         a = attention_matrix(q, k, causal=True)
         assert np.all(a[np.triu_indices(12, k=1)] == 0.0)
 
+    def test_inputs_are_not_written(self):
+        rng = np.random.default_rng(8)
+        q, k = rng.standard_normal((2, 16, 8))
+        q0, k0 = q.copy(), k.copy()
+        for causal in (False, True):
+            attention_matrix(q, k, causal=causal)
+            assert np.array_equal(q, q0) and np.array_equal(k, k0)
+
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
             attention_matrix(np.zeros((4, 8)), np.zeros((5, 8)))
@@ -185,6 +193,17 @@ class TestMaskAblation:
         ab = mask_ablation(scene)
         assert np.allclose(ab.a_masked, scene.a, atol=1e-12)
         assert not np.allclose(ab.a_unmasked, scene.a, atol=1e-6)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_scene_is_not_written_and_the_two_matrices_are_distinct(self, causal):
+        scene = AttentionScene.build(16, seed=7, causal=causal)
+        q, k, a = scene.q.copy(), scene.k.copy(), scene.a.copy()
+        ab = mask_ablation(scene)
+        assert np.array_equal(scene.q, q) and np.array_equal(scene.k, k) and np.array_equal(scene.a, a)
+        assert not np.shares_memory(ab.a_masked, ab.a_unmasked)
+        assert not np.array_equal(ab.a_masked, ab.a_unmasked)
+        # the branch that matches the scene's mask is its matrix, bit for bit
+        assert np.array_equal(ab.a_masked if causal else ab.a_unmasked, a)
 
     def test_profiles_present_with_base(self):
         scene = AttentionScene.build(8, seed=6)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -165,6 +166,20 @@ class TestCardyExperiment:
         report = cardy_experiment(t_grid=(8, 16, 32, 64), seeds=2)
         assert drawn == [64, 64, 32, 32, 16, 16, 8, 8]
         assert [p["t"] for p in report.tables["points"]] == [8, 8, 16, 16, 32, 32, 64, 64]
+
+    def test_a_draw_peaks_at_three_t_by_t_arrays(self):
+        # Q, K and the logits, which the softmax overwrites; the bool
+        # finiteness mask of the logits adds an eighth of an array
+        t = 256
+        aent.experiments._cardy_sample(8, 8, 0.65, [0, 8])  # the first draw imports modules
+        tracemalloc.start()
+        try:
+            a = aent.experiments._cardy_sample(t, t, 0.65, [0, t])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.shape == (t, t)
+        assert peak < 3.5 * t * t * 8
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -313,6 +313,47 @@ class TestSchmidtValues:
         with pytest.raises(InvalidArgumentError):
             schmidt_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_named_before_all_zero(self, value):
+        tensor = np.zeros((2, 3, 2))
+        tensor[1, 2, 0] = value
+        with pytest.raises(InvalidArgumentError, match="tensor has NaN or infinite entries"):
+            schmidt_values(tensor)
+
+
+class TestGramLayout:
+    """Gram matrices reach LAPACK exactly symmetric, and F-ordered beyond the probe size."""
+
+    def _arguments(self, monkeypatch, name):
+        seen, fn = [], getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, **kw: seen.append(m) or fn(m, **kw))
+        return seen
+
+    def _assert_layout(self, grams):
+        # a probe block of a walked Gram (_PROBE x _PROBE) is a strided view in either order
+        assert any(g.shape[0] > _PROBE for g in grams)
+        for g in grams:
+            assert np.array_equal(g, g.T)
+            assert g.flags.f_contiguous or g.shape[0] <= _PROBE
+
+    # apexes 512 and walks from 256 (probed) down; apexes 729 x 625; apexes 256 x 216
+    @pytest.mark.parametrize("dims", [(2,) * 18, (3,) * 6 + (5,) * 4, (2,) * 8 + (3,) * 3 + (2,) * 3])
+    def test_schmidt_values(self, monkeypatch, dims):
+        grams = self._arguments(monkeypatch, "eigvalsh")
+        schmidt_values(_random_tensor(dims, 9))
+        self._assert_layout(grams)
+
+    @pytest.mark.parametrize("shape", [(4 * _PROBE, 5 * _PROBE), (5 * _PROBE, 4 * _PROBE), (_PROBE + 1, 3 * _PROBE)])
+    def test_sigmas(self, monkeypatch, shape):
+        m = _random_tensor(shape, 10)
+        grams = self._arguments(monkeypatch, "eigvalsh")
+        _sigmas(m)
+        self._assert_layout(grams)
+        grams = self._arguments(monkeypatch, "eigh")
+        _sigmas(m, vectors=True)
+        if shape[0] <= shape[1]:
+            self._assert_layout(grams)
+
 
 def _svd_sweep(tensor, chi_max=None):
     """Bond spectra of the sequential sweep with an economy SVD at every bond."""

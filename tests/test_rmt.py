@@ -326,7 +326,7 @@ class TestGramSpectra:
     def test_rank_deficient_sample_takes_the_svd_and_keeps_its_zeros(self, monkeypatch):
         a = _duplicated_rows(32, 1)
         calls = _svd_call_log(monkeypatch)
-        sigmas, svd = _stochastic_spectrum(a)
+        sigmas, svd, _ = _stochastic_spectrum(a)
         assert svd
         assert calls == [(32, 32)]
         assert np.count_nonzero(normalize_spectrum(sigmas)) == 16
@@ -356,10 +356,47 @@ class TestGramSpectra:
         # rows now sum to 1 +- 1e-7, inside the 1e-6 tolerance of cardy_fit
         a = a * (1.0 + 1e-7 * np.linspace(-1.0, 1.0, t))[:, None]
         check_row_stochastic(a)
-        sigmas, svd = _stochastic_spectrum(a)
+        sigmas, svd, _ = _stochastic_spectrum(a)
         assert not svd
         direct = np.linalg.svd(a, compute_uv=False)
         assert sigmas**2 == pytest.approx(direct**2, abs=1e-14)
+
+    @staticmethod
+    def _c_order_spectrum(a):
+        """The reference formula: corrections added untransposed, Gram handed over in C order."""
+        t = a.shape[0]
+        b = a - 1.0 / t
+        delta = b.sum(axis=1)
+        gram = b @ b.T
+        gram += delta[:, None] / t
+        gram += (delta + 1.0) / t
+        lam = np.linalg.eigvalsh(gram)
+        if lam[0] > t * np.finfo(np.float64).eps * lam[-1]:
+            return np.sqrt(lam[::-1]), False, estimate_sigma2(a)
+        return np.linalg.svd(a, compute_uv=False), True, estimate_sigma2(a)
+
+    def test_bit_identical_to_the_c_order_gram(self):
+        samples = _scenes(0.65, False, sizes=(64, 128, 256), seeds=2)
+        samples += _scenes(0.65, True, sizes=(64, 128, 256), seeds=1)
+        # the off-stochastic scene of test_bulk_identity_holds_off_stochastic
+        t, a = samples[0]
+        samples.append((t, a * (1.0 + 1e-7 * np.linspace(-1.0, 1.0, t))[:, None]))
+        fallbacks = 0
+        for t, a in samples:
+            sigmas, svd, sigma2 = _stochastic_spectrum(a)
+            expected, expected_svd, expected_sigma2 = self._c_order_spectrum(a)
+            assert np.array_equal(sigmas, expected), t
+            assert (svd, sigma2) == (expected_svd, expected_sigma2), t
+            fallbacks += svd
+        assert fallbacks < len(samples)
+
+    def test_gram_reaches_eigvalsh_in_f_order(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.flags.f_contiguous) or eigvalsh(m))
+        for _, a in _scenes(0.65, False, sizes=(64, 128, 256), seeds=1):
+            _stochastic_spectrum(a)
+        assert seen == [True] * 3
 
     def test_one_eigvalsh_per_sample(self, monkeypatch):
         samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)[::-1]
