@@ -31,24 +31,37 @@ from .rmt import _seeded_rng
 DEFAULT_QK_STD = 0.65
 
 
-def _gaussian_qk(rng: np.random.Generator, t: int, d_qk: int, qk_std: float) -> tuple[np.ndarray, np.ndarray]:
-    """Independent (T, d_qk) query and key matrices with i.i.d. N(0, qk_std^2) entries.
+def _finite(m: np.ndarray) -> bool:
+    """No NaN or inf in ``m``, read from its max and min, which both propagate; no bool temporary is made."""
+    return math.isfinite(m.max(initial=0.0)) and math.isfinite(m.min(initial=0.0))
 
-    Q is drawn from ``rng`` before K.  Each draw is scaled in place, so
-    no second (T, d_qk) array is made per matrix.
+
+def _qk_rows(rng: np.random.Generator, rows: int, d_qk: int, qk_std: float) -> np.ndarray:
+    """(rows, d_qk) i.i.d. N(0, qk_std^2) entries from ``rng``, scaled in place.
+
+    ``rows`` is T, or a block of K's rows: blocks drawn in turn are K drawn
+    whole, bit for bit.  Rejects T < 1, a qk_std not finite and >= 0, and
+    a draw that overflows float64.
     """
-    if t < 1:
-        raise InvalidArgumentError(f"T must be >= 1, got {t}")
+    if rows < 1:
+        raise InvalidArgumentError(f"T must be >= 1, got {rows}")
     if not (math.isfinite(qk_std) and qk_std >= 0.0):
         raise InvalidArgumentError(f"qk_std must be finite and >= 0, got {qk_std}")
     with np.errstate(over="ignore"):
-        q = rng.standard_normal((t, d_qk))
-        q *= qk_std
-        k = rng.standard_normal((t, d_qk))
-        k *= qk_std
-    if not (np.isfinite(q).all() and np.isfinite(k).all()):
+        m = rng.standard_normal((rows, d_qk))
+        m *= qk_std
+    if not _finite(m):
         raise InvalidArgumentError(f"qk_std = {qk_std} overflows float64 in the query/key draw")
-    return q, k
+    return m
+
+
+def _gaussian_qk(rng: np.random.Generator, t: int, d_qk: int, qk_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """Independent (T, d_qk) query and key matrices with i.i.d. N(0, qk_std^2) entries.
+
+    Q is drawn from ``rng`` before K; see :func:`_qk_rows`.
+    """
+    q = _qk_rows(rng, t, d_qk, qk_std)
+    return q, _qk_rows(rng, t, d_qk, qk_std)
 
 
 def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.ndarray:
@@ -69,14 +82,17 @@ def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.n
 
 
 def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Q K^T / sqrt(d_qk), rejected if any entry overflows float64.
-
-    The product is divided in place, so one T x T array is made.
-    """
+    """Q K^T / sqrt(d_qk), rejected if any entry overflows float64; see :func:`_scaled_logits`."""
     with np.errstate(over="ignore", invalid="ignore"):
         logits = q @ k.T
-        logits /= math.sqrt(q.shape[1])
-    if not np.isfinite(logits).all():
+    return _scaled_logits(logits, q.shape[1])
+
+
+def _scaled_logits(logits: np.ndarray, d_qk: int) -> np.ndarray:
+    """Products Q K^T ``logits`` divided in place by sqrt(d_qk), rejected if any entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits /= math.sqrt(d_qk)
+    if not _finite(logits):
         raise InvalidArgumentError(
             "attention logits Q K^T / sqrt(d_qk) are not finite (float64 overflow); reduce qk_std"
         )

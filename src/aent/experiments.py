@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import AdapterSpec, param_count, valley_check
-from .attention import DEFAULT_QK_STD, AttentionScene, _gaussian_qk, attention_matrix, mask_ablation, output_operator
+from .attention import DEFAULT_QK_STD, AttentionScene, _qk_rows, _scaled_logits, _softmax_rows, mask_ablation, output_operator
 from .entropy import EntanglementProfile, page_entropy, profile
 from .errors import InvalidArgumentError
 from .mps import _rescaled, _sigmas
@@ -164,9 +164,26 @@ def page_bench(
 
 
 def _cardy_sample(t: int, d_qk: int, qk_std: float, seed) -> np.ndarray:
-    """One T x T attention matrix; Q and K are dropped on return."""
-    q, k = _gaussian_qk(_seeded_rng(seed), t, d_qk, qk_std)
-    return attention_matrix(q, k)
+    """One T x T attention matrix, bit for bit :func:`attention_matrix` of ``_gaussian_qk``'s Q and K.
+
+    K is drawn after Q in at most 4 row blocks, each multiplied into its
+    columns of the logits, and Q is dropped before the softmax: two T x T
+    arrays and a block of K are alive at most.  Each block repacks Q for
+    BLAS, so more blocks cost time.  Blocks are whole 32-column tiles,
+    since BLAS rounds edge tiles and narrow products differently, so a T
+    that is not a multiple of 32 takes K whole.
+    """
+    rng = _seeded_rng(seed)
+    q = _qk_rows(rng, t, d_qk, qk_std)
+    logits = np.empty((t, t))
+    tiles = t // 32 if t % 32 == 0 else 1
+    blocks = min(4, tiles)
+    edges = [32 * (i * tiles // blocks) for i in range(blocks)] + [t]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(edges, edges[1:]):
+            np.matmul(q, _qk_rows(rng, hi - lo, d_qk, qk_std).T, out=logits[:, lo:hi])
+    del q
+    return _softmax_rows(_scaled_logits(logits, d_qk), causal=False)
 
 
 @_echoed
@@ -201,7 +218,7 @@ def cardy_experiment(
         raise InvalidArgumentError("need at least one seed")
     _seeded_rng([seed, sizes[0]])  # a negative seed fails before any draw, named at the smallest T
     fit = cardy_fit(
-        (t, _cardy_sample(t, t if d_qk is None else d_qk, qk_std, [seed + s, t]))
+        (t, functools.partial(_cardy_sample, t, t if d_qk is None else d_qk, qk_std, [seed + s, t]))
         for t in reversed(sizes)
         for s in range(seeds)
     )
@@ -404,7 +421,7 @@ def attn_experiment(
             )
             sigma_op = output_operator(scene.x)
             prof_sigma = profile(sigma_op, chi_max=chi_max, base=base)
-            sv, _, sigma2 = _stochastic_spectrum(scene.a)
+            sv, _, sigma2 = _stochastic_spectrum(lambda: scene.a)
             s1 = float(sv[0])
             p1 = float(sv[0] ** 2 / np.dot(sv, sv))
             ablation = mask_ablation(scene, chi_max=chi_max, base=base)

@@ -185,12 +185,13 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
 
     The left apex is the last cut whose left side is the smaller (m @ m^T),
     the right apex the next one (m^T @ m); both are tested, as
-    :func:`_sigmas` tests a cut, before any walk starts.  The returned cut
-    is an apex whose Gram matrix failed that test, or None where a probe
-    failed first.  Walking outward, each cut's Gram matrix is its
-    neighbour's with one site traced out.  Every cut keeps the test, probe
-    included; one that fails below a resolved apex (by the condition bound,
-    essentially never) takes its own SVD.
+    :func:`_sigmas` tests a cut but probed on min(_PROBE, k/4) >= 4 rows,
+    before any walk starts.  The returned cut is an apex whose Gram matrix
+    failed that test, or None where a probe failed first.  Walking
+    outward, each cut's Gram matrix is its neighbour's with one site traced
+    out.  Every cut keeps the test, probe included; one that fails below a
+    resolved apex (by the condition bound, essentially never) takes its
+    own SVD.
     """
     dims = arr.shape
     lefts = [math.prod(dims[:cut]) for cut in range(1, len(dims))]
@@ -203,7 +204,8 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
         m = arr.reshape(lefts[cut - 1], -1)
         g = m if rows else m.T
         k = g.shape[0]
-        if k >= 4 * _PROBE and not _resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k):
+        p = min(_PROBE, k // 4)
+        if p >= 4 and not _resolved(np.linalg.eigvalsh(g[:p] @ g[:p].T), k):
             return None, None
         gram = _gram(g)
         lam = np.linalg.eigvalsh(gram.T)

@@ -189,18 +189,20 @@ def estimate_sigma2(a) -> float:
     return float(np.vdot(bulk, bulk).real)
 
 
-def _stochastic_spectrum(a: np.ndarray):
-    """(sigmas, svd, sigma2) of a square ``a`` whose rows sum to ~1; see :func:`cardy_fit`.
+def _stochastic_spectrum(draw):
+    """(sigmas, svd, sigma2) of the square matrix ``draw()``, whose rows must sum to ~1; see :func:`cardy_fit`.
 
     ``sigmas`` are A's singular values, descending, from the SVD when ``svd``;
-    ``sigma2`` is :func:`estimate_sigma2` of ``a``, read from the same bulk.
+    ``sigma2`` is :func:`estimate_sigma2` of A, read from the same bulk.
+    A, then B, is dropped once the next array is formed, so two T x T
+    arrays are alive at most; A is drawn again only for the SVD.
     """
+    a = check_row_stochastic(draw())
     t = a.shape[0]
     b = a - 1.0 / t
+    del a
     sigma2 = float(np.vdot(b, b).real)
     delta = b.sum(axis=1)
-    # b is dropped and A A^T built in place, so at most three T x T arrays
-    # are live; broadcast temporaries would raise the peak
     gram = b @ b.T
     del b
     # B B^T is exactly symmetric, but the corrections round differently at
@@ -209,9 +211,10 @@ def _stochastic_spectrum(a: np.ndarray):
     gram += delta / t
     gram += ((delta + 1.0) / t)[:, None]
     lam = np.linalg.eigvalsh(gram.T)
+    del gram
     if lam[0] > t * np.finfo(np.float64).eps * lam[-1]:
         return np.sqrt(lam[::-1]), False, sigma2
-    return np.linalg.svd(a, compute_uv=False), True, sigma2
+    return np.linalg.svd(check_row_stochastic(draw()), compute_uv=False), True, sigma2
 
 
 @dataclass
@@ -245,10 +248,13 @@ class CardyFit:
 def cardy_fit(attention_samples) -> CardyFit:
     """Fit S(A) = slope * ln T + intercept over row-stochastic samples.
 
-    ``attention_samples`` is any iterable of (T, A) pairs covering at least
-    four distinct T values.  Each sample is reduced as it arrives, to its
-    entropy point and, at the largest T seen so far, a few statistics;
-    no reference to A is kept, so a generator holds one matrix at a time.
+    ``attention_samples`` is any iterable of (T, draw) pairs covering at
+    least four distinct T values, where ``draw()`` returns that sample's
+    T x T matrix A and must return the same A on every call: it is called
+    once, and a second time only for a sample that takes the SVD fallback.
+    Each sample is reduced as it arrives, to its entropy point and, at the
+    largest T seen so far, a few statistics; no reference to A is kept, so
+    one matrix is alive at a time when each draw makes a new one.
     Statistics from a smaller T are dropped when a larger T arrives, so
     any order gives the same fit, but they are computed for every sample
     at the largest T so far: largest T first is cheapest.
@@ -263,16 +269,16 @@ def cardy_fit(attention_samples) -> CardyFit:
     which holds whatever the row sums.  The values of A are the sqrt of
     eigvalsh(A A^T) unless lam_min <= T eps lam_max, where the Gram cannot
     resolve the small end (a rank-deficient or near-uniform A) and an SVD
-    of A is taken instead; ``svd_fallbacks`` counts those.
+    of A, drawn again, is taken instead; ``svd_fallbacks`` counts those.
     """
     points: list[tuple[int, float]] = []
     t_largest, largest_t_stats = -math.inf, []
     svd_fallbacks = 0
-    for t, a in attention_samples:
-        t, a = int(t), check_row_stochastic(a)
+    for t, draw in attention_samples:
+        t = int(t)
         if t > t_largest:
             t_largest, largest_t_stats = t, []
-        sigmas, svd, sigma2 = _stochastic_spectrum(a)
+        sigmas, svd, sigma2 = _stochastic_spectrum(draw)
         svd_fallbacks += svd
         lambdas = normalize_spectrum(sigmas)
         points.append((t, von_neumann(lambdas, base=math.e)))
@@ -283,7 +289,6 @@ def cardy_fit(attention_samples) -> CardyFit:
                 renyi(lambdas, 2.0, base=math.e),
                 sigma2,
             ))
-        del a  # before the next sample is drawn
     sizes = {t for t, _ in points}
     if len(sizes) < 4:
         raise InvalidArgumentError(

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from aent import (
     mask_ablation,
     output_operator,
 )
+from aent.experiments import _cardy_sample
 
 
 class TestAttentionMatrix:
@@ -142,11 +144,21 @@ class TestAttentionScene:
             AttentionScene.build(8, seed=0, qk_std=qk_std)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("qk_std, rope", [(1e300, False), (1e300, True), (1e308, True)])
-    def test_overflow_rejected_without_warnings(self, qk_std, rope):
+    @pytest.mark.parametrize(
+        "qk_std, draw",
+        [
+            pytest.param(1e300, functools.partial(AttentionScene.build, 8, seed=0, rope=False), id="1e+300-False"),
+            pytest.param(1e300, functools.partial(AttentionScene.build, 8, seed=0, rope=True), id="1e+300-True"),
+            pytest.param(1e308, functools.partial(AttentionScene.build, 8, seed=0, rope=True), id="1e+308-True"),
+            # the cardy fit's streamed sample, K in row blocks (T = 64 takes two)
+            pytest.param(1e300, lambda qk_std: _cardy_sample(64, 64, qk_std, [0, 64]), id="1e+300-cardy"),
+            pytest.param(1e308, lambda qk_std: _cardy_sample(64, 64, qk_std, [0, 64]), id="1e+308-cardy"),
+        ],
+    )
+    def test_overflow_rejected_without_warnings(self, qk_std, draw):
         # 1e300 overflows only the logits; 1e308 already the draw
         with pytest.raises(InvalidArgumentError, match="overflow"):
-            AttentionScene.build(8, seed=0, qk_std=qk_std, rope=rope)
+            draw(qk_std=qk_std)
 
     def test_seed_reproducible(self):
         a = AttentionScene.build(8, seed=11)

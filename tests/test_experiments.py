@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -27,6 +28,8 @@ from aent import (
     ks_distance,
     valley_experiment,
 )
+from aent.attention import _gaussian_qk, _softmax_rows
+from aent.rmt import _seeded_rng, _stochastic_spectrum
 
 
 class TestExperimentReport:
@@ -152,34 +155,43 @@ class TestCardyExperiment:
 
     def test_one_attention_matrix_alive_at_a_time(self, monkeypatch):
         alive, drawn = set(), []
-        draw = aent.experiments.attention_matrix
+        draw = aent.experiments._cardy_sample
 
-        def tracked(q, k):
+        def tracked(t, d_qk, qk_std, seed):
             assert not alive, "an earlier attention matrix is still referenced"
-            a = draw(q, k)
+            a = draw(t, d_qk, qk_std, seed)
             alive.add(id(a))
             weakref.finalize(a, alive.discard, id(a))
             drawn.append(a.shape[0])
             return a
 
-        monkeypatch.setattr(aent.experiments, "attention_matrix", tracked)
+        monkeypatch.setattr(aent.experiments, "_cardy_sample", tracked)
         report = cardy_experiment(t_grid=(8, 16, 32, 64), seeds=2)
         assert drawn == [64, 64, 32, 32, 16, 16, 8, 8]
         assert [p["t"] for p in report.tables["points"]] == [8, 8, 16, 16, 32, 32, 64, 64]
 
-    def test_a_draw_peaks_at_three_t_by_t_arrays(self):
-        # Q, K and the logits, which the softmax overwrites; the bool
-        # finiteness mask of the logits adds an eighth of an array
+    def test_a_sample_peaks_below_two_and_a_half_t_by_t_arrays(self):
+        # the draw holds the logits, Q and a quarter of K, 2.25 T x T arrays
+        # at T = 256; the spectrum holds at most two of A, B and the Gram
         t = 256
+        sample = functools.partial(aent.experiments._cardy_sample, t, t, 0.65, [0, t])
         aent.experiments._cardy_sample(8, 8, 0.65, [0, 8])  # the first draw imports modules
-        tracemalloc.start()
-        try:
-            a = aent.experiments._cardy_sample(t, t, 0.65, [0, t])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert a.shape == (t, t)
-        assert peak < 3.5 * t * t * 8
+        for run in (sample, lambda: _stochastic_spectrum(sample)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * t * t * 8
+
+    @pytest.mark.parametrize("t", [8, 64, 128, 1024, 2048])
+    @pytest.mark.parametrize("d_qk", [None, 48], ids=["d_qk=T", "d_qk=48"])
+    def test_a_streamed_sample_is_the_whole_product_bit_for_bit(self, t, d_qk):
+        d_qk = t if d_qk is None else d_qk
+        q, k = _gaussian_qk(_seeded_rng([3, t]), t, d_qk, 0.65)
+        expected = _softmax_rows(q @ k.T / math.sqrt(d_qk), causal=False)
+        assert np.array_equal(aent.experiments._cardy_sample(t, d_qk, 0.65, [3, t]), expected)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

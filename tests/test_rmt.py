@@ -193,9 +193,14 @@ class TestRowStochastic:
         assert estimate_sigma2(np.eye(8)) == pytest.approx(7.0, abs=1e-12)
 
 
+def _draw(a):
+    """A draw of the (T, draw) contract of cardy_fit: ``a`` on every call."""
+    return lambda: a
+
+
 class TestCardyFit:
     def test_uniform_scenes_give_zero_slope_and_charge(self):
-        samples = [(t, np.full((t, t), 1.0 / t)) for t in (4, 8, 16, 32)]
+        samples = [(t, _draw(np.full((t, t), 1.0 / t))) for t in (4, 8, 16, 32)]
         fit = cardy_fit(samples)
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
         assert fit.sigma2_estimate == 0.0
@@ -207,7 +212,7 @@ class TestCardyFit:
 
     def test_identity_scenes_exact_line(self):
         sizes = (4, 8, 16, 32)
-        fit = cardy_fit([(t, np.eye(t)) for t in sizes])
+        fit = cardy_fit([(t, _draw(np.eye(t))) for t in sizes])
         # S(I_T) = ln T exactly, so the fit recovers slope 1, intercept 0
         assert fit.slope == pytest.approx(1.0, abs=1e-10)
         assert fit.intercept == pytest.approx(0.0, abs=1e-10)
@@ -223,12 +228,12 @@ class TestCardyFit:
         )
 
     def test_needs_four_distinct_sizes(self):
-        samples = [(t, np.full((t, t), 1.0 / t)) for t in (4, 8, 16, 16)]
+        samples = [(t, _draw(np.full((t, t), 1.0 / t))) for t in (4, 8, 16, 16)]
         with pytest.raises(InvalidArgumentError):
             cardy_fit(samples)
 
     def test_rejects_non_stochastic(self):
-        samples = [(t, np.eye(t) * 2.0) for t in (4, 8, 16, 32)]
+        samples = [(t, _draw(np.eye(t) * 2.0)) for t in (4, 8, 16, 32)]
         with pytest.raises(InvalidArgumentError):
             cardy_fit(samples)
 
@@ -288,16 +293,16 @@ def _duplicated_rows(t, seed):
 class TestStreamedFit:
     def test_generator_fit_is_bit_identical_to_the_list_fit(self):
         samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)[::-1]
-        listed = cardy_fit(samples)
-        streamed = cardy_fit(sample for sample in samples)
+        listed = cardy_fit([(t, _draw(a)) for t, a in samples])
+        streamed = cardy_fit((t, _draw(a)) for t, a in samples)
         for name in (f.name for f in dataclasses.fields(CardyFit)):
             assert getattr(streamed, name) == getattr(listed, name), name
 
     def test_any_order_gives_the_same_fit_with_points_sorted_by_t(self):
         samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)
-        ascending = cardy_fit(samples)
+        ascending = cardy_fit((t, _draw(a)) for t, a in samples)
         shuffled = [samples[i] for i in np.random.default_rng(0).permutation(len(samples))]
-        fit = cardy_fit(shuffled)
+        fit = cardy_fit((t, _draw(a)) for t, a in shuffled)
         assert [t for t, _ in fit.points] == sorted(t for t, _ in samples)
         assert sorted(fit.points) == sorted(ascending.points)
         for name in (f.name for f in dataclasses.fields(CardyFit)):
@@ -306,7 +311,7 @@ class TestStreamedFit:
 
     @pytest.mark.parametrize("sizes", [(16, 8, 4, 8), ()])
     def test_a_stream_of_fewer_than_four_sizes_is_refused(self, sizes):
-        samples = ((t, np.full((t, t), 1.0 / t)) for t in sizes)
+        samples = ((t, _draw(np.full((t, t), 1.0 / t))) for t in sizes)
         with pytest.raises(InvalidArgumentError, match="need >= 4 distinct T"):
             cardy_fit(samples)
 
@@ -316,7 +321,7 @@ class TestGramSpectra:
     @pytest.mark.parametrize("qk_std", [1e-8, 0.1, 0.65, 5.0])
     def test_cardy_fit_matches_svd_reference(self, qk_std, causal):
         samples = _scenes(qk_std, causal)
-        fit = cardy_fit(samples)
+        fit = cardy_fit((t, _draw(a)) for t, a in samples)
         ref = _svd_cardy_fields(samples)
         assert [t for t, _ in fit.points] == [t for t, _ in samples]
         assert [s for _, s in fit.points] == pytest.approx(ref.pop("points"), abs=1e-12, rel=1e-9)
@@ -325,10 +330,14 @@ class TestGramSpectra:
 
     def test_rank_deficient_sample_takes_the_svd_and_keeps_its_zeros(self, monkeypatch):
         a = _duplicated_rows(32, 1)
-        calls = _svd_call_log(monkeypatch)
-        sigmas, svd, _ = _stochastic_spectrum(a)
+        draws, seen, direct = [], [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: seen.append(m) or direct(m, **kw))
+        sigmas, svd, _ = _stochastic_spectrum(lambda: draws.append(a.copy()) or draws[-1])
         assert svd
-        assert calls == [(32, 32)]
+        assert [m.shape for m in seen] == [(32, 32)]
+        # A is drawn a second time, for the SVD alone, which sees that array
+        assert len(draws) == 2 and seen[0] is draws[1]
+        assert np.array_equal(draws[0], draws[1])
         assert np.count_nonzero(normalize_spectrum(sigmas)) == 16
         # the Gram alone would leave values near sqrt(eps) above the floor
         lam = np.linalg.eigvalsh(a @ a.T)
@@ -337,7 +346,7 @@ class TestGramSpectra:
     def test_svd_fallbacks_counted(self):
         samples = [(t, _duplicated_rows(t, 2)) for t in (8, 16, 32, 64)]
         samples += _scenes(0.65, False, sizes=(64,), seeds=1)
-        fit = cardy_fit(samples)
+        fit = cardy_fit((t, _draw(a)) for t, a in samples)
         assert fit.svd_fallbacks == 4
         assert [s for _, s in fit.points] == pytest.approx(
             _svd_cardy_fields(samples)["points"], abs=1e-12, rel=1e-9
@@ -345,10 +354,12 @@ class TestGramSpectra:
 
     def test_gaussian_scene_makes_no_svd_call(self, monkeypatch):
         samples = _scenes(0.65, False, sizes=(32, 64, 128, 256), seeds=1)
-        calls = _svd_call_log(monkeypatch)
-        fit = cardy_fit(samples)
+        calls, draws = _svd_call_log(monkeypatch), []
+        fit = cardy_fit((t, lambda t=t, a=a: draws.append(t) or a) for t, a in samples)
         assert calls == []
         assert fit.svd_fallbacks == 0
+        # each Gaussian sample is drawn once
+        assert draws == [t for t, _ in samples]
 
     def test_bulk_identity_holds_off_stochastic(self):
         t = 64
@@ -356,7 +367,7 @@ class TestGramSpectra:
         # rows now sum to 1 +- 1e-7, inside the 1e-6 tolerance of cardy_fit
         a = a * (1.0 + 1e-7 * np.linspace(-1.0, 1.0, t))[:, None]
         check_row_stochastic(a)
-        sigmas, svd, _ = _stochastic_spectrum(a)
+        sigmas, svd, _ = _stochastic_spectrum(_draw(a))
         assert not svd
         direct = np.linalg.svd(a, compute_uv=False)
         assert sigmas**2 == pytest.approx(direct**2, abs=1e-14)
@@ -383,7 +394,7 @@ class TestGramSpectra:
         samples.append((t, a * (1.0 + 1e-7 * np.linspace(-1.0, 1.0, t))[:, None]))
         fallbacks = 0
         for t, a in samples:
-            sigmas, svd, sigma2 = _stochastic_spectrum(a)
+            sigmas, svd, sigma2 = _stochastic_spectrum(_draw(a))
             expected, expected_svd, expected_sigma2 = self._c_order_spectrum(a)
             assert np.array_equal(sigmas, expected), t
             assert (svd, sigma2) == (expected_svd, expected_sigma2), t
@@ -395,7 +406,7 @@ class TestGramSpectra:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.flags.f_contiguous) or eigvalsh(m))
         for _, a in _scenes(0.65, False, sizes=(64, 128, 256), seeds=1):
-            _stochastic_spectrum(a)
+            _stochastic_spectrum(_draw(a))
         assert seen == [True] * 3
 
     def test_one_eigvalsh_per_sample(self, monkeypatch):
@@ -403,7 +414,7 @@ class TestGramSpectra:
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
-        cardy_fit(samples)
+        cardy_fit((t, _draw(a)) for t, a in samples)
         assert calls == [(t, t) for t, _ in samples]
 
 
