@@ -35,7 +35,7 @@ def main() -> None:
     print()
     print("one full profile at r = 4 (row-column cut is cut 6):")
     rng = np.random.default_rng(0)
-    delta = lora_update(rng.standard_normal((D, 4)), rng.standard_normal((4, D)), 1.0, 4)
+    delta = lora_update(rng.standard_normal((D, 4)), rng.standard_normal((4, D)), 1.0)
     check = valley_check(delta, r=4)
     for rec in check.profile.records:
         marker = " <- valley floor, bound log2(4) = 2" if rec.cut == 6 else ""

@@ -29,15 +29,12 @@ def main() -> None:
 
     r, d, d1, d2, chi = 4, 64, 8, 8, 2
     rng = np.random.default_rng(1)
-    plain = lora_update(
-        rng.standard_normal((d, r)), rng.standard_normal((r, d)), alpha=2.0, r=r
-    )
+    plain = lora_update(rng.standard_normal((d, r)), rng.standard_normal((r, d)), alpha=2.0)
     factored = mps_adapter_update(
         rng.standard_normal((d, r)),
         rng.standard_normal((r, chi, d1)),
         rng.standard_normal((chi, 1, d2)),
         alpha=2.0,
-        r=r,
     )
     print()
     print(f"valley check at the row-column cut, {d}x{d}, r = {r}:")

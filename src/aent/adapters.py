@@ -80,16 +80,15 @@ def param_count(spec: AdapterSpec) -> int:
     return spec.d_out * spec.r + spec.r * spec.chi * spec.d1 + spec.chi * spec.d2
 
 
-def lora_update(b, a, alpha: float, r: int) -> np.ndarray:
-    """Delta W = (alpha / r) B A with B (d_out, r) and A (r, d_in)."""
+def lora_update(b, a, alpha: float) -> np.ndarray:
+    """Delta W = (alpha / r) B A with B (d_out, r) and A (r, d_in); r is read from B."""
     b = np.asarray(b, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
+    if b.ndim != 2 or a.ndim != 2 or b.shape[1] != a.shape[0]:
+        raise ShapeMismatchError(f"expected B (d_out, r) and A (r, d_in), got {b.shape} and {a.shape}")
+    r = b.shape[1]
     if r < 1:
         raise InvalidArgumentError(f"rank must be >= 1, got {r}")
-    if b.ndim != 2 or a.ndim != 2 or b.shape[1] != r or a.shape[0] != r:
-        raise ShapeMismatchError(
-            f"expected B (d_out, {r}) and A ({r}, d_in), got {b.shape} and {a.shape}"
-        )
     return (alpha / r) * (b @ a)
 
 
@@ -115,9 +114,9 @@ def mps_adapter_materialize(core1, core2) -> np.ndarray:
     return contracted.reshape(r, d1 * d2)
 
 
-def mps_adapter_update(b, core1, core2, alpha: float, r: int) -> np.ndarray:
-    """Delta W = (alpha / r) B A_mps with A_mps from the two cores."""
-    return lora_update(b, mps_adapter_materialize(core1, core2), alpha, r)
+def mps_adapter_update(b, core1, core2, alpha: float) -> np.ndarray:
+    """Delta W = (alpha / r) B A_mps with A_mps from the two cores; r is read from B."""
+    return lora_update(b, mps_adapter_materialize(core1, core2), alpha)
 
 
 @dataclass(frozen=True)

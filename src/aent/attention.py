@@ -1,19 +1,17 @@
 """Synthetic single-layer softmax attention at isotropic initialization.
 
-Queries, keys and values are drawn directly as i.i.d. Gaussian matrices:
-Q and K of shape (T, d_qk) with entry std ``qk_std``, V of shape
-(T, d_v) with entry std ``v_std``.  This is the exact law of X @ W for
-any context X with orthonormal rows and Gaussian weights W, so no
-context is simulated.  Query/key entries default to std 0.65, which
-puts the logit std near 0.42 after the 1/sqrt(d_qk) scaling and the
-off-mean-field Frobenius mass near 0.2: strong enough that the
-entanglement log-scaling is measurable, weak enough that the profile
-stays in the area-law regime.  The head width defaults to T itself so
-the rescaled bulk spectrum of A - (1/T) 11^T is the same law at every
-sequence length; with a fixed head width the per-row softmax
-temperatures spread as T grows and the bulk moments drift.  Value
-entries default to variance 1/d so that V V^T approximates the identity
-when d_v = d is large.
+Queries, keys and values are drawn directly as i.i.d. Gaussian matrices
+of shape (T, T): Q and K with entry std ``qk_std``, V with entry std
+1/sqrt(T).  This is the exact law of X @ W for any context X with
+orthonormal rows and Gaussian weights W, so no context is simulated.
+Query/key entries default to std 0.65, which puts the logit std near
+0.42 after the 1/sqrt(d_qk) scaling and the off-mean-field Frobenius
+mass near 0.2: strong enough that the entanglement log-scaling is
+measurable, weak enough that the profile stays in the area-law regime.
+The head width d_qk is T itself, so the rescaled bulk spectrum of
+A - (1/T) 11^T is the same law at every sequence length; with a fixed
+head width the per-row softmax temperatures spread as T grows and the
+bulk moments drift.
 """
 
 from __future__ import annotations
@@ -55,15 +53,6 @@ def _qk_rows(rng: np.random.Generator, rows: int, d_qk: int, qk_std: float) -> n
     return m
 
 
-def _gaussian_qk(rng: np.random.Generator, t: int, d_qk: int, qk_std: float) -> tuple[np.ndarray, np.ndarray]:
-    """Independent (T, d_qk) query and key matrices with i.i.d. N(0, qk_std^2) entries.
-
-    Q is drawn from ``rng`` before K; see :func:`_qk_rows`.
-    """
-    q = _qk_rows(rng, t, d_qk, qk_std)
-    return q, _qk_rows(rng, t, d_qk, qk_std)
-
-
 def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.ndarray:
     """Row-wise softmax of Q K^T / sqrt(d_qk), optionally causally masked.
 
@@ -78,19 +67,25 @@ def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.n
         raise ShapeMismatchError(
             f"Q and K must share shape (T, d_qk), got {q.shape} and {k.shape}"
         )
-    return _softmax_rows(_logits(q, k), causal=causal)
+    return _softmax_rows(_logits(q, lambda lo, hi: k[lo:hi]), causal=causal)
 
 
-def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Q K^T / sqrt(d_qk), rejected if any entry overflows float64; see :func:`_scaled_logits`."""
+def _logits(q: np.ndarray, k_rows) -> np.ndarray:
+    """Q K^T / sqrt(d_qk), rejected if not finite; ``k_rows(lo, hi)`` returns K[lo:hi], called in order.
+
+    K comes in at most 4 row blocks (each repacks Q for BLAS), each
+    multiplied into its columns of the logits.  Blocks are whole 32-column
+    tiles, since BLAS rounds edge tiles differently, so a T that is not a
+    multiple of 32 takes K whole: the logits are Q K^T bit for bit.
+    """
+    t, d_qk = q.shape
+    logits = np.empty((t, t))
+    tiles = t // 32 if t % 32 == 0 else 1
+    blocks = min(4, tiles)
+    edges = [32 * (i * tiles // blocks) for i in range(blocks)] + [t]
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = q @ k.T
-    return _scaled_logits(logits, q.shape[1])
-
-
-def _scaled_logits(logits: np.ndarray, d_qk: int) -> np.ndarray:
-    """Products Q K^T ``logits`` divided in place by sqrt(d_qk), rejected if any entry is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(edges, edges[1:]):
+            np.matmul(q, k_rows(lo, hi).T, out=logits[:, lo:hi])
         logits /= math.sqrt(d_qk)
     if not _finite(logits):
         raise InvalidArgumentError(
@@ -140,60 +135,52 @@ def apply_rope(m: np.ndarray, theta_base: float = 10000.0) -> np.ndarray:
 
 
 def output_operator(x) -> np.ndarray:
-    """Sigma = X X^T, symmetrized against rounding."""
-    arr = np.asarray(x, dtype=np.float64)
+    """Sigma = X X^T, exactly symmetric: for a C-contiguous X numpy forms it by a symmetric rank-k update."""
+    arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidArgumentError("output_operator expects a (T, d_v) matrix")
-    sigma = arr @ arr.T
-    return (sigma + sigma.T) / 2.0
+    return arr @ arr.T
 
 
 @dataclass
 class AttentionScene:
     """One single-head attention draw and everything derived from it.
 
-    ``build``'s ``d`` is the model width; it sets only the defaults
-    d_v = d and v_std = 1/sqrt(d).
+    ``causal`` is the mask ``a`` was formed with.
     """
 
     q: np.ndarray
     k: np.ndarray
     a: np.ndarray
     x: np.ndarray
+    causal: bool
 
     @classmethod
     def build(
         cls,
         t: int,
-        d: int | None = None,
-        d_qk: int | None = None,
-        d_v: int | None = None,
         seed=0,
         causal: bool = False,
         rope: bool = False,
         rope_theta: float = 10000.0,
         qk_std: float = DEFAULT_QK_STD,
-        v_std: float | None = None,
     ) -> AttentionScene:
-        d = t if d is None else d
-        d_qk = t if d_qk is None else d_qk
-        d_v = d if d_v is None else d_v
-        if v_std is None:
-            v_std = 1.0 / math.sqrt(d)
+        """Q, K and V of shape (T, T), drawn in that order; V's entries have std 1/sqrt(T)."""
         rng = _seeded_rng(seed)
-        q, k = _gaussian_qk(rng, t, d_qk, qk_std)
-        v = v_std * rng.standard_normal((t, d_v))
+        q = _qk_rows(rng, t, t, qk_std)
+        k = _qk_rows(rng, t, t, qk_std)
+        v = (1.0 / math.sqrt(t)) * rng.standard_normal((t, t))
         if rope:
             q = apply_rope(q, rope_theta)
             k = apply_rope(k, rope_theta)
         a = attention_matrix(q, k, causal=causal)
         x = a @ v
-        return cls(q=q, k=k, a=a, x=x)
+        return cls(q=q, k=k, a=a, x=x, causal=causal)
 
 
 @dataclass
 class MaskAblation:
-    """The same logits pushed through softmax with and without the mask."""
+    """The scene's attention with and without the causal mask."""
 
     a_masked: np.ndarray
     a_unmasked: np.ndarray
@@ -202,10 +189,13 @@ class MaskAblation:
 
 
 def mask_ablation(scene: AttentionScene, chi_max: int | None = None, base: float = 2.0) -> MaskAblation:
-    """Profile the scene's attention with the causal mask on and off."""
-    logits = _logits(scene.q, scene.k)
-    a_masked = _softmax_rows(logits.copy(), causal=True)
-    a_unmasked = _softmax_rows(logits, causal=False)
+    """Profile the scene's attention with the causal mask on and off.
+
+    The branch with the scene's own mask is ``scene.a`` itself; only the
+    other branch is formed.
+    """
+    other = attention_matrix(scene.q, scene.k, causal=not scene.causal)
+    a_masked, a_unmasked = (scene.a, other) if scene.causal else (other, scene.a)
     return MaskAblation(
         a_masked=a_masked,
         a_unmasked=a_unmasked,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterSpec, param_count, valley_check
-from .attention import DEFAULT_QK_STD, AttentionScene, _qk_rows, _scaled_logits, _softmax_rows, mask_ablation, output_operator
+from .adapters import AdapterSpec, lora_update, param_count, valley_check
+from .attention import DEFAULT_QK_STD, AttentionScene, _logits, _qk_rows, _softmax_rows, mask_ablation, output_operator
 from .entropy import EntanglementProfile, page_entropy, profile
 from .errors import InvalidArgumentError
 from .mps import _rescaled, _sigmas
@@ -116,6 +116,8 @@ def page_bench(
     seed: int = 0,
 ) -> ExperimentReport:
     """Mean entanglement profile of square Gaussian matrices vs the Page curve."""
+    if size < 2:
+        raise InvalidArgumentError(f"size must be >= 2 for a matrix with cuts, got {size}")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
     sums = None
@@ -163,27 +165,17 @@ def page_bench(
 # Attention entropy log-scaling fit
 
 
-def _cardy_sample(t: int, d_qk: int, qk_std: float, seed) -> np.ndarray:
-    """One T x T attention matrix, bit for bit :func:`attention_matrix` of ``_gaussian_qk``'s Q and K.
+def _cardy_sample(t: int, qk_std: float, seed) -> np.ndarray:
+    """One T x T attention matrix, bit for bit :func:`attention_matrix` of Q and K drawn whole.
 
-    K is drawn after Q in at most 4 row blocks, each multiplied into its
-    columns of the logits, and Q is dropped before the softmax: two T x T
-    arrays and a block of K are alive at most.  Each block repacks Q for
-    BLAS, so more blocks cost time.  Blocks are whole 32-column tiles,
-    since BLAS rounds edge tiles and narrow products differently, so a T
-    that is not a multiple of 32 takes K whole.
+    K is drawn after Q, block by block into the logits, and Q is dropped
+    before the softmax: two T x T arrays and a block of K are alive at most.
     """
     rng = _seeded_rng(seed)
-    q = _qk_rows(rng, t, d_qk, qk_std)
-    logits = np.empty((t, t))
-    tiles = t // 32 if t % 32 == 0 else 1
-    blocks = min(4, tiles)
-    edges = [32 * (i * tiles // blocks) for i in range(blocks)] + [t]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(edges, edges[1:]):
-            np.matmul(q, _qk_rows(rng, hi - lo, d_qk, qk_std).T, out=logits[:, lo:hi])
+    q = _qk_rows(rng, t, t, qk_std)
+    logits = _logits(q, lambda lo, hi: _qk_rows(rng, hi - lo, t, qk_std))
     del q
-    return _softmax_rows(_scaled_logits(logits, d_qk), causal=False)
+    return _softmax_rows(logits, causal=False)
 
 
 @_echoed
@@ -192,18 +184,17 @@ def cardy_experiment(
     seeds: int = 5,
     d_mult: int = 16,
     qk_std: float = DEFAULT_QK_STD,
-    d_qk: int | None = None,
     seed: int = 0,
 ) -> ExperimentReport:
     """Fit attention-matrix entropy against ln T across a grid of scenes.
 
-    Each sample draws Q and K of shape (T, d_qk) with i.i.d.
-    N(0, qk_std^2) entries from a generator seeded by (seed + s, T); only
-    the attention matrix is formed, the value path is not needed for the
-    fit.  ``d_qk`` defaults to T so the rescaled bulk law is identical
-    across the grid.  ``d_mult`` (the width of a simulated context, in
-    units of T) has no effect on the draw, since Q and K have the same
-    law at every context width; it is still validated and echoed.
+    Each sample draws Q and K of shape (T, T) with i.i.d. N(0, qk_std^2)
+    entries from a generator seeded by (seed + s, T); only the attention
+    matrix is formed, the value path is not needed for the fit.  The head
+    width is T, so the rescaled bulk law is identical across the grid.
+    ``d_mult`` (the width of a simulated context, in units of T) has no
+    effect on the draw, since Q and K have the same law at every context
+    width; it is still validated and echoed.
 
     Samples are drawn largest T first and handed to :func:`cardy_fit` one
     at a time, so one attention matrix is alive at once and the
@@ -218,7 +209,7 @@ def cardy_experiment(
         raise InvalidArgumentError("need at least one seed")
     _seeded_rng([seed, sizes[0]])  # a negative seed fails before any draw, named at the smallest T
     fit = cardy_fit(
-        (t, functools.partial(_cardy_sample, t, t if d_qk is None else d_qk, qk_std, [seed + s, t]))
+        (t, functools.partial(_cardy_sample, t, qk_std, [seed + s, t]))
         for t in reversed(sizes)
         for s in range(seeds)
     )
@@ -271,7 +262,7 @@ def valley_experiment(
             rng = _seeded_rng([seed + s, r])
             b = rng.standard_normal((d_out, r))
             a = rng.standard_normal((r, d_in))
-            check = valley_check(b @ a, r, base=base)
+            check = valley_check(lora_update(b, a, alpha=r), r, base=base)
             interior = [
                 rec.entropy
                 for rec in check.profile.records
@@ -331,7 +322,7 @@ def mp_compare(
     start = time.perf_counter()
     layout, tensor = tensorize(matrix)
     if layout.num_cuts == 0:
-        raise InvalidArgumentError("a 1x1 matrix has no cuts to compare at")
+        raise InvalidArgumentError(f"a {layout.d_out}x{layout.d_in} matrix has no cuts to compare at")
     if cut is None and not (layout.n and layout.m):
         raise InvalidArgumentError(
             f"a matrix of shape {layout.d_out}x{layout.d_in} has no row-column cut; "
@@ -389,8 +380,6 @@ def attn_experiment(
     t: int,
     heads: int = 4,
     seeds: int = 1,
-    d: int | None = None,
-    d_qk: int | None = None,
     causal: bool = False,
     rope: bool = False,
     rope_theta: float = 10000.0,
@@ -402,22 +391,17 @@ def attn_experiment(
     """Per-head profiles of A and of the output operator, plus the ablation.
 
     Heads are independent scenes seeded by (seed index, head index); the
-    ablation reuses each scene's logits with the causal mask on and off.
+    ablation profiles each scene's attention with the causal mask on and off.
     """
+    if t < 2:
+        raise InvalidArgumentError(f"T must be >= 2 for an attention matrix with cuts, got {t}")
     if heads < 1 or seeds < 1:
         raise InvalidArgumentError("need at least one head and one seed")
     head_rows, profile_rows, ablation_rows = [], [], []
     for s in range(seeds):
         for h in range(heads):
             scene = AttentionScene.build(
-                t,
-                d=d,
-                d_qk=d_qk,
-                seed=[seed + s, h],
-                causal=causal,
-                rope=rope,
-                rope_theta=rope_theta,
-                qk_std=qk_std,
+                t, seed=[seed + s, h], causal=causal, rope=rope, rope_theta=rope_theta, qk_std=qk_std
             )
             sigma_op = output_operator(scene.x)
             prof_sigma = profile(sigma_op, chi_max=chi_max, base=base)
@@ -425,7 +409,7 @@ def attn_experiment(
             s1 = float(sv[0])
             p1 = float(sv[0] ** 2 / np.dot(sv, sv))
             ablation = mask_ablation(scene, chi_max=chi_max, base=base)
-            # one of the ablation's two matrices is scene.a, bit for bit
+            # one of the ablation's two matrices is scene.a itself
             prof_a = ablation.profile_masked if causal else ablation.profile_unmasked
             head_rows.append(
                 {
@@ -453,7 +437,6 @@ def attn_experiment(
                 )
     return ExperimentReport(
         name="attn",
-        config={"d": t if d is None else d, "d_qk": t if d_qk is None else d_qk},
         tables={
             "heads": head_rows,
             "profiles": profile_rows,

@@ -58,7 +58,7 @@ class TestLoraUpdate:
         a = np.zeros((1, 5))
         b[0, 0] = 1.0
         a[0, 0] = 1.0
-        delta = lora_update(b, a, alpha=1.0, r=1)
+        delta = lora_update(b, a, alpha=1.0)
         expected = np.zeros((4, 5))
         expected[0, 0] = 1.0
         assert np.array_equal(delta, expected)
@@ -66,25 +66,31 @@ class TestLoraUpdate:
     def test_alpha_scaling_linear(self):
         rng = np.random.default_rng(0)
         b, a = rng.standard_normal((8, 3)), rng.standard_normal((3, 6))
-        one = lora_update(b, a, alpha=0.5, r=3)
-        two = lora_update(b, a, alpha=1.0, r=3)
+        one = lora_update(b, a, alpha=0.5)
+        two = lora_update(b, a, alpha=1.0)
         assert np.allclose(two, 2.0 * one, atol=1e-14)
 
     def test_matrix_rank_capped_at_r(self):
         rng = np.random.default_rng(1)
         delta = lora_update(
-            rng.standard_normal((8, 3)), rng.standard_normal((3, 8)), alpha=2.0, r=3
+            rng.standard_normal((8, 3)), rng.standard_normal((3, 8)), alpha=2.0
         )
         s = np.linalg.svd(delta, compute_uv=False)
         assert np.all(s[3:] <= 1e-10 * s[0])
 
+    def test_rank_is_read_from_b(self):
+        # (alpha / r) B A with r = 3, the width of B
+        rng = np.random.default_rng(3)
+        b, a = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+        assert np.array_equal(lora_update(b, a, alpha=6.0), 2.0 * (b @ a))
+
     def test_shape_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            lora_update(np.zeros((4, 1)), np.zeros((1, 4)), alpha=1.0, r=0)
+        with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
+            lora_update(np.zeros((4, 0)), np.zeros((0, 4)), alpha=1.0)
         with pytest.raises(ShapeMismatchError):
-            lora_update(np.zeros((4, 2)), np.zeros((1, 4)), alpha=1.0, r=1)
+            lora_update(np.zeros((4, 2)), np.zeros((1, 4)), alpha=1.0)
         with pytest.raises(ShapeMismatchError):
-            lora_update(np.zeros((4, 1)), np.zeros(4), alpha=1.0, r=1)
+            lora_update(np.zeros((4, 1)), np.zeros(4), alpha=1.0)
 
 
 class TestMpsAdapter:
@@ -128,15 +134,22 @@ class TestMpsAdapter:
         b = rng.standard_normal((6, 2))
         core1 = rng.standard_normal((2, 3, 2))
         core2 = rng.standard_normal((3, 1, 4))
-        via_update = mps_adapter_update(b, core1, core2, alpha=4.0, r=2)
-        via_lora = lora_update(b, mps_adapter_materialize(core1, core2), 4.0, 2)
+        via_update = mps_adapter_update(b, core1, core2, alpha=4.0)
+        via_lora = lora_update(b, mps_adapter_materialize(core1, core2), 4.0)
         assert np.array_equal(via_update, via_lora)
 
     def test_zero_cores_give_zero_update(self):
         delta = mps_adapter_update(
-            np.ones((4, 2)), np.zeros((2, 2, 2)), np.zeros((2, 1, 2)), alpha=1.0, r=2
+            np.ones((4, 2)), np.zeros((2, 2, 2)), np.zeros((2, 1, 2)), alpha=1.0
         )
         assert np.all(delta == 0.0)
+
+    def test_rank_of_b_checked_against_the_cores(self):
+        core2 = np.zeros((2, 1, 2))
+        with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
+            mps_adapter_update(np.zeros((4, 0)), np.zeros((0, 2, 2)), core2, alpha=1.0)
+        with pytest.raises(ShapeMismatchError):
+            mps_adapter_update(np.zeros((4, 3)), np.zeros((2, 2, 2)), core2, alpha=1.0)
 
     def test_core_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
@@ -161,7 +174,7 @@ class TestValleyCheck:
     def test_rank_one_update_has_zero_rowcol_entropy(self):
         rng = np.random.default_rng(6)
         delta = lora_update(
-            rng.standard_normal((64, 1)), rng.standard_normal((1, 64)), 1.0, 1
+            rng.standard_normal((64, 1)), rng.standard_normal((1, 64)), 1.0
         )
         check = valley_check(delta, r=1)
         assert check.s_rowcol == 0.0
@@ -184,7 +197,7 @@ class TestValleyCheck:
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
         delta = lora_update(
-            rng.standard_normal((64, 4)), rng.standard_normal((4, 64)), 1.0, 4
+            rng.standard_normal((64, 4)), rng.standard_normal((4, 64)), 1.0
         )
         a = valley_check(delta, r=4)
         b = valley_check(1e6 * delta, r=4)
@@ -200,7 +213,7 @@ class TestValleyCheck:
     def test_nats_base(self):
         rng = np.random.default_rng(10)
         delta = lora_update(
-            rng.standard_normal((16, 4)), rng.standard_normal((4, 16)), 1.0, 4
+            rng.standard_normal((16, 4)), rng.standard_normal((4, 16)), 1.0
         )
         check = valley_check(delta, r=4, base=math.e)
         assert check.bound == pytest.approx(math.log(4.0))

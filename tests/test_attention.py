@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import aent.attention
 from aent import (
     AttentionScene,
     InvalidArgumentError,
@@ -13,7 +14,9 @@ from aent import (
     mask_ablation,
     output_operator,
 )
+from aent.attention import _qk_rows, _softmax_rows
 from aent.experiments import _cardy_sample
+from aent.rmt import _seeded_rng
 
 
 class TestAttentionMatrix:
@@ -49,6 +52,21 @@ class TestAttentionMatrix:
         for causal in (False, True):
             attention_matrix(q, k, causal=causal)
             assert np.array_equal(q, q0) and np.array_equal(k, k0)
+
+    @pytest.mark.parametrize(
+        "t, d", [(8, 8), (64, 64), (96, 96), (100, 100), (256, 256), (2048, 2048), (64, 48), (2048, 48)]
+    )
+    @pytest.mark.parametrize("rope", [False, True])
+    def test_blocked_logits_are_the_whole_product_bit_for_bit(self, t, d, rope):
+        # T = 8 and 100 are not multiples of 32 and take K whole
+        rng = _seeded_rng([5, t])
+        q, k = _qk_rows(rng, t, d, 0.65), _qk_rows(rng, t, d, 0.65)
+        if rope:
+            q, k = apply_rope(q), apply_rope(k)
+        logits = q @ k.T / math.sqrt(d)
+        for causal in (False, True):
+            expected = _softmax_rows(logits.copy(), causal=causal)
+            assert np.array_equal(attention_matrix(q, k, causal=causal), expected)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
@@ -106,6 +124,24 @@ class TestSplitAndOutput:
         x = np.linalg.qr(np.random.default_rng(9).standard_normal((16, 4)))[0].T
         assert np.allclose(output_operator(x), np.eye(4), atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "layout",
+        [lambda m: np.asfortranarray(m), lambda m: m[::2, ::3], lambda m: m.T],
+        ids=["fortran", "strided", "transposed"],
+    )
+    def test_output_operator_is_exactly_symmetric_for_any_layout(self, layout):
+        # the averaged form (S + S^T) / 2 of S = X X^T, for X copied to C
+        # order, is the product itself; on X as given it differs by rounding
+        for t, width in ((1, 1), (7, 5), (64, 48), (100, 300)):
+            x = layout(np.random.default_rng(t).standard_normal((2 * t, 3 * width)))
+            sigma = output_operator(x)
+            assert np.array_equal(sigma, sigma.T)
+            c = np.ascontiguousarray(x)
+            product = c @ c.T
+            assert np.array_equal(sigma, (product + product.T) / 2.0)
+            product = x @ x.T
+            assert np.allclose(sigma, (product + product.T) / 2.0, rtol=1e-14, atol=1e-12)
+
     def test_output_operator_validation(self):
         with pytest.raises(InvalidArgumentError):
             output_operator(np.zeros(4))
@@ -113,7 +149,7 @@ class TestSplitAndOutput:
 
 class TestAttentionScene:
     def test_defaults_and_shapes(self):
-        # d_qk, d and d_v default to T, and v_std to 1/sqrt(d)
+        # Q, K and V are (T, T), and V's entries have std 1/sqrt(T)
         scene = AttentionScene.build(16, seed=3)
         assert scene.q.shape == scene.k.shape == (16, 16)
         assert scene.a.shape == (16, 16)
@@ -123,19 +159,20 @@ class TestAttentionScene:
         assert np.allclose(scene.x, scene.a @ (rng.standard_normal((16, 16)) / 4.0), atol=1e-12)
 
     def test_invariants(self):
-        scene = AttentionScene.build(64, d=64, d_qk=128, d_v=32, seed=3, qk_std=0.5)
+        scene = AttentionScene.build(64, seed=3, qk_std=0.5)
         assert np.allclose(scene.a.sum(axis=1), 1.0, atol=1e-9)
         assert np.array_equal(scene.a, attention_matrix(scene.q, scene.k))
+        assert scene.causal is False
         # Q, K and V are drawn in that order from the scene's generator
         rng = np.random.default_rng(3)
-        assert np.array_equal(scene.q, 0.5 * rng.standard_normal((64, 128)))
-        assert np.array_equal(scene.k, 0.5 * rng.standard_normal((64, 128)))
-        # V defaults to entries of std 1/sqrt(d) = 1/8
-        v = rng.standard_normal((64, 32)) / 8.0
+        assert np.array_equal(scene.q, 0.5 * rng.standard_normal((64, 64)))
+        assert np.array_equal(scene.k, 0.5 * rng.standard_normal((64, 64)))
+        # V has entries of std 1/sqrt(T) = 1/8
+        v = rng.standard_normal((64, 64)) / 8.0
         assert np.allclose(scene.x, scene.a @ v, atol=1e-12)
-        # 8192 entries each: the sample std is within 5 percent of qk_std
+        # 4096 entries each: the sample std is within 5 percent of qk_std
         for m in (scene.q, scene.k):
-            assert m.shape == (64, 128)
+            assert m.shape == (64, 64)
             assert np.std(m) == pytest.approx(0.5, rel=0.05)
 
     @pytest.mark.parametrize("qk_std", [math.nan, math.inf, -0.1])
@@ -151,8 +188,8 @@ class TestAttentionScene:
             pytest.param(1e300, functools.partial(AttentionScene.build, 8, seed=0, rope=True), id="1e+300-True"),
             pytest.param(1e308, functools.partial(AttentionScene.build, 8, seed=0, rope=True), id="1e+308-True"),
             # the cardy fit's streamed sample, K in row blocks (T = 64 takes two)
-            pytest.param(1e300, lambda qk_std: _cardy_sample(64, 64, qk_std, [0, 64]), id="1e+300-cardy"),
-            pytest.param(1e308, lambda qk_std: _cardy_sample(64, 64, qk_std, [0, 64]), id="1e+308-cardy"),
+            pytest.param(1e300, lambda qk_std: _cardy_sample(64, qk_std, [0, 64]), id="1e+300-cardy"),
+            pytest.param(1e308, lambda qk_std: _cardy_sample(64, qk_std, [0, 64]), id="1e+308-cardy"),
         ],
     )
     def test_overflow_rejected_without_warnings(self, qk_std, draw):
@@ -169,6 +206,7 @@ class TestAttentionScene:
 
     def test_causal_scene_support(self):
         scene = AttentionScene.build(12, seed=2, causal=True)
+        assert scene.causal is True
         assert np.all(scene.a[np.triu_indices(12, k=1)] == 0.0)
 
     def test_rope_scene_still_stochastic(self):
@@ -180,12 +218,16 @@ class TestAttentionScene:
         assert np.array_equal(scene.k, apply_rope(0.65 * rng.standard_normal((8, 8)), 10000.0))
 
     def test_output_operator_tracks_attention_gram(self):
-        # with d_v = 16 T the value map is near-isometric, so X X^T stays
-        # within 20 percent of A A^T in Frobenius norm
+        # with a 16 T-wide V of entry std 1/sqrt(16 T) the value map is
+        # near-isometric, so X X^T = A V V^T A^T stays within 20 percent of
+        # A A^T in Frobenius norm; V is drawn after the scene's Q and K
         t = 64
         for seed in range(5):
-            scene = AttentionScene.build(t, d=16 * t, seed=seed)
-            sigma = output_operator(scene.x)
+            scene = AttentionScene.build(t, seed=seed)
+            rng = np.random.default_rng(seed)
+            rng.standard_normal((2, t, t))  # Q and K
+            v = (1.0 / math.sqrt(16 * t)) * rng.standard_normal((t, 16 * t))
+            sigma = output_operator(scene.a @ v)
             ref = scene.a @ scene.a.T
             ratio = np.linalg.norm(sigma - ref) / np.linalg.norm(ref)
             assert ratio <= 0.2
@@ -216,6 +258,22 @@ class TestMaskAblation:
         assert not np.array_equal(ab.a_masked, ab.a_unmasked)
         # the branch that matches the scene's mask is its matrix, bit for bit
         assert np.array_equal(ab.a_masked if causal else ab.a_unmasked, a)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_one_softmax_and_the_scene_matrix_reused(self, monkeypatch, causal):
+        scene = AttentionScene.build(16, seed=9, causal=causal)
+        calls = []
+        softmax = aent.attention._softmax_rows
+
+        def counted(logits, causal):
+            calls.append(causal)
+            return softmax(logits, causal)
+
+        monkeypatch.setattr(aent.attention, "_softmax_rows", counted)
+        ab = mask_ablation(scene)
+        # only the branch without the scene's mask is formed
+        assert calls == [not causal]
+        assert (ab.a_masked if causal else ab.a_unmasked) is scene.a
 
     def test_profiles_present_with_base(self):
         scene = AttentionScene.build(8, seed=6)

@@ -422,7 +422,7 @@ OMITTED_FLAG_CONFIGS = {
     ),
     "cardy": (
         ["cardy", "--T-grid", "8,16,32,64"],
-        "# config cardy d_mult=16 d_qk= qk_std=0.65 seed=0 seeds=5 t_grid=8,16,32,64 "
+        "# config cardy d_mult=16 qk_std=0.65 seed=0 seeds=5 t_grid=8,16,32,64 "
         "tool_version=0.1.0",
     ),
     "valley": (
@@ -435,7 +435,7 @@ OMITTED_FLAG_CONFIGS = {
     ),
     "attn": (
         ["attn", "--T", "8"],
-        "# config attn base=2 causal=false chi_max= d=8 d_qk=8 heads=4 qk_std=0.65 rope=false "
+        "# config attn base=2 causal=false chi_max= heads=4 qk_std=0.65 rope=false "
         "rope_theta=10000 seed=0 seeds=1 t=8 tool_version=0.1.0",
     ),
     "adapters-count": (

@@ -28,7 +28,7 @@ from aent import (
     ks_distance,
     valley_experiment,
 )
-from aent.attention import _gaussian_qk, _softmax_rows
+from aent.attention import _qk_rows, _softmax_rows
 from aent.rmt import _seeded_rng, _stochastic_spectrum
 
 
@@ -57,15 +57,13 @@ class TestExperimentReport:
         assert a == b
 
     def test_positional_arguments_are_echoed_by_name(self):
-        report = attn_experiment(4, 1, 1, 8, 2)
+        report = attn_experiment(4, 1, 1, True, True)
         assert report.config == {
             "t": 4,
             "heads": 1,
             "seeds": 1,
-            "d": 8,
-            "d_qk": 2,
-            "causal": False,
-            "rope": False,
+            "causal": True,
+            "rope": True,
             "rope_theta": 10000.0,
             "qk_std": 0.65,
             "chi_max": None,
@@ -118,6 +116,10 @@ class TestPageBench:
         with pytest.raises(InvalidArgumentError):
             page_bench(8, seeds=0)
 
+    def test_a_size_without_cuts_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="size must be >= 2"):
+            page_bench(1, seeds=1)
+
 
 class TestCardyExperiment:
     def test_zero_std_degenerates_to_flat_fit(self):
@@ -139,7 +141,7 @@ class TestCardyExperiment:
         assert fit["slope"] > 0.0
         assert math.isfinite(fit["relative_slope_deviation"])
         assert len(report.tables["points"]) == 8
-        assert report.config["d_qk"] is None
+        assert "d_qk" not in report.config
         assert report.config["qk_std"] == pytest.approx(0.65)
 
     def test_deterministic(self):
@@ -157,9 +159,9 @@ class TestCardyExperiment:
         alive, drawn = set(), []
         draw = aent.experiments._cardy_sample
 
-        def tracked(t, d_qk, qk_std, seed):
+        def tracked(t, qk_std, seed):
             assert not alive, "an earlier attention matrix is still referenced"
-            a = draw(t, d_qk, qk_std, seed)
+            a = draw(t, qk_std, seed)
             alive.add(id(a))
             weakref.finalize(a, alive.discard, id(a))
             drawn.append(a.shape[0])
@@ -174,8 +176,8 @@ class TestCardyExperiment:
         # the draw holds the logits, Q and a quarter of K, 2.25 T x T arrays
         # at T = 256; the spectrum holds at most two of A, B and the Gram
         t = 256
-        sample = functools.partial(aent.experiments._cardy_sample, t, t, 0.65, [0, t])
-        aent.experiments._cardy_sample(8, 8, 0.65, [0, 8])  # the first draw imports modules
+        sample = functools.partial(aent.experiments._cardy_sample, t, 0.65, [0, t])
+        aent.experiments._cardy_sample(8, 0.65, [0, 8])  # the first draw imports modules
         for run in (sample, lambda: _stochastic_spectrum(sample)):
             tracemalloc.start()
             try:
@@ -185,13 +187,14 @@ class TestCardyExperiment:
                 tracemalloc.stop()
             assert peak < 2.5 * t * t * 8
 
-    @pytest.mark.parametrize("t", [8, 64, 128, 1024, 2048])
-    @pytest.mark.parametrize("d_qk", [None, 48], ids=["d_qk=T", "d_qk=48"])
-    def test_a_streamed_sample_is_the_whole_product_bit_for_bit(self, t, d_qk):
-        d_qk = t if d_qk is None else d_qk
-        q, k = _gaussian_qk(_seeded_rng([3, t]), t, d_qk, 0.65)
-        expected = _softmax_rows(q @ k.T / math.sqrt(d_qk), causal=False)
-        assert np.array_equal(aent.experiments._cardy_sample(t, d_qk, 0.65, [3, t]), expected)
+    @pytest.mark.parametrize("t", [8, 48, 64, 96, 100, 128, 1024, 2048])
+    def test_a_streamed_sample_is_the_whole_product_bit_for_bit(self, t):
+        # T = 8, 48 and 100 are not multiples of 32 and take K whole
+        rng = _seeded_rng([3, t])
+        q = _qk_rows(rng, t, t, 0.65)
+        k = _qk_rows(rng, t, t, 0.65)
+        expected = _softmax_rows(q @ k.T / math.sqrt(t), causal=False)
+        assert np.array_equal(aent.experiments._cardy_sample(t, 0.65, [3, t]), expected)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -282,8 +285,10 @@ class TestMpCompare:
             mp_compare(matrix, cut=0)
         with pytest.raises(InvalidArgumentError):
             mp_compare(matrix, bins=2)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="a 1x1 matrix has no cuts"):
             mp_compare(np.ones((1, 1)))
+        with pytest.raises(InvalidArgumentError, match="a 1x2 matrix has no cuts"):
+            mp_compare([[1.0, 2.0]])
 
     @pytest.mark.parametrize("shape", [(1, 8), (8, 1)])
     def test_no_row_column_cut_asks_for_a_cut(self, shape):
@@ -314,8 +319,7 @@ def test_negative_seed_rejected_before_any_draw(monkeypatch, run):
 class TestAttnExperiment:
     def test_structure_and_defaults(self):
         report = attn_experiment(16, heads=2, seeds=1)
-        assert report.config["d"] == 16
-        assert report.config["d_qk"] == 16
+        assert "d" not in report.config and "d_qk" not in report.config
         heads = report.tables["heads"]
         assert len(heads) == 2
         for row in heads:
@@ -352,6 +356,14 @@ class TestAttnExperiment:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             attn_experiment(8, heads=0)
+
+    def test_a_one_by_one_scene_rejected_before_any_draw(self, monkeypatch):
+        draws = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or default_rng(seed))
+        with pytest.raises(InvalidArgumentError, match="T must be >= 2"):
+            attn_experiment(1, heads=1)
+        assert draws == []
 
 
 class TestCollapse:

@@ -21,7 +21,7 @@ from aent import (
     sample_gaussian_matrix,
     stable_rank,
 )
-from aent.attention import _gaussian_qk, attention_matrix
+from aent.attention import _qk_rows, attention_matrix
 from aent.entropy import normalize_spectrum, renyi, von_neumann
 from aent.rmt import _seeded_rng, _shannon, _stochastic_spectrum, check_row_stochastic
 
@@ -279,14 +279,16 @@ def _scenes(qk_std, causal, sizes=(16, 32, 64, 128, 256), seeds=2):
     samples = []
     for t in sizes:
         for s in range(seeds):
-            q, k = _gaussian_qk(_seeded_rng([s, t]), t, t, qk_std)
+            rng = _seeded_rng([s, t])
+            q, k = _qk_rows(rng, t, t, qk_std), _qk_rows(rng, t, t, qk_std)
             samples.append((t, attention_matrix(q, k, causal=causal)))
     return samples
 
 
 def _duplicated_rows(t, seed):
     """Row-stochastic t x t matrix of rank t/2: each row appears twice."""
-    q, k = _gaussian_qk(_seeded_rng([seed, t]), t, t, 0.65)
+    rng = _seeded_rng([seed, t])
+    q, k = _qk_rows(rng, t, t, 0.65), _qk_rows(rng, t, t, 0.65)
     return np.repeat(attention_matrix(q, k)[: t // 2], 2, axis=0)
 
 
