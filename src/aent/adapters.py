@@ -18,10 +18,8 @@ from .entropy import EntanglementProfile, profile
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .tensorize import prime_factorize
 
-VALID_KINDS = ("full", "lora", "mps_adapt")
-
-#: Adapter kind -> the fields its command-line spec lists after ``KIND:``,
-#: in order; ``mps`` is short for ``mps_adapt``.
+#: Each valid adapter kind -> the fields its command-line spec lists after
+#: ``KIND:``, in order; ``mps`` is short for ``mps_adapt``.
 _SPEC_FIELDS = {
     "full": ("d_out", "d_in"),
     "lora": ("d_out", "d_in", "r"),
@@ -42,7 +40,7 @@ class AdapterSpec:
     chi: int | None = None
 
     def __post_init__(self):
-        if self.kind not in VALID_KINDS:
+        if self.kind not in _SPEC_FIELDS:
             raise InvalidArgumentError(f"unknown adapter kind {self.kind!r}")
         if self.d_out < 1 or self.d_in < 1:
             raise InvalidArgumentError("adapter dims must be >= 1")

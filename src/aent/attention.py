@@ -67,6 +67,8 @@ def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.n
         raise ShapeMismatchError(
             f"Q and K must share shape (T, d_qk), got {q.shape} and {k.shape}"
         )
+    if q.size == 0:
+        raise InvalidArgumentError(f"Q and K need T >= 1 and d_qk >= 1, got {q.shape} and {k.shape}")
     return _softmax_rows(_logits(q, lambda lo, hi: k[lo:hi]), causal=causal)
 
 

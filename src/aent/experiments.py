@@ -87,20 +87,7 @@ def _echoed(fn):
 
 
 def _profile_rows(prof: EntanglementProfile, extra: dict | None = None) -> list[dict]:
-    rows = []
-    for rec in prof.records:
-        row = dict(extra) if extra else {}
-        row.update(
-            cut=rec.cut,
-            d_left=rec.d_left,
-            d_right=rec.d_right,
-            chi=rec.chi,
-            entropy=float(rec.entropy),
-            renyi2=float(rec.renyi2),
-            normalized=float(rec.normalized),
-        )
-        rows.append(row)
-    return rows
+    return [{**(extra or {}), **vars(rec)} for rec in prof.records]
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +183,8 @@ def cardy_experiment(
     effect on the draw, since Q and K have the same law at every context
     width; it is still validated and echoed.
 
-    Samples are drawn largest T first and handed to :func:`cardy_fit` one
-    at a time, so one attention matrix is alive at once and the
-    largest-T statistics are taken for the first group only.
+    Samples are drawn in ascending T and handed to :func:`cardy_fit` one
+    at a time, so one attention matrix is alive at once.
     """
     sizes = sorted(set(int(t) for t in t_grid))
     if len(sizes) < 4:
@@ -207,11 +193,8 @@ def cardy_experiment(
         raise InvalidArgumentError("d_mult must be >= 1")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
-    _seeded_rng([seed, sizes[0]])  # a negative seed fails before any draw, named at the smallest T
     fit = cardy_fit(
-        (t, functools.partial(_cardy_sample, t, qk_std, [seed + s, t]))
-        for t in reversed(sizes)
-        for s in range(seeds)
+        (t, functools.partial(_cardy_sample, t, qk_std, [seed + s, t])) for t in sizes for s in range(seeds)
     )
 
     points = [
@@ -501,19 +484,7 @@ def adapter_count_rows(specs: list[AdapterSpec]) -> ExperimentReport:
     rows = []
     for spec in specs:
         params = param_count(spec)
-        rows.append(
-            {
-                "kind": spec.kind,
-                "d_out": spec.d_out,
-                "d_in": spec.d_in,
-                "r": spec.r,
-                "d1": spec.d1,
-                "d2": spec.d2,
-                "chi": spec.chi,
-                "params": params,
-                "ratio_vs_full": params / (spec.d_out * spec.d_in),
-            }
-        )
+        rows.append({**vars(spec), "params": params, "ratio_vs_full": params / (spec.d_out * spec.d_in)})
     return ExperimentReport(
         name="adapters-count", config={"specs": [spec.text for spec in specs]}, tables={"counts": rows}
     )

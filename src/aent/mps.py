@@ -181,17 +181,15 @@ def reconstruct(mps: MpsChain) -> np.ndarray:
 
 
 def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
-    """(Schmidt values at every cut, None) from two Gram products, or (None, cut) at an unresolved apex.
+    """(Schmidt values at every cut, None) from two Gram products, else (None, the first unresolved cut).
 
     The left apex is the last cut whose left side is the smaller (m @ m^T),
     the right apex the next one (m^T @ m); both are tested, as
     :func:`_sigmas` tests a cut but probed on min(_PROBE, k/4) >= 4 rows,
-    before any walk starts.  The returned cut is an apex whose Gram matrix
-    failed that test, or None where a probe failed first.  Walking
-    outward, each cut's Gram matrix is its neighbour's with one site traced
-    out.  Every cut keeps the test, probe included; one that fails below a
-    resolved apex (by the condition bound, essentially never) takes its
-    own SVD.
+    before any walk starts; the cut is None where a probe failed first.
+    Walking outward, each cut's Gram matrix is its neighbour's with one
+    site traced out, and keeps the test; by the condition bound, a walked
+    cut below a resolved apex essentially never fails it.
     """
     dims = arr.shape
     lefts = [math.prod(dims[:cut]) for cut in range(1, len(dims))]
@@ -221,12 +219,10 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
                 gram = gram.reshape(k, d, k, d).trace(axis1=1, axis2=3)
             else:
                 gram = gram.reshape(d, k, d, k).trace(axis1=0, axis2=2)
-            if k < 4 * _PROBE or _resolved(np.linalg.eigvalsh(gram[:_PROBE, :_PROBE]), k):
-                lam = np.linalg.eigvalsh(gram.T)
-                if _resolved(lam, k):
-                    spectra[cut] = np.sqrt(lam[::-1])
-                    continue
-            spectra[cut] = np.linalg.svd(arr.reshape(lefts[cut - 1], -1), compute_uv=False)
+            lam = np.linalg.eigvalsh(gram.T)
+            if not _resolved(lam, k):
+                return None, cut
+            spectra[cut] = np.sqrt(lam[::-1])
     return [spectra[cut] for cut in range(1, len(dims))], None
 
 
@@ -257,9 +253,9 @@ def schmidt_values(tensor) -> list[np.ndarray]:
     The two apex cuts, where the smaller side flips from left to right,
     each take one Gram product of the whole tensor; every other cut's Gram
     matrix is an exact partial trace of its neighbour's, one site at a
-    time, whose condition number is no larger.  Each cut passes the
-    resolution test of :func:`_sigmas` or takes the SVD of its unfolding.
-    A tensor with an unresolved apex is low rank and goes cut by cut
+    time, whose condition number is no larger.  Each cut must pass the
+    resolution test of :func:`_sigmas`.  A tensor with a cut that fails
+    it, in practice an apex of a low-rank tensor, goes cut by cut
     instead: the Gram spectrum of :func:`_sigmas` where it resolves (it
     keeps every value, so nothing is compressed), else
     :func:`_svd_compressed`, which may compress the unfolding for the later
@@ -271,7 +267,7 @@ def schmidt_values(tensor) -> list[np.ndarray]:
         spectra, carried = [], arr.reshape(1, -1)
         for cut, d in enumerate(arr.shape[:-1], start=1):
             carried = carried.reshape(carried.shape[0] * d, -1)
-            # an apex still uncompressed would fail the Gram test again, as it did in the ladder
+            # the unresolved cut, still uncompressed, would fail the Gram test again, as it did in the ladder
             failed = cut == unresolved and carried.size == arr.size
             sigmas = None if failed else _gram_sigmas(carried)
             if sigmas is None:

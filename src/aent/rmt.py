@@ -252,16 +252,14 @@ def cardy_fit(attention_samples) -> CardyFit:
     least four distinct T values, where ``draw()`` returns that sample's
     T x T matrix A and must return the same A on every call: it is called
     once, and a second time only for a sample that takes the SVD fallback.
-    Each sample is reduced as it arrives, to its entropy point and, at the
-    largest T seen so far, a few statistics; no reference to A is kept, so
-    one matrix is alive at a time when each draw makes a new one.
-    Statistics from a smaller T are dropped when a larger T arrives, so
-    any order gives the same fit, but they are computed for every sample
-    at the largest T so far: largest T first is cheapest.
-    ``points`` comes back sorted stably by T.  sigma^2 is estimated from
-    the Frobenius norm of the bulk B = A - (1/T) 11^T, the B whose Gram
-    matrix gives the spectrum, at the largest T only; the predicted slope
-    is sigma^2/(1+sigma^2).
+    Each sample is reduced as it arrives to one row (T, S, s1, p1,
+    Renyi-2, sigma^2); no reference to A is kept, so one matrix is alive at
+    a time when each draw makes a new one.  The rows are sorted stably by
+    T, so any order gives the same fit: ``points`` are their (T, S), and
+    the largest-T statistics are means over the rows at the largest T.
+    sigma^2 is estimated from the Frobenius norm of the bulk
+    B = A - (1/T) 11^T, the B whose Gram matrix gives the spectrum; the
+    predicted slope is sigma^2/(1+sigma^2).
 
     Spectra come from Gram matrices, not SVDs.  Per sample one product
     B B^T gives A A^T through the exact identity
@@ -271,36 +269,34 @@ def cardy_fit(attention_samples) -> CardyFit:
     resolve the small end (a rank-deficient or near-uniform A) and an SVD
     of A, drawn again, is taken instead; ``svd_fallbacks`` counts those.
     """
-    points: list[tuple[int, float]] = []
-    t_largest, largest_t_stats = -math.inf, []
+    rows = []
     svd_fallbacks = 0
     for t, draw in attention_samples:
-        t = int(t)
-        if t > t_largest:
-            t_largest, largest_t_stats = t, []
         sigmas, svd, sigma2 = _stochastic_spectrum(draw)
         svd_fallbacks += svd
         lambdas = normalize_spectrum(sigmas)
-        points.append((t, von_neumann(lambdas, base=math.e)))
-        if t == t_largest:
-            largest_t_stats.append((
-                float(sigmas[0]),
-                float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)),
-                renyi(lambdas, 2.0, base=math.e),
-                sigma2,
-            ))
-    sizes = {t for t, _ in points}
+        rows.append((
+            int(t),
+            von_neumann(lambdas, base=math.e),
+            float(sigmas[0]),
+            float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)),
+            renyi(lambdas, 2.0, base=math.e),
+            sigma2,
+        ))
+    sizes = {row[0] for row in rows}
     if len(sizes) < 4:
         raise InvalidArgumentError(
             f"need >= 4 distinct T values for the fit, got {len(sizes)}"
         )
-    points.sort(key=lambda point: point[0])
+    rows.sort(key=lambda row: row[0])
+    points = [(t, s) for t, s, *_ in rows]
 
     log_t = np.log([t for t, _ in points])
     entropies = np.array([s for _, s in points])
     slope, intercept = np.polyfit(log_t, entropies, 1)
 
-    s1, p1, renyi2, sigma2 = (float(np.mean(column)) for column in zip(*largest_t_stats))
+    largest = [row[2:] for row in rows if row[0] == rows[-1][0]]
+    s1, p1, renyi2, sigma2 = (float(np.mean(column)) for column in zip(*largest))
     charge = sigma2 / (1.0 + sigma2)
     return CardyFit(
         points=points,

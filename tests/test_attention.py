@@ -73,6 +73,10 @@ class TestAttentionMatrix:
             attention_matrix(np.zeros((4, 8)), np.zeros((5, 8)))
         with pytest.raises(ShapeMismatchError):
             attention_matrix(np.zeros(8), np.zeros(8))
+        # an empty or zero-width pair is named, not a numpy reduction error or a false overflow
+        for shape in ((0, 4), (4, 0)):
+            with pytest.raises(InvalidArgumentError, match=rf"d_qk >= 1, got \({shape[0]}, {shape[1]}\)"):
+                attention_matrix(np.ones(shape), np.ones(shape))
 
 
 class TestRope:

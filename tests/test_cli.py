@@ -1,7 +1,10 @@
 import inspect
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from aent import MarchenkoPastur, ks_distance, write_matrix
 from aent.cli import SUBCOMMANDS, main
 
 PROFILE_HEADER = "cut,d_left,d_right,chi,entropy,renyi2,normalized"
+ADAPTERS_COUNT_HEADER = "kind,d_out,d_in,r,d1,d2,chi,params,ratio_vs_full"
 
 
 def run_to_file(tmp_path, argv, name="out.csv"):
@@ -343,6 +347,7 @@ class TestAdaptersCountCommand:
         assert code == 0
         data = [line.split(",") for line in lines if line and not line.startswith("#")]
         header, rows = data[0], data[1:]
+        assert ",".join(header) == ADAPTERS_COUNT_HEADER
         params_col = header.index("params")
         assert [row[params_col] for row in rows] == [
             "16777216",
@@ -508,6 +513,34 @@ def test_every_flag_given_is_echoed(tmp_path, command):
         assert [item for item in items.replace("<eye>", eye).split() if item not in echo] == []
     flags = [flag if flag.startswith("-") else "<eye>" for flag, _, _, _ in SUBCOMMANDS[command][3]]
     assert [flag for flag in flags if flag not in given] == []
+
+
+#: Runs every given argv through cli.main in one interpreter, then prints the
+#: exit codes and every imported scipy module.
+_IMPORT_PROBE = """
+import json, sys
+from aent.cli import main
+runs, out = json.loads(sys.argv[1]), sys.argv[2]
+codes = [main(argv + ["--out", out]) for argv in runs]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_every_subcommand_runs_without_importing_scipy(tmp_path):
+    # numpy is the one declared runtime dependency
+    eye = str(tmp_path / "eye.aent")
+    write_matrix(eye, np.eye(4))
+    runs = [argv for argv, _ in OMITTED_FLAG_CONFIGS.values()]
+    runs += [argv for command_runs in ALL_FLAG_RUNS.values() for argv, _ in command_runs]
+    runs = [[eye if arg == "<eye>" else arg for arg in argv] for argv in runs]
+    assert {argv[0] for argv in runs} == set(SUBCOMMANDS)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs), str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"codes": [0] * len(runs), "scipy": []}
 
 
 @pytest.mark.parametrize("command", list(SUBCOMMANDS))

@@ -169,7 +169,7 @@ class TestCardyExperiment:
 
         monkeypatch.setattr(aent.experiments, "_cardy_sample", tracked)
         report = cardy_experiment(t_grid=(8, 16, 32, 64), seeds=2)
-        assert drawn == [64, 64, 32, 32, 16, 16, 8, 8]
+        assert drawn == [8, 8, 16, 16, 32, 32, 64, 64]
         assert [p["t"] for p in report.tables["points"]] == [8, 8, 16, 16, 32, 32, 64, 64]
 
     def test_a_sample_peaks_below_two_and_a_half_t_by_t_arrays(self):

@@ -249,6 +249,20 @@ class TestSchmidtValues:
         carried = schmidt_values(tensor)
         assert all(np.array_equal(a, b) for a, b in zip(spectra, carried, strict=True))
 
+    def test_unresolved_walked_cut_sends_the_tensor_to_the_carried_loop(self, monkeypatch):
+        # every 8 x 8 Gram matrix is made to fail the test: the left walk
+        # reaches one first, at cut 3, after both apexes (32 and 16) resolved
+        tensor = _random_tensor((2,) * 10, 11)
+        resolved = mps._resolved
+        monkeypatch.setattr(mps, "_resolved", lambda lam, k: k != 8 and resolved(lam, k))
+        svd_calls = _svd_call_log(monkeypatch)
+        assert mps._ladder(mps._rescaled(tensor)[0]) == (None, 3)
+        spectra = schmidt_values(tensor)
+        assert svd_calls == [(8, 8)] * 2  # cuts 3 and 7, each of its QR factor
+        monkeypatch.setattr(mps, "_ladder", lambda arr: (None, None))
+        carried = schmidt_values(tensor)
+        assert all(np.array_equal(a, b) for a, b in zip(spectra, carried, strict=True))
+
     def test_unresolved_apex_gram_is_formed_once(self, monkeypatch):
         # the noise keeps every cut above the compression cutoff, so the
         # carried loop reaches the apex (cut 5, 32 x 32) uncompressed
@@ -330,13 +344,13 @@ class TestGramLayout:
         return seen
 
     def _assert_layout(self, grams):
-        # a probe block of a walked Gram (_PROBE x _PROBE) is a strided view in either order
+        # an apex probe (at most _PROBE x _PROBE) is a fresh product in C order
         assert any(g.shape[0] > _PROBE for g in grams)
         for g in grams:
             assert np.array_equal(g, g.T)
             assert g.flags.f_contiguous or g.shape[0] <= _PROBE
 
-    # apexes 512 and walks from 256 (probed) down; apexes 729 x 625; apexes 256 x 216
+    # apexes 512 and walks from 256 down; apexes 729 x 625; apexes 256 x 216
     @pytest.mark.parametrize("dims", [(2,) * 18, (3,) * 6 + (5,) * 4, (2,) * 8 + (3,) * 3 + (2,) * 3])
     def test_schmidt_values(self, monkeypatch, dims):
         grams = self._arguments(monkeypatch, "eigvalsh")
