@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntanglementProfile, profile
+from .entropy import EntanglementProfile, _log_base, profile
 from .errors import InvalidArgumentError, ShapeMismatchError
+from .mps import SIGMA_FLOOR, _resolved
 from .tensorize import prime_factorize
 
 #: Each valid adapter kind -> the fields its command-line spec lists after
@@ -115,6 +116,38 @@ def mps_adapter_materialize(core1, core2) -> np.ndarray:
 def mps_adapter_update(b, core1, core2, alpha: float) -> np.ndarray:
     """Delta W = (alpha / r) B A_mps with A_mps from the two cores; r is read from B."""
     return lora_update(b, mps_adapter_materialize(core1, core2), alpha)
+
+
+def _lora_cut_entropies(b: np.ndarray, a: np.ndarray, base: float = 2.0) -> np.ndarray:
+    """Entropy at every cut of each B[s] A[s] of stacks B (S, d_out, r) and A (S, r, d_in), shape (S, cuts).
+
+    The product is never formed.  With A A^T = R_A^T R_A (R_A from a QR of
+    A^T), each row cut of B A has the Schmidt values of the same cut of
+    C = B R_A^T, of shape (d_out, min(r, d_in)); with B^T B = R_B^T R_B,
+    each column cut those of D = R_B A.  A cut is one stacked Gram product
+    and eigvalsh; an instance whose spectrum fails :func:`mps._resolved`
+    takes an SVD.  Spectra are normalized as by :func:`normalize_spectrum`.
+    """
+    log_base = _log_base(base)
+    stack, d_out, _ = b.shape
+    out_sites, in_sites = prime_factorize(d_out), prime_factorize(a.shape[2])
+    c = b @ np.linalg.qr(a.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
+    d = np.linalg.qr(b, mode="r") @ a
+    unfoldings = [c.reshape(stack, math.prod(out_sites[:k]), -1) for k in range(1, len(out_sites) + 1)]
+    unfoldings += [d.reshape(stack, d.shape[1] * math.prod(in_sites[:k]), -1) for k in range(1, len(in_sites))]
+    entropies = np.empty((stack, len(unfoldings)))
+    for cut, m in enumerate(unfoldings):
+        g = m if m.shape[1] <= m.shape[2] else m.transpose(0, 2, 1)
+        lam = np.linalg.eigvalsh(g @ g.transpose(0, 2, 1))
+        sigmas = np.sqrt(np.maximum(lam[:, ::-1], 0.0))
+        for i in np.flatnonzero(~_resolved(lam, g.shape[1])):
+            sigmas[i] = np.linalg.svd(m[i], compute_uv=False)
+        top = sigmas[:, :1]
+        kept = np.where(sigmas > SIGMA_FLOOR * top, sigmas / top, 0.0) ** 2
+        w = kept / kept.sum(axis=1, keepdims=True)
+        s = -(w * np.log(w, out=np.zeros_like(w), where=w > 0.0)).sum(axis=1) / log_base
+        entropies[:, cut] = np.where(s > 0.0, s, 0.0)
+    return entropies
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterSpec, lora_update, param_count, valley_check
+from .adapters import AdapterSpec, _lora_cut_entropies, interior_cut_range, param_count
 from .attention import DEFAULT_QK_STD, AttentionScene, _logits, _qk_rows, _softmax_rows, mask_ablation, output_operator
-from .entropy import EntanglementProfile, page_entropy, profile
+from .entropy import EntanglementProfile, _log_base, page_entropy, profile
 from .errors import InvalidArgumentError
 from .mps import _rescaled, _sigmas
 from .rmt import (
@@ -34,7 +34,7 @@ from .rmt import (
     output_collapse_check,
     sample_gaussian_matrix,
 )
-from .tensorize import tensorize
+from .tensorize import prime_factorize, tensorize
 from .version import __version__
 
 
@@ -231,49 +231,56 @@ def valley_experiment(
     base: float = 2.0,
     seed: int = 0,
 ) -> ExperimentReport:
-    """Row-column-cut entropy of Gaussian low-rank updates against log r."""
+    """Row-column-cut entropy of Gaussian low-rank updates against log r.
+
+    Instance s of rank r draws B (d_out, r), then A (r, d_in), from
+    (seed + s, r).  Its entropies come from the stacked factors by
+    :func:`adapters._lora_cut_entropies`, without forming B A; they are the
+    values :func:`valley_check` reads from the formed update.
+    """
+    if d_out < 2 or d_in < 2:
+        raise InvalidArgumentError(f"a {d_out}x{d_in} update has no row-column cut; need d_out, d_in >= 2")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
     if min(ranks, default=1) < 1:
         raise InvalidArgumentError(f"rank must be >= 1, got {min(ranks)}")
+    log_base = _log_base(base)
+    n = len(prime_factorize(d_out))
     rows = []
     summary = []
     for r in ranks:
         r = int(r)
-        rowcol_vals, interior_vals, passes = [], [], 0
+        b, a = np.empty((seeds, d_out, r)), np.empty((seeds, r, d_in))
         for s in range(seeds):
             rng = _seeded_rng([seed + s, r])
-            b = rng.standard_normal((d_out, r))
-            a = rng.standard_normal((r, d_in))
-            check = valley_check(lora_update(b, a, alpha=r), r, base=base)
-            interior = [
-                rec.entropy
-                for rec in check.profile.records
-                if rec.cut in check.interior_cuts
-            ]
-            interior_mean = float(np.mean(interior)) if interior else math.nan
-            rowcol_vals.append(check.s_rowcol)
-            interior_vals.append(interior_mean)
-            passes += int(check.passes)
+            rng.standard_normal(out=b[s])
+            rng.standard_normal(out=a[s])
+        entropies = _lora_cut_entropies(b, a, base)
+        rowcol = entropies[:, n - 1]
+        bound = math.log(r) / log_base
+        passes = rowcol <= bound + 1e-9
+        cuts = interior_cut_range(r, n)
+        interior = entropies[:, cuts[0] - 1 : n - 1] if cuts else np.full((seeds, 1), math.nan)
+        interior_max, interior_mean = interior.max(axis=1), interior.mean(axis=1)
+        for s in range(seeds):
             rows.append(
                 {
                     "rank": r,
                     "seed": seed + s,
-                    "s_rowcol": float(check.s_rowcol),
-                    "bound": float(check.bound),
-                    "interior_max": float(check.interior_max),
-                    "interior_mean": interior_mean,
-                    "passes": bool(check.passes),
+                    "s_rowcol": float(rowcol[s]),
+                    "bound": bound,
+                    "interior_max": float(interior_max[s]),
+                    "interior_mean": float(interior_mean[s]),
+                    "passes": bool(passes[s]),
                 }
             )
-        finite_interior = [v for v in interior_vals if not math.isnan(v)]
         summary.append(
             {
                 "rank": r,
-                "bound": float(math.log(r) / math.log(base)),
-                "mean_rowcol": float(np.mean(rowcol_vals)),
-                "mean_interior": float(np.mean(finite_interior)) if finite_interior else math.nan,
-                "pass_rate": passes / seeds,
+                "bound": bound,
+                "mean_rowcol": float(rowcol.mean()),
+                "mean_interior": float(interior_mean.mean()),
+                "pass_rate": int(passes.sum()) / seeds,
             }
         )
     return ExperimentReport(

@@ -104,9 +104,9 @@ def _gram(g: np.ndarray) -> np.ndarray:
     return g @ g.T
 
 
-def _resolved(lam: np.ndarray, k: int) -> bool:
-    """Ascending Gram eigenvalues ``lam`` of a k x k cut resolve ``SIGMA_FLOOR``."""
-    return bool(lam[0] > 100 * k * np.finfo(np.float64).eps * lam[-1])
+def _resolved(lam: np.ndarray, k: int):
+    """Ascending Gram eigenvalues ``lam`` of a k x k cut resolve ``SIGMA_FLOOR``; per row of a stack."""
+    return lam[..., 0] > 100 * k * np.finfo(np.float64).eps * lam[..., -1]
 
 
 def _sigmas(m: np.ndarray, vectors: bool = False):

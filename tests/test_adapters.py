@@ -15,6 +15,8 @@ from aent import (
     param_count,
     valley_check,
 )
+from aent.adapters import _lora_cut_entropies
+from aent.entropy import profile
 
 
 class TestAdapterSpec:
@@ -225,3 +227,34 @@ class TestValleyCheck:
     def test_rank_validation(self):
         with pytest.raises(InvalidArgumentError):
             valley_check(np.eye(8), r=0)
+
+
+class TestLoraCutEntropies:
+    @pytest.mark.parametrize(
+        "d_out, d_in, r",
+        [(64, 64, 4), (8, 4, 8), (4, 8, 8), (12, 18, 5), (7, 13, 3), (30, 2, 1), (2, 2, 2)],
+    )
+    @pytest.mark.parametrize("base", [2.0, math.e])
+    def test_every_cut_matches_the_profile_of_the_product(self, d_out, d_in, r, base):
+        rng = np.random.default_rng(d_out * d_in + r)
+        b = rng.standard_normal((3, d_out, r))
+        a = rng.standard_normal((3, r, d_in))
+        entropies = _lora_cut_entropies(b, a, base)
+        for s in range(3):
+            expected = profile(b[s] @ a[s], base=base).entropies
+            np.testing.assert_allclose(entropies[s], expected, rtol=0, atol=1e-12)
+
+    def test_unresolved_instance_takes_the_svd(self, monkeypatch):
+        # B's two columns of instance 0 agree to 1e-9, so the 2 x 2 Gram at
+        # the row-column cut cannot resolve the smaller Schmidt value
+        rng = np.random.default_rng(4)
+        col = rng.standard_normal((16, 1))
+        b = np.stack([np.hstack([col, col + 1e-9 * rng.standard_normal((16, 1))]), rng.standard_normal((16, 2))])
+        a = rng.standard_normal((2, 2, 16))
+        svd, shapes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: shapes.append(m.shape) or svd(m, **kw))
+        entropies = _lora_cut_entropies(b, a)
+        monkeypatch.undo()
+        assert (16, 2) in shapes and all(len(shape) == 2 for shape in shapes)
+        for s in range(2):
+            np.testing.assert_allclose(entropies[s], profile(b[s] @ a[s]).entropies, rtol=0, atol=1e-12)

@@ -26,6 +26,8 @@ from aent import (
     page_entropy,
     sample_gaussian_matrix,
     ks_distance,
+    lora_update,
+    valley_check,
     valley_experiment,
 )
 from aent.attention import _qk_rows, _softmax_rows
@@ -230,6 +232,55 @@ class TestValleyExperiment:
     def test_rank_validated_before_any_draw(self, rank):
         with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
             valley_experiment(d_out=8, d_in=8, ranks=(2, rank), seeds=1)
+
+    @pytest.mark.parametrize("d_out, d_in", [(1, 8), (8, 1), (0, 8), (8, 0)])
+    def test_dims_without_a_row_column_cut_rejected_before_any_draw(self, d_out, d_in):
+        # seed -1 would fail the first draw, so the dims are checked before it
+        with pytest.raises(InvalidArgumentError, match=f"a {d_out}x{d_in} update has no row-column cut"):
+            valley_experiment(d_out=d_out, d_in=d_in, ranks=(1,), seeds=1, seed=-1)
+
+    @pytest.mark.parametrize("base", [1.0, 0.0, -2.0, math.inf])
+    def test_base_validated_before_any_draw(self, base):
+        with pytest.raises(InvalidArgumentError, match="log base must be"):
+            valley_experiment(d_out=8, d_in=8, ranks=(1,), seeds=1, base=base, seed=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(d_out=64, d_in=64, seeds=3),
+            dict(d_out=8, d_in=4, ranks=(1, 2, 8), seeds=4),  # r > d_in
+            dict(d_out=12, d_in=18, ranks=(1, 2, 3, 5), seeds=4),  # prime sites
+            dict(d_out=16, d_in=16, ranks=(1, 2, 4), seeds=4, base=math.e),
+        ],
+        ids=["64x64", "8x4-r-above-d_in", "12x18", "16x16-nats"],
+    )
+    def test_matches_valley_check_of_the_formed_update(self, kwargs):
+        report = valley_experiment(seed=5, **kwargs)
+        base = kwargs.get("base", 2.0)
+        for row in report.tables["instances"]:
+            r = row["rank"]
+            rng = _seeded_rng([row["seed"], r])
+            b = rng.standard_normal((kwargs["d_out"], r))
+            a = rng.standard_normal((r, kwargs["d_in"]))
+            check = valley_check(lora_update(b, a, alpha=r), r, base=base)
+            interior = [check.profile.record_at(k).entropy for k in check.interior_cuts]
+            expected_mean = float(np.mean(interior)) if interior else math.nan
+            assert row["s_rowcol"] == pytest.approx(check.s_rowcol, abs=1e-12)
+            assert row["interior_max"] == pytest.approx(check.interior_max, abs=1e-12, nan_ok=True)
+            assert row["interior_mean"] == pytest.approx(expected_mean, abs=1e-12, nan_ok=True)
+            assert row["passes"] == check.passes
+
+    def test_paper_width_update_is_never_formed(self):
+        # the dense 2048 x 2048 update alone would be 32 MB
+        valley_experiment(d_out=8, d_in=8, ranks=(1,), seeds=1)  # the first call imports modules
+        tracemalloc.start()
+        try:
+            report = valley_experiment(d_out=2048, d_in=2048, ranks=(16,), seeds=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert report.tables["summary"][0]["pass_rate"] == 1.0
 
 
 class TestMpCompare:
