@@ -12,7 +12,7 @@ Run:
 
 import numpy as np
 
-from aent import lora_update, valley_check, valley_experiment
+from aent import valley_check, valley_experiment
 
 D = 64
 RANKS = (1, 2, 4, 8, 16)
@@ -35,11 +35,10 @@ def main() -> None:
     print()
     print("one full profile at r = 4 (row-column cut is cut 6):")
     rng = np.random.default_rng(0)
-    delta = lora_update(rng.standard_normal((D, 4)), rng.standard_normal((4, D)), 1.0)
-    check = valley_check(delta, r=4)
-    for rec in check.profile.records:
-        marker = " <- valley floor, bound log2(4) = 2" if rec.cut == 6 else ""
-        print(f"  cut {rec.cut:>2}  S = {rec.entropy:6.4f} bits{marker}")
+    check = valley_check(rng.standard_normal((D, 4)), rng.standard_normal((4, D)))
+    for cut, entropy in enumerate(check.entropies, start=1):
+        marker = " <- valley floor, bound log2(4) = 2" if cut == 6 else ""
+        print(f"  cut {cut:>2}  S = {entropy:6.4f} bits{marker}")
     print()
     print(f"row-column entropy {check.s_rowcol:.4f} <= bound {check.bound:.1f}: {check.passes}")
 

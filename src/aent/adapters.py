@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntanglementProfile, _log_base, profile
+from .entropy import _log_base
 from .errors import InvalidArgumentError, ShapeMismatchError
-from .mps import SIGMA_FLOOR, _resolved
+from .mps import SIGMA_FLOOR, _rescaled, _resolved
 from .tensorize import prime_factorize
 
 #: Each valid adapter kind -> the fields its command-line spec lists after
@@ -118,19 +118,59 @@ def mps_adapter_update(b, core1, core2, alpha: float) -> np.ndarray:
     return lora_update(b, mps_adapter_materialize(core1, core2), alpha)
 
 
-def _lora_cut_entropies(b: np.ndarray, a: np.ndarray, base: float = 2.0) -> np.ndarray:
-    """Entropy at every cut of each B[s] A[s] of stacks B (S, d_out, r) and A (S, r, d_in), shape (S, cuts).
+@dataclass(frozen=True)
+class ValleyCheck:
+    """Row-column-cut entropy against the log r bound, plus the interior (nan if it has no cuts).
 
-    The product is never formed.  With A A^T = R_A^T R_A (R_A from a QR of
-    A^T), each row cut of B A has the Schmidt values of the same cut of
-    C = B R_A^T, of shape (d_out, min(r, d_in)); with B^T B = R_B^T R_B,
+    Per-update fields have the stack's shape, numpy scalars for a single
+    update; ``entropies`` adds an axis of every cut's entropy.
+    """
+
+    s_rowcol: float | np.ndarray
+    bound: float
+    interior_cuts: tuple[int, ...]
+    interior_max: float | np.ndarray
+    interior_mean: float | np.ndarray
+    passes: bool | np.ndarray
+    entropies: np.ndarray
+
+
+def interior_cut_range(r: int, n: int) -> tuple[int, ...]:
+    """Row cuts treated as interior: ceil(log2 r) + 2 <= k <= n - 1.
+
+    The lower margin keeps the cut clear of the rank bottleneck's
+    log-scale footprint; the upper end stops short of the row-column cut
+    itself.  May be empty when r is large relative to 2^n.
+    """
+    lo = math.ceil(math.log2(r)) + 2
+    return tuple(range(lo, n))
+
+
+def valley_check(b, a, base: float = 2.0) -> ValleyCheck:
+    """Every cut of B A, B (..., d_out, r) and A (..., r, d_in), tested against log r.
+
+    r is B's width; leading axes stack updates.  Each factor of each update
+    is scaled by an exact power of two (:func:`mps._rescaled`, which also
+    rejects it if zero or non-finite), and B A is never formed: with
+    A A^T = R_A^T R_A (R_A from a QR of A^T), each row cut of B A has the
+    Schmidt values of the same cut of C = B R_A^T, and with B^T B = R_B^T R_B
     each column cut those of D = R_B A.  A cut is one stacked Gram product
-    and eigvalsh; an instance whose spectrum fails :func:`mps._resolved`
-    takes an SVD.  Spectra are normalized as by :func:`normalize_spectrum`.
+    and eigvalsh, with an SVD for an instance that fails :func:`mps._resolved`.
+    Spectra are normalized as by :func:`normalize_spectrum`.
     """
     log_base = _log_base(base)
-    stack, d_out, _ = b.shape
-    out_sites, in_sites = prime_factorize(d_out), prime_factorize(a.shape[2])
+    b, a = np.asarray(b, dtype=np.float64), np.asarray(a, dtype=np.float64)
+    if b.ndim < 2 or b.shape[:-2] != a.shape[:-2] or b.shape[-1:] != a.shape[-2:-1] or 0 in b.shape[:-2]:
+        raise ShapeMismatchError(f"expected B (..., d_out, r), A (..., r, d_in), >= 1 update; got {b.shape}, {a.shape}")
+    lead, (d_out, r), d_in = b.shape[:-2], b.shape[-2:], a.shape[-1]
+    if r < 1:
+        raise InvalidArgumentError(f"rank must be >= 1, got {r}")
+    if d_out < 2 or d_in < 2:
+        raise InvalidArgumentError(f"a {d_out}x{d_in} update has no row-column cut; need d_out, d_in >= 2")
+    b = np.stack([_rescaled(m)[0] for m in b.reshape(-1, d_out, r)])
+    a = np.stack([_rescaled(m)[0] for m in a.reshape(-1, r, d_in)])
+    stack = len(b)
+    out_sites, in_sites = prime_factorize(d_out), prime_factorize(d_in)
     c = b @ np.linalg.qr(a.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
     d = np.linalg.qr(b, mode="r") @ a
     unfoldings = [c.reshape(stack, math.prod(out_sites[:k]), -1) for k in range(1, len(out_sites) + 1)]
@@ -147,48 +187,18 @@ def _lora_cut_entropies(b: np.ndarray, a: np.ndarray, base: float = 2.0) -> np.n
         w = kept / kept.sum(axis=1, keepdims=True)
         s = -(w * np.log(w, out=np.zeros_like(w), where=w > 0.0)).sum(axis=1) / log_base
         entropies[:, cut] = np.where(s > 0.0, s, 0.0)
-    return entropies
-
-
-@dataclass(frozen=True)
-class ValleyCheck:
-    """Row-column-cut entropy against the log r bound, plus the interior."""
-
-    s_rowcol: float
-    bound: float
-    interior_cuts: tuple[int, ...]
-    interior_max: float
-    passes: bool
-    profile: EntanglementProfile
-
-
-def interior_cut_range(r: int, n: int) -> tuple[int, ...]:
-    """Row cuts treated as interior: ceil(log2 r) + 2 <= k <= n - 1.
-
-    The lower margin keeps the cut clear of the rank bottleneck's
-    log-scale footprint; the upper end stops short of the row-column cut
-    itself.  May be empty when r is large relative to 2^n.
-    """
-    lo = math.ceil(math.log2(r)) + 2
-    return tuple(range(lo, n))
-
-
-def valley_check(delta_w, r: int, base: float = 2.0) -> ValleyCheck:
-    """Profile an adapter update and test the rank bound at the matrix cut."""
-    if r < 1:
-        raise InvalidArgumentError(f"rank must be >= 1, got {r}")
-    prof = profile(delta_w, base=base)
-    delta_w = np.asarray(delta_w)
-    n = len(prime_factorize(delta_w.shape[0]))
-    s_rowcol = prof.record_at(n).entropy
-    bound = math.log(r) / math.log(base)
+    entropies = entropies.reshape(*lead, -1)
+    n = len(out_sites)
+    s_rowcol = entropies[..., n - 1][()]
+    bound = math.log(r) / log_base
     cuts = interior_cut_range(r, n)
-    interior = [prof.record_at(k).entropy for k in cuts]
+    interior = entropies[..., cuts[0] - 1 : n - 1] if cuts else np.full((*lead, 1), math.nan)
     return ValleyCheck(
         s_rowcol=s_rowcol,
         bound=bound,
         interior_cuts=cuts,
-        interior_max=max(interior) if interior else math.nan,
+        interior_max=interior.max(axis=-1),
+        interior_mean=interior.mean(axis=-1),
         passes=s_rowcol <= bound + 1e-9,
-        profile=prof,
+        entropies=entropies,
     )

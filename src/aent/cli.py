@@ -157,10 +157,6 @@ def _mp_compare(
     return experiments.mp_compare(matrix, cut=cut, bins=bins, source=source)
 
 
-def _count_adapters(specs: list[AdapterSpec] | None = None) -> ExperimentReport:
-    return experiments.adapter_count_rows(specs or list(experiments.REFERENCE_ADAPTER_SPECS))
-
-
 # ---------------------------------------------------------------------------
 # The subcommand table
 
@@ -215,7 +211,7 @@ SUBCOMMANDS = {
         ("--rope-theta", "rope_theta", _FLOAT, None),
         _QK_STD, _CHI_MAX, _SEED,
     )),
-    "adapters-count": ("adapter parameter-count table", _count_adapters, True, (
+    "adapters-count": ("adapter parameter-count table", "adapter_count_rows", True, (
         ("--spec", "specs", {"action": "append", "help": _SPEC_HELP}, _adapter_specs),
     )),
 }

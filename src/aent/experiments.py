@@ -14,13 +14,13 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterSpec, _lora_cut_entropies, interior_cut_range, param_count
+from .adapters import AdapterSpec, param_count, valley_check
 from .attention import DEFAULT_QK_STD, AttentionScene, _logits, _qk_rows, _softmax_rows, mask_ablation, output_operator
 from .entropy import EntanglementProfile, _log_base, page_entropy, profile
 from .errors import InvalidArgumentError
@@ -34,7 +34,7 @@ from .rmt import (
     output_collapse_check,
     sample_gaussian_matrix,
 )
-from .tensorize import prime_factorize, tensorize
+from .tensorize import tensorize
 from .version import __version__
 
 
@@ -234,9 +234,8 @@ def valley_experiment(
     """Row-column-cut entropy of Gaussian low-rank updates against log r.
 
     Instance s of rank r draws B (d_out, r), then A (r, d_in), from
-    (seed + s, r).  Its entropies come from the stacked factors by
-    :func:`adapters._lora_cut_entropies`, without forming B A; they are the
-    values :func:`valley_check` reads from the formed update.
+    (seed + s, r).  Each rank's stacked factors go through one
+    :func:`valley_check`, which never forms B A.
     """
     if d_out < 2 or d_in < 2:
         raise InvalidArgumentError(f"a {d_out}x{d_in} update has no row-column cut; need d_out, d_in >= 2")
@@ -244,8 +243,7 @@ def valley_experiment(
         raise InvalidArgumentError("need at least one seed")
     if min(ranks, default=1) < 1:
         raise InvalidArgumentError(f"rank must be >= 1, got {min(ranks)}")
-    log_base = _log_base(base)
-    n = len(prime_factorize(d_out))
+    _log_base(base)  # checks the base before any draw
     rows = []
     summary = []
     for r in ranks:
@@ -255,32 +253,26 @@ def valley_experiment(
             rng = _seeded_rng([seed + s, r])
             rng.standard_normal(out=b[s])
             rng.standard_normal(out=a[s])
-        entropies = _lora_cut_entropies(b, a, base)
-        rowcol = entropies[:, n - 1]
-        bound = math.log(r) / log_base
-        passes = rowcol <= bound + 1e-9
-        cuts = interior_cut_range(r, n)
-        interior = entropies[:, cuts[0] - 1 : n - 1] if cuts else np.full((seeds, 1), math.nan)
-        interior_max, interior_mean = interior.max(axis=1), interior.mean(axis=1)
+        check = valley_check(b, a, base)
         for s in range(seeds):
             rows.append(
                 {
                     "rank": r,
                     "seed": seed + s,
-                    "s_rowcol": float(rowcol[s]),
-                    "bound": bound,
-                    "interior_max": float(interior_max[s]),
-                    "interior_mean": float(interior_mean[s]),
-                    "passes": bool(passes[s]),
+                    "s_rowcol": float(check.s_rowcol[s]),
+                    "bound": check.bound,
+                    "interior_max": float(check.interior_max[s]),
+                    "interior_mean": float(check.interior_mean[s]),
+                    "passes": bool(check.passes[s]),
                 }
             )
         summary.append(
             {
                 "rank": r,
-                "bound": bound,
-                "mean_rowcol": float(rowcol.mean()),
-                "mean_interior": float(interior_mean.mean()),
-                "pass_rate": int(passes.sum()) / seeds,
+                "bound": check.bound,
+                "mean_rowcol": float(check.s_rowcol.mean()),
+                "mean_interior": float(check.interior_mean.mean()),
+                "pass_rate": int(check.passes.sum()) / seeds,
             }
         )
     return ExperimentReport(
@@ -485,8 +477,16 @@ def collapse_experiment(log2_min: int = 6, log2_max: int = 12) -> ExperimentRepo
 # Adapter parameter counts
 
 
+#: The three printed reference adapter configurations at 4096 x 4096.
+REFERENCE_ADAPTER_SPECS = (
+    AdapterSpec(kind="full", d_out=4096, d_in=4096),
+    AdapterSpec(kind="lora", d_out=4096, d_in=4096, r=256),
+    AdapterSpec(kind="mps_adapt", d_out=4096, d_in=4096, r=256, d1=64, d2=64, chi=32),
+)
+
+
 @_echoed
-def adapter_count_rows(specs: list[AdapterSpec]) -> ExperimentReport:
+def adapter_count_rows(specs: Sequence[AdapterSpec] = REFERENCE_ADAPTER_SPECS) -> ExperimentReport:
     """Parameter counts per adapter spec with the ratio against full tuning."""
     rows = []
     for spec in specs:
@@ -495,11 +495,3 @@ def adapter_count_rows(specs: list[AdapterSpec]) -> ExperimentReport:
     return ExperimentReport(
         name="adapters-count", config={"specs": [spec.text for spec in specs]}, tables={"counts": rows}
     )
-
-
-#: The three printed reference adapter configurations at 4096 x 4096.
-REFERENCE_ADAPTER_SPECS = (
-    AdapterSpec(kind="full", d_out=4096, d_in=4096),
-    AdapterSpec(kind="lora", d_out=4096, d_in=4096, r=256),
-    AdapterSpec(kind="mps_adapt", d_out=4096, d_in=4096, r=256, d1=64, d2=64, chi=32),
-)

@@ -15,8 +15,8 @@ from aent import (
     param_count,
     valley_check,
 )
-from aent.adapters import _lora_cut_entropies
 from aent.entropy import profile
+from aent.tensorize import prime_factorize
 
 
 class TestAdapterSpec:
@@ -172,77 +172,118 @@ class TestInteriorCutRange:
         assert interior_cut_range(3, 6) == (4, 5)
 
 
+def _factors(seed, shape, d_out, r, d_in):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((*shape, d_out, r)), rng.standard_normal((*shape, r, d_in))
+
+
 class TestValleyCheck:
     def test_rank_one_update_has_zero_rowcol_entropy(self):
-        rng = np.random.default_rng(6)
-        delta = lora_update(
-            rng.standard_normal((64, 1)), rng.standard_normal((1, 64)), 1.0
-        )
-        check = valley_check(delta, r=1)
+        check = valley_check(*_factors(6, (), 64, 1, 64))
         assert check.s_rowcol == 0.0
         assert check.bound == 0.0
         assert check.passes
         assert check.interior_cuts == (2, 3, 4, 5)
 
     def test_full_rank_bound_is_vacuous(self):
-        delta = np.random.default_rng(7).standard_normal((16, 16))
-        check = valley_check(delta, r=16)
+        check = valley_check(*_factors(7, (), 16, 16, 16))
         assert check.bound == pytest.approx(4.0)
         assert check.passes
 
-    def test_rank_violation_detected(self):
-        delta = np.random.default_rng(8).standard_normal((16, 16))
-        check = valley_check(delta, r=2)
-        assert check.s_rowcol > check.bound
-        assert not check.passes
+    def test_single_update_gives_scalars_and_a_stack_gives_arrays(self):
+        b, a = _factors(11, (2, 3), 16, 2, 8)
+        stacked = valley_check(b, a)
+        assert stacked.entropies.shape == (2, 3, 6)
+        for field in ("s_rowcol", "interior_max", "interior_mean", "passes"):
+            assert getattr(stacked, field).shape == (2, 3)
+        single = valley_check(b[1, 2], a[1, 2])
+        assert single.entropies.shape == (6,)
+        for field in ("s_rowcol", "interior_max", "interior_mean", "passes"):
+            assert np.ndim(getattr(single, field)) == 0
+            assert getattr(single, field) == getattr(stacked, field)[1, 2]
 
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(9)
-        delta = lora_update(
-            rng.standard_normal((64, 4)), rng.standard_normal((4, 64)), 1.0
-        )
-        a = valley_check(delta, r=4)
-        b = valley_check(1e6 * delta, r=4)
-        assert a.s_rowcol == pytest.approx(b.s_rowcol, abs=1e-12)
-        assert a.interior_max == pytest.approx(b.interior_max, abs=1e-12)
+    @pytest.mark.parametrize(
+        "scale_b, scale_a", [(1e200, 1.0), (1.0, 1e200), (1e200, 1e200), (1e-200, 1e-200), (1e-200, 1e200)]
+    )
+    def test_extreme_scale_gives_the_unit_scale_entropies(self, scale_b, scale_a):
+        b, a = _factors(9, (3,), 64, 4, 64)
+        unit, scaled = valley_check(b, a), valley_check(scale_b * b, scale_a * a)
+        np.testing.assert_allclose(scaled.entropies, unit.entropies, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(scaled.passes, unit.passes)
 
     def test_interior_empty_when_rank_fills_rows(self):
-        delta = np.random.default_rng(12).standard_normal((16, 16))
-        check = valley_check(delta, r=4)
+        check = valley_check(*_factors(12, (), 16, 4, 16))
         assert check.interior_cuts == ()
-        assert math.isnan(check.interior_max)
+        assert math.isnan(check.interior_max) and math.isnan(check.interior_mean)
 
     def test_nats_base(self):
-        rng = np.random.default_rng(10)
-        delta = lora_update(
-            rng.standard_normal((16, 4)), rng.standard_normal((4, 16)), 1.0
-        )
-        check = valley_check(delta, r=4, base=math.e)
+        check = valley_check(*_factors(10, (), 16, 4, 16), base=math.e)
         assert check.bound == pytest.approx(math.log(4.0))
 
-    def test_zero_update_rejected(self):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("factor", [0, 1])
+    def test_zero_factor_rejected(self, factor):
+        factors = list(_factors(13, (), 8, 2, 8))
+        factors[factor] = np.zeros_like(factors[factor])
         with pytest.raises(DegenerateInputError):
-            valley_check(np.zeros((8, 8)), r=2)
+            valley_check(*factors)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_update_inside_a_stack_rejected(self):
+        b, a = _factors(14, (3,), 8, 2, 8)
+        a[1] = 0.0
+        with pytest.raises(DegenerateInputError):
+            valley_check(b, a)
+
+    @pytest.mark.parametrize("factor", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor_rejected(self, factor, bad):
+        factors = list(_factors(15, (2,), 8, 2, 8))
+        factors[factor][1, 0, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+            valley_check(*factors)
+
+    @pytest.mark.parametrize(
+        "b_shape, a_shape",
+        [((8, 2), (3, 8)), ((2, 8, 2), (3, 2, 8)), ((8, 2), (1, 2, 8)), ((8,), (8,))],
+    )
+    def test_shape_mismatch_rejected(self, b_shape, a_shape):
+        with pytest.raises(ShapeMismatchError):
+            valley_check(np.ones(b_shape), np.ones(a_shape))
 
     def test_rank_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            valley_check(np.eye(8), r=0)
+        with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
+            valley_check(np.ones((8, 0)), np.ones((0, 8)))
+
+    @pytest.mark.parametrize("d_out, d_in", [(1, 8), (8, 1)])
+    def test_update_without_a_row_column_cut_rejected(self, d_out, d_in):
+        with pytest.raises(InvalidArgumentError, match="has no row-column cut"):
+            valley_check(*_factors(16, (), d_out, 1, d_in))
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            valley_check(*_factors(17, (0,), 8, 2, 8))
 
 
-class TestLoraCutEntropies:
+class TestValleyCheckAgainstTheProduct:
     @pytest.mark.parametrize(
         "d_out, d_in, r",
         [(64, 64, 4), (8, 4, 8), (4, 8, 8), (12, 18, 5), (7, 13, 3), (30, 2, 1), (2, 2, 2)],
     )
     @pytest.mark.parametrize("base", [2.0, math.e])
     def test_every_cut_matches_the_profile_of_the_product(self, d_out, d_in, r, base):
-        rng = np.random.default_rng(d_out * d_in + r)
-        b = rng.standard_normal((3, d_out, r))
-        a = rng.standard_normal((3, r, d_in))
-        entropies = _lora_cut_entropies(b, a, base)
+        b, a = _factors(d_out * d_in + r, (3,), d_out, r, d_in)
+        stacked = valley_check(b, a, base)
+        n = len(prime_factorize(d_out))
         for s in range(3):
             expected = profile(b[s] @ a[s], base=base).entropies
-            np.testing.assert_allclose(entropies[s], expected, rtol=0, atol=1e-12)
+            single = valley_check(b[s], a[s], base)
+            np.testing.assert_allclose(stacked.entropies[s], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(single.entropies, expected, rtol=0, atol=1e-12)
+            assert single.s_rowcol == pytest.approx(expected[n - 1], abs=1e-12)
+            interior = [expected[k - 1] for k in interior_cut_range(r, n)] or [math.nan]
+            assert single.interior_max == pytest.approx(max(interior), abs=1e-12, nan_ok=True)
+            assert single.interior_mean == pytest.approx(np.mean(interior), abs=1e-12, nan_ok=True)
 
     def test_unresolved_instance_takes_the_svd(self, monkeypatch):
         # B's two columns of instance 0 agree to 1e-9, so the 2 x 2 Gram at
@@ -253,8 +294,19 @@ class TestLoraCutEntropies:
         a = rng.standard_normal((2, 2, 16))
         svd, shapes = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: shapes.append(m.shape) or svd(m, **kw))
-        entropies = _lora_cut_entropies(b, a)
+        entropies = valley_check(b, a).entropies
         monkeypatch.undo()
         assert (16, 2) in shapes and all(len(shape) == 2 for shape in shapes)
         for s in range(2):
             np.testing.assert_allclose(entropies[s], profile(b[s] @ a[s]).entropies, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chi", [1, 2, 4])
+    def test_mps_adapter_from_its_cores(self, chi):
+        rng = np.random.default_rng(20 + chi)
+        b = rng.standard_normal((64, 4))
+        core1, core2 = rng.standard_normal((4, chi, 8)), rng.standard_normal((chi, 1, 8))
+        check = valley_check(b, mps_adapter_materialize(core1, core2))
+        expected = profile(mps_adapter_update(b, core1, core2, alpha=2.0)).entropies
+        np.testing.assert_allclose(check.entropies, expected, rtol=0, atol=1e-12)
+        # cut 9 splits the columns at d1 | d2: the bond caps it at log2 chi
+        assert check.entropies[9 - 1] <= math.log2(chi) + 1e-9

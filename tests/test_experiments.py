@@ -26,12 +26,13 @@ from aent import (
     page_entropy,
     sample_gaussian_matrix,
     ks_distance,
-    lora_update,
-    valley_check,
+    interior_cut_range,
     valley_experiment,
 )
 from aent.attention import _qk_rows, _softmax_rows
+from aent.entropy import profile
 from aent.rmt import _seeded_rng, _stochastic_spectrum
+from aent.tensorize import prime_factorize
 
 
 class TestExperimentReport:
@@ -254,21 +255,23 @@ class TestValleyExperiment:
         ],
         ids=["64x64", "8x4-r-above-d_in", "12x18", "16x16-nats"],
     )
-    def test_matches_valley_check_of_the_formed_update(self, kwargs):
+    def test_matches_the_profile_of_the_formed_update(self, kwargs):
         report = valley_experiment(seed=5, **kwargs)
         base = kwargs.get("base", 2.0)
+        n = len(prime_factorize(kwargs["d_out"]))
         for row in report.tables["instances"]:
             r = row["rank"]
             rng = _seeded_rng([row["seed"], r])
             b = rng.standard_normal((kwargs["d_out"], r))
             a = rng.standard_normal((r, kwargs["d_in"]))
-            check = valley_check(lora_update(b, a, alpha=r), r, base=base)
-            interior = [check.profile.record_at(k).entropy for k in check.interior_cuts]
-            expected_mean = float(np.mean(interior)) if interior else math.nan
-            assert row["s_rowcol"] == pytest.approx(check.s_rowcol, abs=1e-12)
-            assert row["interior_max"] == pytest.approx(check.interior_max, abs=1e-12, nan_ok=True)
-            assert row["interior_mean"] == pytest.approx(expected_mean, abs=1e-12, nan_ok=True)
-            assert row["passes"] == check.passes
+            entropies = profile(b @ a, base=base).entropies
+            bound = math.log(r) / math.log(base)
+            interior = [entropies[k - 1] for k in interior_cut_range(r, n)] or [math.nan]
+            assert row["bound"] == pytest.approx(bound, abs=1e-15)
+            assert row["s_rowcol"] == pytest.approx(entropies[n - 1], abs=1e-12)
+            assert row["interior_max"] == pytest.approx(max(interior), abs=1e-12, nan_ok=True)
+            assert row["interior_mean"] == pytest.approx(np.mean(interior), abs=1e-12, nan_ok=True)
+            assert row["passes"] == (entropies[n - 1] <= bound + 1e-9)
 
     def test_paper_width_update_is_never_formed(self):
         # the dense 2048 x 2048 update alone would be 32 MB
