@@ -14,10 +14,7 @@ from __future__ import annotations
 from .adapters import (
     AdapterSpec,
     ValleyCheck,
-    interior_cut_range,
-    lora_update,
     mps_adapter_materialize,
-    mps_adapter_update,
     param_count,
     valley_check,
 )
@@ -110,15 +107,12 @@ __all__ = [
     "decompose",
     "entropy_bounds",
     "estimate_sigma2",
-    "interior_cut_range",
     "ks_distance",
-    "lora_update",
     "mask_ablation",
     "mp_compare",
     "mp_density",
     "mp_support",
     "mps_adapter_materialize",
-    "mps_adapter_update",
     "normalize_spectrum",
     "output_collapse_check",
     "output_operator",

@@ -1,6 +1,6 @@
 """Low-rank and tensor-factored adapter updates, and the valley check.
 
-A LoRA update is (alpha/r) B A.  The tensor-factored variant replaces the
+A LoRA update is B A.  The tensor-factored variant replaces the
 (r, d_in) factor by two cores contracted over a bond of size chi, with the
 input dimension split as d_in = d1 * d2.  Entanglement across the
 row-column cut of either update is capped at log r because the update has
@@ -79,18 +79,6 @@ def param_count(spec: AdapterSpec) -> int:
     return spec.d_out * spec.r + spec.r * spec.chi * spec.d1 + spec.chi * spec.d2
 
 
-def lora_update(b, a, alpha: float) -> np.ndarray:
-    """Delta W = (alpha / r) B A with B (d_out, r) and A (r, d_in); r is read from B."""
-    b = np.asarray(b, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if b.ndim != 2 or a.ndim != 2 or b.shape[1] != a.shape[0]:
-        raise ShapeMismatchError(f"expected B (d_out, r) and A (r, d_in), got {b.shape} and {a.shape}")
-    r = b.shape[1]
-    if r < 1:
-        raise InvalidArgumentError(f"rank must be >= 1, got {r}")
-    return (alpha / r) * (b @ a)
-
-
 def mps_adapter_materialize(core1, core2) -> np.ndarray:
     """Contract cores (r, chi, d1) and (chi, 1, d2) into an (r, d1*d2) matrix.
 
@@ -113,11 +101,6 @@ def mps_adapter_materialize(core1, core2) -> np.ndarray:
     return contracted.reshape(r, d1 * d2)
 
 
-def mps_adapter_update(b, core1, core2, alpha: float) -> np.ndarray:
-    """Delta W = (alpha / r) B A_mps with A_mps from the two cores; r is read from B."""
-    return lora_update(b, mps_adapter_materialize(core1, core2), alpha)
-
-
 @dataclass(frozen=True)
 class ValleyCheck:
     """Row-column-cut entropy against the log r bound, plus the interior (nan if it has no cuts).
@@ -135,23 +118,13 @@ class ValleyCheck:
     entropies: np.ndarray
 
 
-def interior_cut_range(r: int, n: int) -> tuple[int, ...]:
-    """Row cuts treated as interior: ceil(log2 r) + 2 <= k <= n - 1.
-
-    The lower margin keeps the cut clear of the rank bottleneck's
-    log-scale footprint; the upper end stops short of the row-column cut
-    itself.  May be empty when r is large relative to 2^n.
-    """
-    lo = math.ceil(math.log2(r)) + 2
-    return tuple(range(lo, n))
-
-
 def valley_check(b, a, base: float = 2.0) -> ValleyCheck:
     """Every cut of B A, B (..., d_out, r) and A (..., r, d_in), tested against log r.
 
     r is B's width; leading axes stack updates.  Each factor of each update
     is scaled by an exact power of two (:func:`mps._rescaled`, which also
-    rejects it if zero or non-finite), and B A is never formed: with
+    refuses it, by name and index, if zero or non-finite), and B A is
+    never formed: with
     A A^T = R_A^T R_A (R_A from a QR of A^T), each row cut of B A has the
     Schmidt values of the same cut of C = B R_A^T, and with B^T B = R_B^T R_B
     each column cut those of D = R_B A.  A cut is one stacked Gram product
@@ -167,8 +140,8 @@ def valley_check(b, a, base: float = 2.0) -> ValleyCheck:
         raise InvalidArgumentError(f"rank must be >= 1, got {r}")
     if d_out < 2 or d_in < 2:
         raise InvalidArgumentError(f"a {d_out}x{d_in} update has no row-column cut; need d_out, d_in >= 2")
-    b = np.stack([_rescaled(m)[0] for m in b.reshape(-1, d_out, r)])
-    a = np.stack([_rescaled(m)[0] for m in a.reshape(-1, r, d_in)])
+    b = _rescaled(b, len(lead), "factor B")[0].reshape(-1, d_out, r)
+    a = _rescaled(a, len(lead), "factor A")[0].reshape(-1, r, d_in)
     stack = len(b)
     out_sites, in_sites = prime_factorize(d_out), prime_factorize(d_in)
     c = b @ np.linalg.qr(a.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
@@ -191,7 +164,8 @@ def valley_check(b, a, base: float = 2.0) -> ValleyCheck:
     n = len(out_sites)
     s_rowcol = entropies[..., n - 1][()]
     bound = math.log(r) / log_base
-    cuts = interior_cut_range(r, n)
+    # interior: ceil(log2 r) + 2 <= k <= n - 1, clear of the rank bottleneck's log-scale footprint
+    cuts = tuple(range(math.ceil(math.log2(r)) + 2, n))
     interior = entropies[..., cuts[0] - 1 : n - 1] if cuts else np.full((*lead, 1), math.nan)
     return ValleyCheck(
         s_rowcol=s_rowcol,

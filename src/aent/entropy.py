@@ -49,6 +49,8 @@ def _log_base(base: float) -> float:
 
 def _check_normalized(lambdas: np.ndarray) -> np.ndarray:
     arr = np.asarray(lambdas, dtype=np.float64)
+    if np.any(arr < 0):
+        raise InvalidArgumentError("singular values must be non-negative")
     total = float(np.dot(arr, arr))
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise InvalidArgumentError(
@@ -57,11 +59,15 @@ def _check_normalized(lambdas: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _shannon(probs: np.ndarray, base: float) -> float:
+    """-sum(p log p) over the nonzero ``probs``, with 0 log 0 = 0."""
+    w = probs[probs > 0.0]
+    return float(-(w * np.log(w)).sum() / _log_base(base))
+
+
 def von_neumann(lambdas, base: float = 2.0) -> float:
-    """S = -sum(lambda^2 log lambda^2), with 0 log 0 = 0."""
-    arr = _check_normalized(lambdas)
-    w = arr[arr > 0.0] ** 2
-    s = float(-(w * np.log(w)).sum() / _log_base(base))
+    """S = -sum(lambda^2 log lambda^2), with 0 log 0 = 0 (also where lambda^2 underflows)."""
+    s = _shannon(_check_normalized(lambdas) ** 2, base)
     # the comparison form avoids returning -0.0 for pure states
     return s if s > 0.0 else 0.0
 
@@ -125,18 +131,8 @@ class EntanglementProfile:
     chi_max: int | None = None
 
     @property
-    def cuts(self) -> np.ndarray:
-        return np.array([r.cut for r in self.records], dtype=int)
-
-    @property
     def entropies(self) -> np.ndarray:
         return np.array([r.entropy for r in self.records], dtype=float)
-
-    def record_at(self, cut: int) -> CutRecord:
-        for r in self.records:
-            if r.cut == cut:
-                return r
-        raise InvalidArgumentError(f"profile has no cut {cut}")
 
 
 def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> EntanglementProfile:

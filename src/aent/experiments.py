@@ -193,9 +193,7 @@ def cardy_experiment(
         raise InvalidArgumentError("d_mult must be >= 1")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
-    fit = cardy_fit(
-        (t, functools.partial(_cardy_sample, t, qk_std, [seed + s, t])) for t in sizes for s in range(seeds)
-    )
+    fit = cardy_fit(functools.partial(_cardy_sample, t, qk_std, [seed + s, t]) for t in sizes for s in range(seeds))
 
     points = [
         {"t": int(t), "entropy_nats": float(s_nats)} for t, s_nats in fit.points

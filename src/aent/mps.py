@@ -69,25 +69,33 @@ def _as_tensor(tensor) -> np.ndarray:
 _SAFE_EXPONENT = 100
 
 
-def _rescaled(tensor) -> tuple[np.ndarray, int]:
+def _rescaled(tensor, stack: int = 0, name: str = "tensor") -> tuple[np.ndarray, np.ndarray]:
     """(tensor * 2**-exponent, exponent), exact, so squares stay in range.
 
-    Outside the safe range the largest entry is scaled into [0.5, 1); inside
-    it the tensor itself comes back with exponent 0, so callers must not
-    write into the array.  NaN and +-inf propagate through max and min, so
-    those two passes are also the finiteness check.
+    The first ``stack`` axes index separate tensors, each with its own
+    exponent (an int array of those axes' shape, 0-d for one tensor).
+    Outside the safe range a tensor's largest entry is scaled into
+    [0.5, 1); inside it the exponent is 0, and when no tensor moves the
+    input itself comes back, so callers must not write into the array.
+    NaN and +-inf propagate through max and min, so those two passes are
+    also the finiteness check.  A non-finite or all-zero tensor is refused
+    by ``name`` and, in a stack, its index.
     """
     arr = _as_tensor(tensor)
-    top, bottom = arr.max(), arr.min()
-    if not (math.isfinite(top) and math.isfinite(bottom)):
-        raise InvalidArgumentError("tensor has NaN or infinite entries")
-    top = max(top, -bottom)
-    if top == 0:
-        raise DegenerateInputError("cannot decompose an all-zero tensor")
-    exponent = int(np.frexp(top)[1])
-    if abs(exponent) <= _SAFE_EXPONENT:
-        return arr, 0
-    return np.ldexp(arr, -exponent), exponent
+    axes = tuple(range(stack, arr.ndim))
+    top = np.maximum(arr.max(axis=axes), -arr.min(axis=axes))
+    for bad, error, what in (
+        (~np.isfinite(top), InvalidArgumentError, "has NaN or infinite entries"),
+        (top == 0, DegenerateInputError, "is all zero"),
+    ):
+        if bad.any():
+            at = f"[{', '.join(str(i) for i in np.unravel_index(np.argmax(bad), bad.shape))}]" if stack else ""
+            raise error(f"{name}{at} {what}")
+    exponent = np.frexp(top)[1]
+    exponent = np.where(np.abs(exponent) > _SAFE_EXPONENT, exponent, 0)
+    if not exponent.any():
+        return arr, exponent
+    return np.ldexp(arr, -exponent.reshape(exponent.shape + (1,) * len(axes))), exponent
 
 
 _PROBE = 64

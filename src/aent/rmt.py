@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _log_base, binary_entropy, normalize_spectrum, renyi, von_neumann
+from .entropy import _log_base, _shannon, binary_entropy, normalize_spectrum, renyi, von_neumann
 from .errors import DegenerateInputError, InvalidArgumentError
 
 
@@ -117,12 +117,6 @@ def _eigen_probs(eigenvalues) -> np.ndarray:
     if arr[0] <= 0:
         raise DegenerateInputError("all eigenvalues are zero")
     return arr / arr.sum()
-
-
-def _shannon(probs: np.ndarray, base: float) -> float:
-    log_base = _log_base(base)
-    w = probs[probs > 0.0]
-    return float(-(w * np.log(w)).sum() / log_base)
 
 
 def stable_rank(eigenvalues) -> float:
@@ -248,13 +242,14 @@ class CardyFit:
 def cardy_fit(attention_samples) -> CardyFit:
     """Fit S(A) = slope * ln T + intercept over row-stochastic samples.
 
-    ``attention_samples`` is any iterable of (T, draw) pairs covering at
-    least four distinct T values, where ``draw()`` returns that sample's
-    T x T matrix A and must return the same A on every call: it is called
+    ``attention_samples`` is any iterable of zero-argument draws covering
+    at least four distinct sizes, where ``draw()`` returns that sample's
+    square matrix A and must return the same A on every call: it is called
     once, and a second time only for a sample that takes the SVD fallback.
-    Each sample is reduced as it arrives to one row (T, S, s1, p1,
-    Renyi-2, sigma^2); no reference to A is kept, so one matrix is alive at
-    a time when each draw makes a new one.  The rows are sorted stably by
+    A sample's T is A's size, read from its spectrum.  Each sample is
+    reduced as it arrives to one row (T, S, s1, p1, Renyi-2, sigma^2); no
+    reference to A is kept, so one matrix is alive at a time when each
+    draw makes a new one.  The rows are sorted stably by
     T, so any order gives the same fit: ``points`` are their (T, S), and
     the largest-T statistics are means over the rows at the largest T.
     sigma^2 is estimated from the Frobenius norm of the bulk
@@ -271,12 +266,12 @@ def cardy_fit(attention_samples) -> CardyFit:
     """
     rows = []
     svd_fallbacks = 0
-    for t, draw in attention_samples:
+    for draw in attention_samples:
         sigmas, svd, sigma2 = _stochastic_spectrum(draw)
         svd_fallbacks += svd
         lambdas = normalize_spectrum(sigmas)
         rows.append((
-            int(t),
+            sigmas.size,
             von_neumann(lambdas, base=math.e),
             float(sigmas[0]),
             float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)),

@@ -8,10 +8,7 @@ from aent import (
     DegenerateInputError,
     InvalidArgumentError,
     ShapeMismatchError,
-    interior_cut_range,
-    lora_update,
     mps_adapter_materialize,
-    mps_adapter_update,
     param_count,
     valley_check,
 )
@@ -54,47 +51,6 @@ class TestAdapterSpec:
             AdapterSpec("mps_adapt", 4, 4, r=2, d1=None, d2=2, chi=1)
 
 
-class TestLoraUpdate:
-    def test_unit_vectors(self):
-        b = np.zeros((4, 1))
-        a = np.zeros((1, 5))
-        b[0, 0] = 1.0
-        a[0, 0] = 1.0
-        delta = lora_update(b, a, alpha=1.0)
-        expected = np.zeros((4, 5))
-        expected[0, 0] = 1.0
-        assert np.array_equal(delta, expected)
-
-    def test_alpha_scaling_linear(self):
-        rng = np.random.default_rng(0)
-        b, a = rng.standard_normal((8, 3)), rng.standard_normal((3, 6))
-        one = lora_update(b, a, alpha=0.5)
-        two = lora_update(b, a, alpha=1.0)
-        assert np.allclose(two, 2.0 * one, atol=1e-14)
-
-    def test_matrix_rank_capped_at_r(self):
-        rng = np.random.default_rng(1)
-        delta = lora_update(
-            rng.standard_normal((8, 3)), rng.standard_normal((3, 8)), alpha=2.0
-        )
-        s = np.linalg.svd(delta, compute_uv=False)
-        assert np.all(s[3:] <= 1e-10 * s[0])
-
-    def test_rank_is_read_from_b(self):
-        # (alpha / r) B A with r = 3, the width of B
-        rng = np.random.default_rng(3)
-        b, a = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
-        assert np.array_equal(lora_update(b, a, alpha=6.0), 2.0 * (b @ a))
-
-    def test_shape_validation(self):
-        with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
-            lora_update(np.zeros((4, 0)), np.zeros((0, 4)), alpha=1.0)
-        with pytest.raises(ShapeMismatchError):
-            lora_update(np.zeros((4, 2)), np.zeros((1, 4)), alpha=1.0)
-        with pytest.raises(ShapeMismatchError):
-            lora_update(np.zeros((4, 1)), np.zeros(4), alpha=1.0)
-
-
 class TestMpsAdapter:
     def test_chi_one_rows_are_kronecker_products(self):
         rng = np.random.default_rng(2)
@@ -131,27 +87,10 @@ class TestMpsAdapter:
             s = np.linalg.svd(row.reshape(d1, d2), compute_uv=False)
             assert np.all(s[chi:] <= 1e-10 * s[0])
 
-    def test_update_composes_with_lora(self):
-        rng = np.random.default_rng(5)
-        b = rng.standard_normal((6, 2))
-        core1 = rng.standard_normal((2, 3, 2))
-        core2 = rng.standard_normal((3, 1, 4))
-        via_update = mps_adapter_update(b, core1, core2, alpha=4.0)
-        via_lora = lora_update(b, mps_adapter_materialize(core1, core2), 4.0)
-        assert np.array_equal(via_update, via_lora)
-
-    def test_zero_cores_give_zero_update(self):
-        delta = mps_adapter_update(
-            np.ones((4, 2)), np.zeros((2, 2, 2)), np.zeros((2, 1, 2)), alpha=1.0
-        )
-        assert np.all(delta == 0.0)
-
-    def test_rank_of_b_checked_against_the_cores(self):
-        core2 = np.zeros((2, 1, 2))
-        with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
-            mps_adapter_update(np.zeros((4, 0)), np.zeros((0, 2, 2)), core2, alpha=1.0)
-        with pytest.raises(ShapeMismatchError):
-            mps_adapter_update(np.zeros((4, 3)), np.zeros((2, 2, 2)), core2, alpha=1.0)
+    def test_zero_cores_give_zero_factor(self):
+        a = mps_adapter_materialize(np.zeros((2, 2, 2)), np.zeros((2, 1, 2)))
+        assert a.shape == (2, 4)
+        assert np.all(a == 0.0)
 
     def test_core_shape_validation(self):
         with pytest.raises(ShapeMismatchError):
@@ -162,19 +101,26 @@ class TestMpsAdapter:
             mps_adapter_materialize(np.zeros((2, 3)), np.zeros((3, 1, 4)))
 
 
-class TestInteriorCutRange:
-    def test_reference_values(self):
-        assert interior_cut_range(4, 6) == (4, 5)
-        assert interior_cut_range(1, 6) == (2, 3, 4, 5)
-        assert interior_cut_range(4, 4) == ()
-
-    def test_non_power_rank_rounds_up(self):
-        assert interior_cut_range(3, 6) == (4, 5)
-
-
 def _factors(seed, shape, d_out, r, d_in):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((*shape, d_out, r)), rng.standard_normal((*shape, r, d_in))
+
+
+def _interior_cuts(r, n):
+    """Row cuts ceil(log2 r) + 2 <= k <= n - 1."""
+    return tuple(range(math.ceil(math.log2(r)) + 2, n))
+
+
+class TestInteriorCutRange:
+    """The interior cuts of ``valley_check``, n = 6 row sites for d_out = 64 and 4 for 16."""
+
+    def test_reference_values(self):
+        assert valley_check(*_factors(1, (), 64, 4, 8)).interior_cuts == (4, 5)
+        assert valley_check(*_factors(2, (), 64, 1, 8)).interior_cuts == (2, 3, 4, 5)
+        assert valley_check(*_factors(3, (), 16, 4, 8)).interior_cuts == ()
+
+    def test_non_power_rank_rounds_up(self):
+        assert valley_check(*_factors(4, (), 64, 3, 8)).interior_cuts == (4, 5)
 
 
 class TestValleyCheck:
@@ -211,10 +157,26 @@ class TestValleyCheck:
         np.testing.assert_allclose(scaled.entropies, unit.entropies, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(scaled.passes, unit.passes)
 
+    @pytest.mark.filterwarnings("error")
+    def test_each_update_of_a_stack_is_scaled_on_its_own(self):
+        # one stack holds updates at 1e200, 1 and 1e-200: each keeps its unit-scale entropies
+        b, a = _factors(18, (3,), 64, 4, 64)
+        scales = np.array([1e200, 1.0, 1e-200])[:, None, None]
+        unit, mixed = valley_check(b, a), valley_check(scales * b, a * scales[::-1])
+        np.testing.assert_allclose(mixed.entropies, unit.entropies, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(mixed.passes, unit.passes)
+
     def test_interior_empty_when_rank_fills_rows(self):
         check = valley_check(*_factors(12, (), 16, 4, 16))
         assert check.interior_cuts == ()
         assert math.isnan(check.interior_max) and math.isnan(check.interior_mean)
+
+    def test_rank_is_read_from_b(self):
+        # r = 3 is B's width, so the bound is log2 3 and the interior follows r = 3
+        check = valley_check(*_factors(21, (), 32, 3, 12))
+        assert check.bound == pytest.approx(math.log2(3.0), abs=1e-15)
+        assert check.interior_cuts == _interior_cuts(3, len(prime_factorize(32))) != ()
+        assert check.s_rowcol <= check.bound + 1e-9
 
     def test_nats_base(self):
         check = valley_check(*_factors(10, (), 16, 4, 16), base=math.e)
@@ -225,14 +187,16 @@ class TestValleyCheck:
     def test_zero_factor_rejected(self, factor):
         factors = list(_factors(13, (), 8, 2, 8))
         factors[factor] = np.zeros_like(factors[factor])
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match=f"^factor {'BA'[factor]} is all zero$"):
             valley_check(*factors)
 
     @pytest.mark.filterwarnings("error")
-    def test_zero_update_inside_a_stack_rejected(self):
-        b, a = _factors(14, (3,), 8, 2, 8)
-        a[1] = 0.0
-        with pytest.raises(DegenerateInputError):
+    @pytest.mark.parametrize("lead, index", [((3,), (1,)), ((2, 3), (1, 2))])
+    def test_zero_update_inside_a_stack_rejected(self, lead, index):
+        b, a = _factors(14, lead, 8, 2, 8)
+        a[index] = 0.0
+        at = ", ".join(map(str, index))
+        with pytest.raises(DegenerateInputError, match=rf"^factor A\[{at}\] is all zero$"):
             valley_check(b, a)
 
     @pytest.mark.parametrize("factor", [0, 1])
@@ -240,7 +204,7 @@ class TestValleyCheck:
     def test_non_finite_factor_rejected(self, factor, bad):
         factors = list(_factors(15, (2,), 8, 2, 8))
         factors[factor][1, 0, 1] = bad
-        with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+        with pytest.raises(InvalidArgumentError, match=rf"^factor {'BA'[factor]}\[1\] has NaN or infinite entries$"):
             valley_check(*factors)
 
     @pytest.mark.parametrize(
@@ -281,7 +245,7 @@ class TestValleyCheckAgainstTheProduct:
             np.testing.assert_allclose(stacked.entropies[s], expected, rtol=0, atol=1e-12)
             np.testing.assert_allclose(single.entropies, expected, rtol=0, atol=1e-12)
             assert single.s_rowcol == pytest.approx(expected[n - 1], abs=1e-12)
-            interior = [expected[k - 1] for k in interior_cut_range(r, n)] or [math.nan]
+            interior = [expected[k - 1] for k in _interior_cuts(r, n)] or [math.nan]
             assert single.interior_max == pytest.approx(max(interior), abs=1e-12, nan_ok=True)
             assert single.interior_mean == pytest.approx(np.mean(interior), abs=1e-12, nan_ok=True)
 
@@ -306,7 +270,7 @@ class TestValleyCheckAgainstTheProduct:
         b = rng.standard_normal((64, 4))
         core1, core2 = rng.standard_normal((4, chi, 8)), rng.standard_normal((chi, 1, 8))
         check = valley_check(b, mps_adapter_materialize(core1, core2))
-        expected = profile(mps_adapter_update(b, core1, core2, alpha=2.0)).entropies
+        expected = profile(b @ mps_adapter_materialize(core1, core2)).entropies
         np.testing.assert_allclose(check.entropies, expected, rtol=0, atol=1e-12)
         # cut 9 splits the columns at d1 | d2: the bond caps it at log2 chi
         assert check.entropies[9 - 1] <= math.log2(chi) + 1e-9

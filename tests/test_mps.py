@@ -320,7 +320,7 @@ class TestSchmidtValues:
         assert schmidt_values(np.array([1.0, -2.0, 0.5])) == []
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateInputError, match="all-zero"):
+        with pytest.raises(DegenerateInputError, match="all zero"):
             schmidt_values(np.zeros((2, 3)))
 
     def test_non_finite_rejected(self):
@@ -532,3 +532,21 @@ class TestRescaled:
         out, exponent = _rescaled(np.ldexp(self.base, power))
         assert exponent == power
         assert np.array_equal(out, self.base)
+
+    def test_a_stack_scales_each_tensor_on_its_own(self):
+        stack = np.stack([np.ldexp(self.base, 200), self.base, np.ldexp(self.base, -200)])
+        out, exponent = _rescaled(stack, stack=1)
+        assert exponent.tolist() == [200, 0, -200]
+        assert np.array_equal(out, np.stack([self.base] * 3))
+        out, exponent = _rescaled(stack[1:2], stack=1)
+        assert exponent.tolist() == [0] and np.shares_memory(out, stack)
+
+    @pytest.mark.parametrize(
+        "value, error, what",
+        [(0.0, DegenerateInputError, "is all zero"), (np.nan, InvalidArgumentError, "has NaN or infinite entries")],
+    )
+    def test_a_bad_tensor_of_a_stack_is_named_by_its_index(self, value, error, what):
+        stack = np.ones((2, 3, 2, 2))
+        stack[1, 2] = value
+        with pytest.raises(error, match=rf"^factor B\[1, 2\] {what}$"):
+            _rescaled(stack, stack=2, name="factor B")

@@ -22,8 +22,8 @@ from aent import (
     stable_rank,
 )
 from aent.attention import _qk_rows, attention_matrix
-from aent.entropy import normalize_spectrum, renyi, von_neumann
-from aent.rmt import _seeded_rng, _shannon, _stochastic_spectrum, check_row_stochastic
+from aent.entropy import _shannon, normalize_spectrum, renyi, von_neumann
+from aent.rmt import _seeded_rng, _stochastic_spectrum, check_row_stochastic
 
 sorted_spectra = st.lists(
     st.floats(min_value=1e-6, max_value=1e3), min_size=2, max_size=40
@@ -194,13 +194,13 @@ class TestRowStochastic:
 
 
 def _draw(a):
-    """A draw of the (T, draw) contract of cardy_fit: ``a`` on every call."""
+    """A draw of the contract of cardy_fit: ``a`` on every call."""
     return lambda: a
 
 
 class TestCardyFit:
     def test_uniform_scenes_give_zero_slope_and_charge(self):
-        samples = [(t, _draw(np.full((t, t), 1.0 / t))) for t in (4, 8, 16, 32)]
+        samples = [_draw(np.full((t, t), 1.0 / t)) for t in (4, 8, 16, 32)]
         fit = cardy_fit(samples)
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
         assert fit.sigma2_estimate == 0.0
@@ -212,7 +212,7 @@ class TestCardyFit:
 
     def test_identity_scenes_exact_line(self):
         sizes = (4, 8, 16, 32)
-        fit = cardy_fit([(t, _draw(np.eye(t))) for t in sizes])
+        fit = cardy_fit([_draw(np.eye(t)) for t in sizes])
         # S(I_T) = ln T exactly, so the fit recovers slope 1, intercept 0
         assert fit.slope == pytest.approx(1.0, abs=1e-10)
         assert fit.intercept == pytest.approx(0.0, abs=1e-10)
@@ -228,12 +228,12 @@ class TestCardyFit:
         )
 
     def test_needs_four_distinct_sizes(self):
-        samples = [(t, _draw(np.full((t, t), 1.0 / t))) for t in (4, 8, 16, 16)]
+        samples = [_draw(np.full((t, t), 1.0 / t)) for t in (4, 8, 16, 16)]
         with pytest.raises(InvalidArgumentError):
             cardy_fit(samples)
 
     def test_rejects_non_stochastic(self):
-        samples = [(t, _draw(np.eye(t) * 2.0)) for t in (4, 8, 16, 32)]
+        samples = [_draw(np.eye(t) * 2.0) for t in (4, 8, 16, 32)]
         with pytest.raises(InvalidArgumentError):
             cardy_fit(samples)
 
@@ -295,25 +295,30 @@ def _duplicated_rows(t, seed):
 class TestStreamedFit:
     def test_generator_fit_is_bit_identical_to_the_list_fit(self):
         samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)[::-1]
-        listed = cardy_fit([(t, _draw(a)) for t, a in samples])
-        streamed = cardy_fit((t, _draw(a)) for t, a in samples)
+        listed = cardy_fit([_draw(a) for _, a in samples])
+        streamed = cardy_fit(_draw(a) for _, a in samples)
         for name in (f.name for f in dataclasses.fields(CardyFit)):
             assert getattr(streamed, name) == getattr(listed, name), name
 
     def test_any_order_gives_the_same_fit_with_points_sorted_by_t(self):
         samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)
-        ascending = cardy_fit((t, _draw(a)) for t, a in samples)
+        ascending = cardy_fit(_draw(a) for _, a in samples)
         shuffled = [samples[i] for i in np.random.default_rng(0).permutation(len(samples))]
-        fit = cardy_fit((t, _draw(a)) for t, a in shuffled)
+        fit = cardy_fit(_draw(a) for _, a in shuffled)
         assert [t for t, _ in fit.points] == sorted(t for t, _ in samples)
         assert sorted(fit.points) == sorted(ascending.points)
         for name in (f.name for f in dataclasses.fields(CardyFit)):
             if name != "points":
                 assert getattr(fit, name) == pytest.approx(getattr(ascending, name), abs=1e-12, rel=0), name
 
+    def test_each_t_is_read_from_its_matrix(self):
+        fit = cardy_fit(_draw(np.eye(t)) for t in (32, 4, 16, 8))
+        assert fit.points == [(t, pytest.approx(math.log(t), abs=1e-12)) for t in (4, 8, 16, 32)]
+        assert all(type(t) is int for t, _ in fit.points)
+
     @pytest.mark.parametrize("sizes", [(16, 8, 4, 8), ()])
     def test_a_stream_of_fewer_than_four_sizes_is_refused(self, sizes):
-        samples = ((t, _draw(np.full((t, t), 1.0 / t))) for t in sizes)
+        samples = (_draw(np.full((t, t), 1.0 / t)) for t in sizes)
         with pytest.raises(InvalidArgumentError, match="need >= 4 distinct T"):
             cardy_fit(samples)
 
@@ -323,7 +328,7 @@ class TestGramSpectra:
     @pytest.mark.parametrize("qk_std", [1e-8, 0.1, 0.65, 5.0])
     def test_cardy_fit_matches_svd_reference(self, qk_std, causal):
         samples = _scenes(qk_std, causal)
-        fit = cardy_fit((t, _draw(a)) for t, a in samples)
+        fit = cardy_fit(_draw(a) for _, a in samples)
         ref = _svd_cardy_fields(samples)
         assert [t for t, _ in fit.points] == [t for t, _ in samples]
         assert [s for _, s in fit.points] == pytest.approx(ref.pop("points"), abs=1e-12, rel=1e-9)
@@ -348,7 +353,7 @@ class TestGramSpectra:
     def test_svd_fallbacks_counted(self):
         samples = [(t, _duplicated_rows(t, 2)) for t in (8, 16, 32, 64)]
         samples += _scenes(0.65, False, sizes=(64,), seeds=1)
-        fit = cardy_fit((t, _draw(a)) for t, a in samples)
+        fit = cardy_fit(_draw(a) for _, a in samples)
         assert fit.svd_fallbacks == 4
         assert [s for _, s in fit.points] == pytest.approx(
             _svd_cardy_fields(samples)["points"], abs=1e-12, rel=1e-9
@@ -357,7 +362,7 @@ class TestGramSpectra:
     def test_gaussian_scene_makes_no_svd_call(self, monkeypatch):
         samples = _scenes(0.65, False, sizes=(32, 64, 128, 256), seeds=1)
         calls, draws = _svd_call_log(monkeypatch), []
-        fit = cardy_fit((t, lambda t=t, a=a: draws.append(t) or a) for t, a in samples)
+        fit = cardy_fit((lambda t=t, a=a: draws.append(t) or a) for t, a in samples)
         assert calls == []
         assert fit.svd_fallbacks == 0
         # each Gaussian sample is drawn once
@@ -416,7 +421,7 @@ class TestGramSpectra:
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
-        cardy_fit((t, _draw(a)) for t, a in samples)
+        cardy_fit(_draw(a) for _, a in samples)
         assert calls == [(t, t) for t, _ in samples]
 
 
