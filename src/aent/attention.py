@@ -58,8 +58,8 @@ def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.n
 
     Masking sets logits above the diagonal to -inf before the softmax, so
     masked entries come out exactly zero.  ``q`` and ``k`` are not written;
-    the logits are formed, divided and pushed through the softmax in one
-    T x T array, which is returned.
+    the logits are formed as one product, divided and pushed through the
+    softmax in one T x T array, which is returned.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -69,21 +69,22 @@ def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.n
         )
     if q.size == 0:
         raise InvalidArgumentError(f"Q and K need T >= 1 and d_qk >= 1, got {q.shape} and {k.shape}")
-    return _softmax_rows(_logits(q, lambda lo, hi: k[lo:hi]), causal=causal)
+    return _softmax_rows(_logits(q, lambda lo, hi: k), causal=causal)
 
 
-def _logits(q: np.ndarray, k_rows) -> np.ndarray:
+def _logits(q: np.ndarray, k_rows, blocks: int = 1) -> np.ndarray:
     """Q K^T / sqrt(d_qk), rejected if not finite; ``k_rows(lo, hi)`` returns K[lo:hi], called in order.
 
-    K comes in at most 4 row blocks (each repacks Q for BLAS), each
-    multiplied into its columns of the logits.  Blocks are whole 32-column
-    tiles, since BLAS rounds edge tiles differently, so a T that is not a
-    multiple of 32 takes K whole: the logits are Q K^T bit for bit.
+    K comes in at most ``blocks`` row blocks, each multiplied into its
+    columns of the logits.  Each block repacks Q for BLAS, so only a caller
+    that draws K block by block asks for more than one.  Blocks are whole
+    32-column tiles, since BLAS rounds edge tiles differently, so a T that
+    is not a multiple of 32 takes K whole: the logits are Q K^T bit for bit.
     """
     t, d_qk = q.shape
     logits = np.empty((t, t))
     tiles = t // 32 if t % 32 == 0 else 1
-    blocks = min(4, tiles)
+    blocks = min(blocks, tiles)
     edges = [32 * (i * tiles // blocks) for i in range(blocks)] + [t]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in zip(edges, edges[1:]):

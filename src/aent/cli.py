@@ -217,6 +217,11 @@ SUBCOMMANDS = {
 }
 
 
+#: Starts of the ValueError messages numpy raises, without allocating, for
+#: an array whose size overflows the address space.
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
+
+
 def _run(command: str, options: dict) -> int:
     _, runner, _, flags = SUBCOMMANDS[command]
     if isinstance(runner, str):
@@ -226,7 +231,18 @@ def _run(command: str, options: dict) -> int:
     for flag, keyword, _, check in flags:
         if check is not None and keyword in options:
             options[keyword] = check(options[keyword], flag)
-    _emit(runner(**options), out, json_path)
+    try:
+        report = runner(**options)
+    except (MemoryError, ValueError) as exc:
+        if not isinstance(exc, MemoryError) and not str(exc).startswith(_TOO_BIG):
+            raise
+        given = " ".join(
+            f"{flag} {_fmt(options[keyword])}"
+            for flag, keyword, _, _ in flags
+            if keyword in options and not isinstance(options[keyword], bool)
+        )
+        raise InvalidArgumentError(f"{command} {given}: needs more memory than can be allocated ({exc})") from exc
+    _emit(report, out, json_path)
     return EXIT_OK
 
 

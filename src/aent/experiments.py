@@ -155,12 +155,12 @@ def page_bench(
 def _cardy_sample(t: int, qk_std: float, seed) -> np.ndarray:
     """One T x T attention matrix, bit for bit :func:`attention_matrix` of Q and K drawn whole.
 
-    K is drawn after Q, block by block into the logits, and Q is dropped
+    K is drawn after Q, in 4 blocks into the logits, and Q is dropped
     before the softmax: two T x T arrays and a block of K are alive at most.
     """
     rng = _seeded_rng(seed)
     q = _qk_rows(rng, t, t, qk_std)
-    logits = _logits(q, lambda lo, hi: _qk_rows(rng, hi - lo, t, qk_std))
+    logits = _logits(q, lambda lo, hi: _qk_rows(rng, hi - lo, t, qk_std), blocks=4)
     del q
     return _softmax_rows(logits, causal=False)
 
@@ -447,9 +447,7 @@ def collapse_experiment(log2_min: int = 6, log2_max: int = 12) -> ExperimentRepo
     """Entropy collapse S ~ (ln T)/T on constructed near-pure spectra."""
     if log2_min < 1 or log2_max < log2_min:
         raise InvalidArgumentError("need 1 <= log2_min <= log2_max")
-    report = output_collapse_check(
-        [(1 << k, collapse_spectrum(1 << k)) for k in range(log2_min, log2_max + 1)]
-    )
+    report = output_collapse_check([collapse_spectrum(1 << k) for k in range(log2_min, log2_max + 1)])
     rows = [
         {
             "t": row.size,

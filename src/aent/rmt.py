@@ -189,7 +189,11 @@ def _stochastic_spectrum(draw):
     ``sigmas`` are A's singular values, descending, from the SVD when ``svd``;
     ``sigma2`` is :func:`estimate_sigma2` of A, read from the same bulk.
     A, then B, is dropped once the next array is formed, so two T x T
-    arrays are alive at most; A is drawn again only for the SVD.
+    arrays are alive at most.  Of the Gram eigenvalues at or below
+    x = T eps lam_max (eps = 2.2e-16), which the Gram cannot resolve, one
+    is read as 0, which moves S by at most x^ (1 + ln(1/x^)) nats with
+    x^ = x / sum(lam); two or more mean a null space, and only then is A
+    drawn again for an SVD.
     """
     a = check_row_stochastic(draw())
     t = a.shape[0]
@@ -206,9 +210,11 @@ def _stochastic_spectrum(draw):
     gram += ((delta + 1.0) / t)[:, None]
     lam = np.linalg.eigvalsh(gram.T)
     del gram
-    if lam[0] > t * np.finfo(np.float64).eps * lam[-1]:
-        return np.sqrt(lam[::-1]), False, sigma2
-    return np.linalg.svd(check_row_stochastic(draw()), compute_uv=False), True, sigma2
+    unresolved = np.count_nonzero(lam <= t * np.finfo(np.float64).eps * lam[-1])
+    if unresolved > 1:
+        return np.linalg.svd(check_row_stochastic(draw()), compute_uv=False), True, sigma2
+    lam[:unresolved] = 0.0
+    return np.sqrt(lam[::-1]), False, sigma2
 
 
 @dataclass
@@ -218,7 +224,10 @@ class CardyFit:
     ``points`` holds (T, S) with S in nats.  The estimates suffixed
     ``_largest_t`` are averaged over the samples at the largest T, where
     the limit quantities are least biased.  ``svd_fallbacks`` counts the
-    samples whose spectrum came from an SVD rather than the Gram matrix.
+    samples whose spectrum came from an SVD rather than the Gram matrix:
+    those with two or more Gram eigenvalues at or below x = T eps lam_max
+    (eps = 2.2e-16).  One such value reads 0, which moves S by at most
+    x^ (1 + ln(1/x^)) nats, x^ = x / sum(lam); see :func:`cardy_fit`.
     """
 
     points: list[tuple[int, float]]
@@ -245,7 +254,7 @@ def cardy_fit(attention_samples) -> CardyFit:
     ``attention_samples`` is any iterable of zero-argument draws covering
     at least four distinct sizes, where ``draw()`` returns that sample's
     square matrix A and must return the same A on every call: it is called
-    once, and a second time only for a sample that takes the SVD fallback.
+    once, and a second time only for a sample that takes the SVD.
     A sample's T is A's size, read from its spectrum.  Each sample is
     reduced as it arrives to one row (T, S, s1, p1, Renyi-2, sigma^2); no
     reference to A is kept, so one matrix is alive at a time when each
@@ -260,9 +269,16 @@ def cardy_fit(attention_samples) -> CardyFit:
     B B^T gives A A^T through the exact identity
     A A^T = B B^T + (delta 1^T + 1 delta^T + 11^T)/T, delta = A 1 - 1,
     which holds whatever the row sums.  The values of A are the sqrt of
-    eigvalsh(A A^T) unless lam_min <= T eps lam_max, where the Gram cannot
-    resolve the small end (a rank-deficient or near-uniform A) and an SVD
-    of A, drawn again, is taken instead; ``svd_fallbacks`` counts those.
+    eigvalsh(A A^T); the Gram cannot resolve eigenvalues at or below
+    x = T eps lam_max (eps = 2.2e-16).  One such value is read as 0.  Its
+    weight is at most x^ = x / sum(lam) <= T eps, so it moves S by at most
+    x^ (1 + ln(1/x^)) nats (its own term plus the renormalization of the
+    rest; 6.9e-12 at T = 1024, 1.3e-11 at T = 2048), p1 by a relative x^
+    and Renyi-2 by about 2 x^; s1 is the top value and sigma^2 is read from
+    B, so neither moves.  Two or more such values mean a null space (a
+    rank-deficient or near-uniform A): that sample's A is drawn again and
+    its values come from an SVD, which keeps the exact zeros;
+    ``svd_fallbacks`` counts those.
     """
     rows = []
     svd_fallbacks = 0
@@ -331,24 +347,21 @@ class CollapseReport:
     bound_satisfied: bool = False
 
 
-def output_collapse_check(spectra_by_size) -> CollapseReport:
+def output_collapse_check(spectra) -> CollapseReport:
     """Evaluate S(X) over a grid of output-operator spectra.
 
-    ``spectra_by_size`` is a sequence of (T, eigenvalues) with the
-    eigenvalues sorted non-increasing; the caller constructs them so the
-    stable rank stays near 1.  The report records S, the certified bound,
-    and the ratio S * T / ln T per grid point.
+    ``spectra`` is a sequence of eigenvalue arrays, each sorted
+    non-increasing; a spectrum's T is its length, and the rows are sorted
+    stably by T.  The caller constructs them so the stable rank stays near
+    1.  The report records S, the certified bound, and the ratio
+    S * T / ln T per grid point.
     """
     rows: list[CollapseRow] = []
-    for t, eig in sorted(spectra_by_size, key=lambda item: item[0]):
-        t = int(t)
+    for eig in sorted(spectra, key=np.size):
+        probs = _eigen_probs(eig)
+        t = probs.size
         if t < 2:
             raise InvalidArgumentError("grid sizes must be >= 2")
-        probs = _eigen_probs(eig)
-        if probs.size != t:
-            raise InvalidArgumentError(
-                f"expected {t} eigenvalues, got {probs.size}"
-            )
         s = _shannon(probs, math.e)
         bounds = entropy_bounds(eig, base=math.e)
         rows.append(

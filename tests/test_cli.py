@@ -391,6 +391,42 @@ class TestTopLevel:
             main(["frobnicate"])
         assert info.value.code == 2
 
+    # numpy refuses these sizes without allocating: they overflow the address space
+    @pytest.mark.parametrize("argv", [
+        ["mp-compare", "--gaussian", "3037000500x3037000500"],
+        ["cardy", "--T-grid", "8,16,32,1073741824"],
+    ])
+    def test_an_overflowing_size_exits_2_naming_its_flag(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"aent: invalid argument: {' '.join(argv)}: needs more memory than can be allocated")
+
+    # a real request of this size may succeed under overcommit, so the failed
+    # allocation is simulated where the experiment would make it
+    @pytest.mark.parametrize("argv, experiment", [
+        (["mp-compare", "--gaussian", "4x4", "--bins", "1000000000000"], "mp_compare"),
+        (["page-bench", "--size", "1048576"], "page_bench"),
+        (["attn", "--T", "1048576", "--causal"], "attn_experiment"),
+    ])
+    def test_a_failed_allocation_exits_2_naming_its_flag(self, monkeypatch, capsys, argv, experiment):
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(aent.experiments, experiment, allocate)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        flags = " ".join(arg for arg in argv[1:] if arg != "--causal")
+        assert err.startswith(f"aent: invalid argument: {argv[0]} {flags}: needs more memory")
+        assert "Unable to allocate 8.00 TiB" in err
+
+    def test_any_other_value_error_is_not_taken_for_a_size(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("not a size")
+
+        monkeypatch.setattr(aent.experiments, "page_bench", fail)
+        with pytest.raises(ValueError, match="not a size"):
+            main(["page-bench", "--size", "8"])
+
     def test_float_formatting_is_12_sig_digits(self, tmp_path):
         src = tmp_path / "m.aent"
         write_matrix(src, np.diag([2.0, 1.0, 1.0, 1.0]))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from aent import (
 )
 from aent.attention import _qk_rows, attention_matrix
 from aent.entropy import _shannon, normalize_spectrum, renyi, von_neumann
+from aent.experiments import _cardy_sample
 from aent.rmt import _seeded_rng, _stochastic_spectrum, check_row_stochastic
 
 sorted_spectra = st.lists(
@@ -292,6 +294,13 @@ def _duplicated_rows(t, seed):
     return np.repeat(attention_matrix(q, k)[: t // 2], 2, axis=0)
 
 
+def _one_duplicated_row(t):
+    """A cardy sample of rank T - 1: row 1 is row 0."""
+    a = _cardy_sample(t, 0.65, [0, t])
+    a[1] = a[0]
+    return a
+
+
 class TestStreamedFit:
     def test_generator_fit_is_bit_identical_to_the_list_fit(self):
         samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)[::-1]
@@ -358,6 +367,43 @@ class TestGramSpectra:
         assert [s for _, s in fit.points] == pytest.approx(
             _svd_cardy_fields(samples)["points"], abs=1e-12, rel=1e-9
         )
+
+    # cardy_experiment's draws whose Gram spectra each have exactly one value
+    # at or below x = T eps lam_max (lam_min / x = 0.023 and 0.052)
+    ONE_UNRESOLVED = ((32, [357, 32]), (128, [255, 128]))
+
+    @pytest.mark.parametrize("make", [
+        *(functools.partial(_cardy_sample, t, 0.65, seed) for t, seed in ONE_UNRESOLVED),
+        functools.partial(_one_duplicated_row, 64),
+    ], ids=["cardy-32", "cardy-128", "duplicated-row-64"])
+    def test_one_unresolved_value_keeps_the_gram_spectrum(self, monkeypatch, make):
+        a = make()
+        t = a.shape[0]
+        direct = np.linalg.svd(a, compute_uv=False)
+        calls, draws = _svd_call_log(monkeypatch), []
+        sigmas, svd, _ = _stochastic_spectrum(lambda: draws.append(t) or a)
+        assert (calls, draws, svd) == ([], [t], False)
+        # the unresolved value reads 0, and every value is the SVD's within x
+        x = t * np.finfo(np.float64).eps * sigmas[0] ** 2
+        assert sigmas[-1] == 0.0 and sigmas[-2] ** 2 > x
+        assert sigmas**2 == pytest.approx(direct**2, abs=x, rel=0)
+        # S within the certified x^ (1 + ln(1/x^)), x^ = x / sum(lam)
+        x_hat = x / np.dot(sigmas, sigmas)
+        s = von_neumann(normalize_spectrum(sigmas), base=math.e)
+        s_direct = von_neumann(normalize_spectrum(direct), base=math.e)
+        assert abs(s - s_direct) <= x_hat * (1.0 + math.log(1.0 / x_hat))
+
+    def test_cardy_fit_over_one_unresolved_samples_matches_svd_reference(self, monkeypatch):
+        # T = 128, the largest, is an unresolved sample, so s1, p1 and Renyi-2 are its own
+        samples = [(t, _cardy_sample(t, 0.65, seed)) for t, seed in self.ONE_UNRESOLVED]
+        samples = sorted(samples + _scenes(0.65, False, sizes=(16, 64), seeds=1), key=lambda sample: sample[0])
+        ref = _svd_cardy_fields(samples)
+        calls = _svd_call_log(monkeypatch)
+        fit = cardy_fit(_draw(a) for _, a in samples)
+        assert (calls, fit.svd_fallbacks) == ([], 0)
+        assert [s for _, s in fit.points] == pytest.approx(ref.pop("points"), abs=1e-12, rel=1e-9)
+        for name, expected in ref.items():
+            assert getattr(fit, name) == pytest.approx(expected, abs=1e-12, rel=1e-9), name
 
     def test_gaussian_scene_makes_no_svd_call(self, monkeypatch):
         samples = _scenes(0.65, False, sizes=(32, 64, 128, 256), seeds=1)
@@ -427,14 +473,15 @@ class TestGramSpectra:
 
 class TestOutputCollapse:
     def test_rank_one_rows(self):
-        grid = [(t, np.array([1.0] + [0.0] * (t - 1))) for t in (4, 8, 16)]
+        grid = [np.array([1.0] + [0.0] * (t - 1)) for t in (16, 4, 8)]
         report = output_collapse_check(grid)
+        assert [r.size for r in report.rows] == [4, 8, 16]
         assert all(r.entropy == 0.0 for r in report.rows)
         assert report.bound_satisfied
         assert report.ratio_spread == math.inf
 
     def test_uniform_rows(self):
-        report = output_collapse_check([(4, np.ones(4) / 4), (8, np.ones(8) / 8)])
+        report = output_collapse_check([np.ones(4) / 4, np.ones(8) / 8])
         assert [r.size for r in report.rows] == [4, 8]
         assert report.rows[0].entropy == pytest.approx(math.log(4.0))
         assert report.rows[0].ratio == pytest.approx(4.0)
@@ -442,10 +489,8 @@ class TestOutputCollapse:
         assert not report.monotone_decreasing
 
     def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            output_collapse_check([(1, np.array([1.0]))])
-        with pytest.raises(InvalidArgumentError):
-            output_collapse_check([(4, np.array([1.0, 0.5, 0.25]))])
+        with pytest.raises(InvalidArgumentError, match="grid sizes must be >= 2"):
+            output_collapse_check([np.array([1.0])])
 
 
 class TestSampleGaussian:
