@@ -15,6 +15,7 @@ of the function that runs the subcommand applies.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -246,7 +247,9 @@ def _run(command: str, options: dict) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="aent",
         description="Entanglement profiles of matrices and their random-matrix baselines.",

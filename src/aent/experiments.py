@@ -297,8 +297,9 @@ def mp_compare(
     maps them onto the MP law with aspect ratio c = d_min/d_max when the
     input is an i.i.d. Gaussian matrix.
     """
-    if bins < 4:
-        raise InvalidArgumentError("need at least 4 histogram bins")
+    most = np.iinfo(np.intp).max // 8  # so that the bins + 1 float64 edges fit the address space
+    if not 4 <= bins < most:
+        raise InvalidArgumentError(f"--bins must be at least 4 and less than {most}, got {bins}")
     start = time.perf_counter()
     layout, tensor = tensorize(matrix)
     if layout.num_cuts == 0:

@@ -4,7 +4,10 @@ At bond k the carried matrix m is reshaped to (chi_prev * d_k, rest), its
 left factor U (the next core) and values S come from eigh(m @ m^T) or an
 SVD, and S @ Vh = U^T m is carried forward.  As every left factor is
 orthonormal, the values at bond k of an untruncated sweep are exactly the
-Schmidt values of the full tensor across that cut.
+Schmidt values of the full tensor across that cut.  Under a cap
+``chi_max`` the cuts whose left side is at most chi_max and at most the
+right side cannot truncate; they are read by partial trace (below) from
+one Gram product, with identity cores, and the sweep starts after them.
 
 The untruncated Schmidt values need no cores, only the Gram matrix on the
 smaller side of each cut, the reduced density matrix rho_A = Tr_B rho of
@@ -34,6 +37,9 @@ class MpsChain:
     """Cores of a tensor train plus the singular values kept at each bond.
 
     ``cores[k]`` has shape (chi_{k-1}, d_k, chi_k) with chi_0 = chi_M = 1.
+    Each core but the last is a left isometry.  In a capped chain the
+    cores up to the last cut the cap cannot truncate (see
+    :func:`decompose`) are identities, ``eye(chi_k)`` reshaped.
     ``bond_spectra[k]`` holds the unnormalized singular values retained at
     the bond between sites k and k+1 (0-based), so its length equals the
     bond dimension chi_{k+1}.
@@ -117,6 +123,12 @@ def _resolved(lam: np.ndarray, k: int):
     return lam[..., 0] > 100 * k * np.finfo(np.float64).eps * lam[..., -1]
 
 
+def _probe_resolves(g: np.ndarray, p: int = _PROBE) -> bool:
+    """False where g's leading p rows, 4 <= p <= k/4, fail :func:`_resolved` for its k (by interlacing, g fails too)."""
+    k = g.shape[0]
+    return not 4 <= p <= k // 4 or bool(_resolved(np.linalg.eigvalsh(g[:p] @ g[:p].T), k))
+
+
 def _sigmas(m: np.ndarray, vectors: bool = False):
     """Descending singular values of a rescaled unfolding ``m``.
 
@@ -136,9 +148,7 @@ def _gram_sigmas(m: np.ndarray, vectors: bool = False):
     """What :func:`_sigmas` reads from the Gram matrix, or None where it takes the SVD."""
     g = m if m.shape[0] <= m.shape[1] else m.T
     k = g.shape[0]
-    if vectors and g is not m:
-        return None
-    if k >= 4 * _PROBE and not _resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k):
+    if (vectors and g is not m) or not _probe_resolves(g):
         return None
     lam, u = np.linalg.eigh(_gram(g).T) if vectors else (np.linalg.eigvalsh(_gram(g).T), None)
     if not _resolved(lam, k):
@@ -155,6 +165,15 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     broken arbitrarily), are kept per bond.
     Values below ``SIGMA_FLOOR`` times the bond maximum are dropped
     regardless.  Kept values are stored unnormalized.
+
+    A capped sweep cannot truncate a cut whose left side is at most
+    ``chi_max`` and at most its right side.  The last such cut P takes one
+    Gram product of the tensor, and cuts P-1..1 are read from it by exact
+    partial traces (:func:`_walk`).  Where every one of them passes the
+    test of :func:`_resolved` they keep every value, so their cores are
+    identity isometries, ``eye(chi_k)`` reshaped to (chi_{k-1}, d_k, chi_k),
+    and the sweep goes on from cut P+1 with the tensor itself, unrotated.
+    Where one does not, the sweep runs from cut 1.
     """
     arr, exponent = _rescaled(tensor)
     if chi_max is not None and chi_max < 1:
@@ -165,7 +184,18 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     spectra: list[np.ndarray] = []
     carried = arr.reshape(1, -1)
     chi = 1
-    for d in dims[:-1]:
+    if chi_max is not None:
+        lefts = [math.prod(dims[:cut]) for cut in range(1, len(dims))]
+        prefix = sum(left <= chi_max and left * left <= arr.size for left in lefts)
+        g = arr.reshape(math.prod(dims[:prefix]), -1)
+        walked: dict[int, np.ndarray] = {}
+        if prefix and _probe_resolves(g) and _walk(_gram(g), dims, range(prefix, 0, -1), True, walked) is None:
+            for d in dims[:prefix]:
+                cores.append(np.eye(chi * d).reshape(chi, d, chi * d))
+                spectra.append(np.ldexp(walked[len(cores)], exponent))
+                chi *= d
+            carried = g
+    for d in dims[len(cores) : -1]:
         m = carried.reshape(chi * d, -1)
         u, s, vh = _sigmas(m, vectors=True)
         keep = min(int(np.count_nonzero(s > SIGMA_FLOOR * s[0])), chi_max or s.size)
@@ -188,6 +218,31 @@ def reconstruct(mps: MpsChain) -> np.ndarray:
     return left.reshape(mps.site_dims)
 
 
+def _walk(gram: np.ndarray, dims: tuple[int, ...], cuts, rows: bool, spectra: dict) -> int | None:
+    """Descending Schmidt values at ``cuts`` into ``spectra``; the first cut failing :func:`_resolved`, else None.
+
+    ``gram`` is the Gram matrix on the left (``rows``) or right side of a
+    cut of a tensor of shape ``dims``.  ``cuts`` start at that cut or the
+    next one toward that end of the chain and go on one site at a time;
+    each cut's Gram matrix is the last one's with the site between traced out.
+    """
+    size = math.prod(dims)
+    for cut in cuts:
+        left = math.prod(dims[:cut])
+        k = left if rows else size // left
+        if gram.shape[0] > k:
+            d = dims[cut] if rows else dims[cut - 1]  # the one site between this cut and the last
+            if rows:
+                gram = gram.reshape(k, d, k, d).trace(axis1=1, axis2=3)
+            else:
+                gram = gram.reshape(d, k, d, k).trace(axis1=0, axis2=2)
+        lam = np.linalg.eigvalsh(gram.T)
+        if not _resolved(lam, k):
+            return cut
+        spectra[cut] = np.sqrt(lam[::-1])
+    return None
+
+
 def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
     """(Schmidt values at every cut, None) from two Gram products, else (None, the first unresolved cut).
 
@@ -195,9 +250,10 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
     the right apex the next one (m^T @ m); both are tested, as
     :func:`_sigmas` tests a cut but probed on min(_PROBE, k/4) >= 4 rows,
     before any walk starts; the cut is None where a probe failed first.
-    Walking outward, each cut's Gram matrix is its neighbour's with one
-    site traced out, and keeps the test; by the condition bound, a walked
-    cut below a resolved apex essentially never fails it.
+    Walking outward (:func:`_walk`), each cut's Gram matrix is its
+    neighbour's with one site traced out, and keeps the test; by the
+    condition bound, a walked cut below a resolved apex essentially never
+    fails it.
     """
     dims = arr.shape
     lefts = [math.prod(dims[:cut]) for cut in range(1, len(dims))]
@@ -209,28 +265,16 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
             continue
         m = arr.reshape(lefts[cut - 1], -1)
         g = m if rows else m.T
-        k = g.shape[0]
-        p = min(_PROBE, k // 4)
-        if p >= 4 and not _resolved(np.linalg.eigvalsh(g[:p] @ g[:p].T), k):
+        if not _probe_resolves(g, min(_PROBE, g.shape[0] // 4)):
             return None, None
         gram = _gram(g)
-        lam = np.linalg.eigvalsh(gram.T)
-        if not _resolved(lam, k):
+        if _walk(gram, dims, (cut,), rows, spectra) is not None:
             return None, cut
-        spectra[cut] = np.sqrt(lam[::-1])
         walks.append((gram, rows, range(cut - 1, 0, -1) if rows else range(cut + 1, len(dims))))
     for gram, rows, cuts in walks:
-        for cut in cuts:
-            k = min(lefts[cut - 1], arr.size // lefts[cut - 1])
-            d = dims[cut] if rows else dims[cut - 1]  # the one site between this cut and the last
-            if rows:
-                gram = gram.reshape(k, d, k, d).trace(axis1=1, axis2=3)
-            else:
-                gram = gram.reshape(d, k, d, k).trace(axis1=0, axis2=2)
-            lam = np.linalg.eigvalsh(gram.T)
-            if not _resolved(lam, k):
-                return None, cut
-            spectra[cut] = np.sqrt(lam[::-1])
+        unresolved = _walk(gram, dims, cuts, rows, spectra)
+        if unresolved is not None:
+            return None, unresolved
     return [spectra[cut] for cut in range(1, len(dims))], None
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import aent.experiments
 from aent import MarchenkoPastur, ks_distance, write_matrix
-from aent.cli import SUBCOMMANDS, main
+from aent.cli import SUBCOMMANDS, build_parser, main
 
 PROFILE_HEADER = "cut,d_left,d_right,chi,entropy,renyi2,normalized"
 ADAPTERS_COUNT_HEADER = "kind,d_out,d_in,r,d1,d2,chi,params,ratio_vs_full"
@@ -307,6 +307,14 @@ class TestMpCompareCommand:
         )
         assert code == 2
 
+    # np.linspace raises IndexError at 2**63 - 2 and 2**63 and ValueError at 2**64 + 1; the check refuses them first
+    @pytest.mark.parametrize("bins", ["3", str(2**60), str(2**63 - 2), str(2**63), str(2**64 + 1)])
+    def test_a_bin_count_out_of_range_is_refused_by_name(self, capsys, bins):
+        assert main(["mp-compare", "--gaussian", "4x4", "--bins", bins]) == 2
+        assert capsys.readouterr().err == (
+            f"aent: invalid argument: --bins must be at least 4 and less than {2**60 - 1}, got {bins}\n"
+        )
+
     def test_rank_deficient_file_matches_the_svd_spectrum(self, tmp_path):
         # rounding puts about half of the 1020 zero eigenvalues of the Gram
         # matrix below 0, so this cut is read from the SVD; each zero must
@@ -385,6 +393,9 @@ class TestTopLevel:
             main(["--version"])
         assert info.value.code == 0
         assert capsys.readouterr().out.strip() == "aent 0.1.0"
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_unknown_command_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -426,6 +428,70 @@ class TestGramSweep:
         calls = _svd_call_log(monkeypatch)
         decompose(tensor, chi_max=4)
         assert any(rows <= cols for rows, cols in calls)
+
+    # (dims, chi_max, P): P is the last cut whose left side is at most chi_max and at most its right side
+    PREFIXES = [
+        ((2,) * 10, 32, 5),
+        ((2,) * 10, 8, 3),
+        ((3, 5, 2, 3, 5), 4, 1),
+        ((3, 5, 2, 3, 5), 15, 2),
+        ((2,) * 9 + (3,) + (2,) * 5, 32, 5),
+    ]
+
+    @pytest.mark.parametrize("dims,chi_max,prefix", PREFIXES)
+    def test_full_rank_prefix_takes_one_gram_product_and_no_rotation(self, monkeypatch, dims, chi_max, prefix):
+        tensor = _random_tensor(dims, 12)
+        calls, gram, sigmas = [], mps._gram, mps._sigmas
+        monkeypatch.setattr(mps, "_gram", lambda g: calls.append(("gram", g.shape)) or gram(g))
+        monkeypatch.setattr(mps, "_sigmas", lambda m, **kw: calls.append(("sweep", m.shape)) or sigmas(m, **kw))
+        decompose(tensor, chi_max=chi_max)
+        left = int(np.prod(dims[:prefix]))
+        # the sweep, and with it every rotation of the carried tensor, starts at cut P+1
+        swept = [shape for what, shape in calls if what == "sweep"]
+        assert calls[: calls.index(("sweep", swept[0]))] == [("gram", (left, tensor.size // left))]
+        assert swept[0][0] == left * dims[prefix]
+        assert len(swept) == len(dims) - 1 - prefix
+
+    @pytest.mark.parametrize("dims,chi_max,prefix", PREFIXES)
+    def test_prefix_is_exact_with_identity_isometries(self, dims, chi_max, prefix):
+        tensor = _random_tensor(dims, 13)
+        chain = decompose(tensor, chi_max=chi_max)
+        exact = schmidt_values(tensor)
+        for cut in range(1, prefix + 1):
+            np.testing.assert_allclose(chain.bond_spectra[cut - 1], exact[cut - 1], rtol=1e-12, atol=0)
+            core = chain.cores[cut - 1]
+            assert np.array_equal(core.reshape(-1, core.shape[2]), np.eye(core.shape[2]))
+
+    @pytest.mark.parametrize("dims,chi_max", [((2,) * 10, 32), ((3, 5, 2, 3, 5), 15)])
+    def test_uncapped_bonds_round_trip(self, dims, chi_max):
+        # no bond of these tensors has more than chi_max values
+        tensor = _random_tensor(dims, 14)
+        residual = np.linalg.norm(reconstruct(decompose(tensor, chi_max=chi_max)) - tensor)
+        assert residual <= 1e-12 * np.linalg.norm(tensor)
+
+    def test_rank_deficient_prefix_sweeps_from_cut_one(self, monkeypatch):
+        # the prefix Gram matrix (cut 5, 32 x 32) has rank 4 and fails the resolution test
+        tensor = _low_rank_tensor((2,) * 10, 5, 4, seed=3)
+        swept, sigmas = [], mps._sigmas
+        monkeypatch.setattr(mps, "_sigmas", lambda m, **kw: swept.append(m.shape) or sigmas(m, **kw))
+        chain = decompose(tensor, chi_max=32)
+        assert swept[0] == (2, 512)
+        for kept, direct in zip(chain.bond_spectra, _svd_sweep(tensor, 32), strict=True):
+            assert kept.size == direct.size
+            assert np.allclose(kept, direct, rtol=1e-8, atol=1e-8 * direct[0])
+
+    def test_capped_profile_peak_stays_below_the_input(self):
+        # the sweep reads cuts 1..5 from one 32 x 32 Gram matrix and carries
+        # the input itself to cut 6, so no full-size copy is made
+        matrix = _random_tensor((1024, 768), 15)
+        profile(matrix, chi_max=32)
+        tracemalloc.start()
+        try:
+            profile(matrix, chi_max=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix.nbytes
 
     def test_degenerate_spectrum_is_capped_and_deterministic(self):
         # every Schmidt value of the identity ties, so which ones a cap of 4
