@@ -24,14 +24,10 @@ import numpy as np
 from .entropy import EntanglementProfile, profile
 from .errors import InvalidArgumentError, ShapeMismatchError
 from .rmt import _seeded_rng
+from .tensorize import _finite
 
 #: Default per-entry standard deviation of Q and K.
 DEFAULT_QK_STD = 0.65
-
-
-def _finite(m: np.ndarray) -> bool:
-    """No NaN or inf in ``m``, read from its max and min, which both propagate; no bool temporary is made."""
-    return math.isfinite(m.max(initial=0.0)) and math.isfinite(m.min(initial=0.0))
 
 
 def _qk_rows(rng: np.random.Generator, rows: int, d_qk: int, qk_std: float) -> np.ndarray:

@@ -151,6 +151,8 @@ def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> Entangleme
     records: list[CutRecord] = []
     if layout.num_cuts == 0:
         return EntanglementProfile(records=records, log_base=base, chi_max=chi_max)
+    # entropies do not depend on a power-of-two scale, which may not fit back
+    tensor, _ = mps._rescaled(tensor)
     if chi_max is None:
         spectra = mps.schmidt_values(tensor)
     else:

@@ -386,7 +386,7 @@ def attn_experiment(
             )
             sigma_op = output_operator(scene.x)
             prof_sigma = profile(sigma_op, chi_max=chi_max, base=base)
-            sv, _, sigma2 = _stochastic_spectrum(lambda: scene.a)
+            sv, _, sigma2 = _stochastic_spectrum(scene.a.copy)
             s1 = float(sv[0])
             p1 = float(sv[0] ** 2 / np.dot(sv, sv))
             ablation = mask_ablation(scene, chi_max=chi_max, base=base)

@@ -9,12 +9,15 @@ Layout, all little-endian:
     then        ndim dims, u64 each
     then        payload, row-major, exactly prod(dims) elements
 
-Readers widen float32 payloads to float64.
+Readers read a regular file's payload straight into the float64 result,
+or widen a float32 one from it once; other files are read whole first.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -47,29 +50,35 @@ def write_matrix(path, array) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a serialized array back as float64."""
+    """Read a serialized array back as float64 (see the module docstring)."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError("file too short for a header")
-    magic, version, code, ndim = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    if code not in _DTYPE_CODES:
-        raise FormatError(f"unknown dtype code {code}")
-    if not 1 <= ndim <= _MAX_NDIM:
-        raise FormatError(f"ndim {ndim} out of range")
-    dims_size = 8 * ndim
-    if len(blob) < _HEADER.size + dims_size:
-        raise FormatError("file too short for its dims")
-    dims = struct.unpack_from(f"<{ndim}Q", blob, _HEADER.size)
-    dtype = _DTYPE_CODES[code]
-    expected = _HEADER.size + dims_size + dtype.itemsize * math.prod(dims)
-    if len(blob) != expected:
-        raise FormatError(
-            f"payload length mismatch: file has {len(blob)} bytes, expected {expected}"
-        )
-    flat = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size + dims_size)
-    return flat.reshape(dims).astype(np.float64)
+        info = os.fstat(fh.fileno())
+        regular = stat.S_ISREG(info.st_mode)
+        blob = fh.read(_HEADER.size + 8 * _MAX_NDIM if regular else -1)
+        size = info.st_size if regular else len(blob)
+        if len(blob) < _HEADER.size:
+            raise FormatError("file too short for a header")
+        magic, version, code, ndim = _HEADER.unpack_from(blob, 0)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise FormatError(f"unsupported format version {version}")
+        if code not in _DTYPE_CODES:
+            raise FormatError(f"unknown dtype code {code}")
+        if not 1 <= ndim <= _MAX_NDIM:
+            raise FormatError(f"ndim {ndim} out of range")
+        offset = _HEADER.size + 8 * ndim
+        if len(blob) < offset:
+            raise FormatError("file too short for its dims")
+        dims = struct.unpack_from(f"<{ndim}Q", blob, _HEADER.size)
+        dtype = _DTYPE_CODES[code]
+        expected = offset + dtype.itemsize * math.prod(dims)
+        if size != expected:
+            raise FormatError(f"payload length mismatch: file has {size} bytes, expected {expected}")
+        if not regular:
+            return np.frombuffer(blob, dtype=dtype, offset=offset).reshape(dims).astype(np.float64)
+        out = np.empty(dims, dtype=dtype)
+        fh.seek(offset)
+        if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise FormatError("file shrank while it was read")
+    return out.astype(np.float64, copy=False)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
+from .tensorize import _finite
 
 # Relative threshold below which singular values are treated as zero.
 SIGMA_FLOOR = 1e-12
@@ -102,6 +103,15 @@ def _rescaled(tensor, stack: int = 0, name: str = "tensor") -> tuple[np.ndarray,
     if not exponent.any():
         return arr, exponent
     return np.ldexp(arr, -exponent.reshape(exponent.shape + (1,) * len(axes))), exponent
+
+
+def _scaled_back(values: np.ndarray, exponent) -> np.ndarray:
+    """``values * 2**exponent``, undoing :func:`_rescaled`; refused where that overflows float64."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(values, exponent)
+    if not _finite(out):
+        raise InvalidArgumentError(f"the tensor's Schmidt values overflow float64 at its scale 2**{int(exponent)}")
+    return out
 
 
 _PROBE = 64
@@ -192,7 +202,7 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
         if prefix and _probe_resolves(g) and _walk(_gram(g), dims, range(prefix, 0, -1), True, walked) is None:
             for d in dims[:prefix]:
                 cores.append(np.eye(chi * d).reshape(chi, d, chi * d))
-                spectra.append(np.ldexp(walked[len(cores)], exponent))
+                spectra.append(_scaled_back(walked[len(cores)], exponent))
                 chi *= d
             carried = g
     for d in dims[len(cores) : -1]:
@@ -200,10 +210,10 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
         u, s, vh = _sigmas(m, vectors=True)
         keep = min(int(np.count_nonzero(s > SIGMA_FLOOR * s[0])), chi_max or s.size)
         cores.append(u[:, :keep].reshape(chi, d, keep))
-        spectra.append(np.ldexp(s[:keep], exponent))
+        spectra.append(_scaled_back(s[:keep], exponent))
         carried = u[:, :keep].T @ m if vh is None else s[:keep, None] * vh[:keep]
         chi = keep
-    cores.append(np.ldexp(carried, exponent).reshape(chi, dims[-1], 1))
+    cores.append(_scaled_back(carried, exponent).reshape(chi, dims[-1], 1))
     return MpsChain(cores=cores, bond_spectra=spectra, chi_max=chi_max)
 
 
@@ -325,4 +335,4 @@ def schmidt_values(tensor) -> list[np.ndarray]:
             if sigmas is None:
                 sigmas, carried = _svd_compressed(carried)
             spectra.append(sigmas)
-    return [np.ldexp(sigmas, exponent) for sigmas in spectra]
+    return [_scaled_back(sigmas, exponent) for sigmas in spectra]

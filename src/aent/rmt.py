@@ -188,17 +188,17 @@ def _stochastic_spectrum(draw):
 
     ``sigmas`` are A's singular values, descending, from the SVD when ``svd``;
     ``sigma2`` is :func:`estimate_sigma2` of A, read from the same bulk.
-    A, then B, is dropped once the next array is formed, so two T x T
-    arrays are alive at most.  Of the Gram eigenvalues at or below
+    The bulk B = A - 1/T is written over A, in the array ``draw()`` returned,
+    and dropped once the Gram is formed, so two T x T arrays are alive at
+    most.  Of the Gram eigenvalues at or below
     x = T eps lam_max (eps = 2.2e-16), which the Gram cannot resolve, one
     is read as 0, which moves S by at most x^ (1 + ln(1/x^)) nats with
     x^ = x / sum(lam); two or more mean a null space, and only then is A
     drawn again for an SVD.
     """
-    a = check_row_stochastic(draw())
-    t = a.shape[0]
-    b = a - 1.0 / t
-    del a
+    b = check_row_stochastic(draw())
+    t = b.shape[0]
+    b -= 1.0 / t
     sigma2 = float(np.vdot(b, b).real)
     delta = b.sum(axis=1)
     gram = b @ b.T
@@ -253,14 +253,15 @@ def cardy_fit(attention_samples) -> CardyFit:
 
     ``attention_samples`` is any iterable of zero-argument draws covering
     at least four distinct sizes, where ``draw()`` returns that sample's
-    square matrix A and must return the same A on every call: it is called
-    once, and a second time only for a sample that takes the SVD.
+    square matrix A and must return a new array holding the same A on every
+    call, which the fit overwrites with its bulk: it is called once, and a
+    second time only for a sample that takes the SVD.
     A sample's T is A's size, read from its spectrum.  Each sample is
     reduced as it arrives to one row (T, S, s1, p1, Renyi-2, sigma^2); no
-    reference to A is kept, so one matrix is alive at a time when each
-    draw makes a new one.  The rows are sorted stably by
-    T, so any order gives the same fit: ``points`` are their (T, S), and
-    the largest-T statistics are means over the rows at the largest T.
+    reference to A is kept, so one matrix is alive at a time.  The rows
+    are sorted stably by T, so any order gives the same fit: ``points``
+    are their (T, S), and the largest-T statistics are means over the
+    rows at the largest T.
     sigma^2 is estimated from the Frobenius norm of the bulk
     B = A - (1/T) 11^T, the B whose Gram matrix gives the spectrum; the
     predicted slope is sigma^2/(1+sigma^2).

@@ -82,6 +82,11 @@ class SiteLayout:
         return math.prod(sites[:cut]), math.prod(sites[cut:])
 
 
+def _finite(m: np.ndarray) -> bool:
+    """No NaN or inf in ``m``, read from its max and min, which both propagate; no bool temporary is made."""
+    return math.isfinite(m.max(initial=0.0)) and math.isfinite(m.min(initial=0.0))
+
+
 def as_matrix(matrix) -> np.ndarray:
     """Coerce to a finite 2-d float64 C-contiguous array; 32-bit input is widened."""
     arr = np.asarray(matrix)
@@ -92,7 +97,7 @@ def as_matrix(matrix) -> np.ndarray:
     if np.iscomplexobj(arr):
         raise InvalidArgumentError("complex matrices are not supported")
     arr = np.ascontiguousarray(arr, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise InvalidArgumentError("matrix has NaN or infinite entries")
     return arr
 

@@ -49,6 +49,18 @@ class TestProfileCommand:
         assert out[2] == PROFILE_HEADER
         assert out[3] == "1,2,2,2,1,1,1"
 
+    @pytest.mark.parametrize("cap", [[], ["--chi-max", "8"]], ids=["uncapped", "capped"])
+    def test_entries_near_the_float64_maximum_profile_as_at_unit_scale(self, tmp_path, cap):
+        matrix = np.random.default_rng(0).standard_normal((64, 64))
+        write_matrix(tmp_path / "unit.aent", matrix)
+        write_matrix(tmp_path / "huge.aent", matrix * 2.0**1020)
+        code, unit = run_to_file(tmp_path, ["profile", str(tmp_path / "unit.aent"), *cap], "unit.csv")
+        assert code == 0
+        code, huge = run_to_file(tmp_path, ["profile", str(tmp_path / "huge.aent"), *cap], "huge.csv")
+        assert code == 0
+        assert huge[2:] == unit[2:]
+        assert huge[3].startswith("1,2,2048,2,0.99706")
+
     def test_one_by_one_has_headers_only(self, tmp_path):
         src = tmp_path / "one.aent"
         write_matrix(src, np.array([[3.0]]))

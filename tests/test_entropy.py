@@ -291,6 +291,18 @@ class TestProfilePaths:
         assert [r.chi for r in scaled.records] == [r.chi for r in unit.records]
         assert np.allclose(scaled.entropies, unit.entropies, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("chi_max", [None, 8])
+    @pytest.mark.parametrize("power", [-1000, 1019, 1021])
+    def test_power_of_two_scales_at_the_float64_edges_match_unit_scale(self, power, chi_max):
+        # at 2**1019 the largest Schmidt values overflow float64 once scaled back
+        matrix = np.random.default_rng(0).standard_normal((64, 64))
+        unit, scaled = profile(matrix, chi_max=chi_max), profile(matrix * 2.0**power, chi_max=chi_max)
+        assert [r.chi for r in scaled.records] == [r.chi for r in unit.records]
+        for name in ("entropy", "renyi2"):
+            values = [getattr(r, name) for r in scaled.records]
+            assert values == pytest.approx([getattr(r, name) for r in unit.records], rel=0.0, abs=1e-12)
+        assert [round(s, 6) for s in scaled.entropies[:3]] == [0.997062, 1.992342, 2.983074]
+
     def test_all_zero_still_rejected(self):
         with pytest.raises(DegenerateInputError, match="^tensor is all zero$"):
             profile(np.zeros((4, 6)))

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import json
 import math
@@ -29,6 +30,7 @@ from aent import (
     valley_experiment,
 )
 from aent.attention import _qk_rows, _softmax_rows
+from aent.cli import _fmt
 from aent.entropy import profile
 from aent.rmt import _seeded_rng, _stochastic_spectrum
 from aent.tensorize import prime_factorize
@@ -176,7 +178,7 @@ class TestCardyExperiment:
 
     def test_a_sample_peaks_below_two_and_a_half_t_by_t_arrays(self):
         # the draw holds the logits, Q and a quarter of K, 2.25 T x T arrays
-        # at T = 256; the spectrum holds at most two of A, B and the Gram
+        # at T = 256; the spectrum writes B over A and holds it and the Gram
         t = 256
         sample = functools.partial(aent.experiments._cardy_sample, t, 0.65, [0, t])
         aent.experiments._cardy_sample(8, 0.65, [0, 8])  # the first draw imports modules
@@ -405,6 +407,19 @@ class TestAttnExperiment:
                 sv = np.linalg.svd(scene.a, compute_uv=False)
                 assert row["s1"] == pytest.approx(sv[0], abs=1e-12, rel=1e-9)
                 assert row["p1"] == pytest.approx(sv[0] ** 2 / np.dot(sv, sv), abs=1e-12, rel=1e-9)
+
+    @pytest.mark.parametrize("causal,digest", [
+        (False, "1c4156c25cf54ea18f9a58e7d5a9da2c621f1e3ba9a9b1dd4fbe32520e50276b"),
+        (True, "35d50c6c89e9e0ceb41b4a694d1d9e20db29349cd25f249247b152b64982242a"),
+    ], ids=["unmasked", "causal-rope"])
+    def test_tables_are_pinned(self, causal, digest):
+        # the spectrum writes its bulk over a copy: the ablation reads scene.a after it
+        report = attn_experiment(64, heads=2, causal=causal, rope=causal, seed=5)
+        rows = {
+            name: [{key: _fmt(value) for key, value in row.items()} for row in report.tables[name]]
+            for name in ("heads", "profiles", "ablation")
+        }
+        assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == digest
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -1,4 +1,7 @@
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,3 +113,33 @@ class TestReadValidation:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_matrix(tmp_path / "does-not-exist.aent")
+
+
+class TestReadPath:
+    def test_an_f8_read_peaks_at_its_result(self, tmp_path):
+        # the payload goes straight into the result: no bytes blob, no copy
+        path = tmp_path / "m.aent"
+        write_matrix(path, np.random.default_rng(3).standard_normal((512, 384)))
+        read_matrix(path)
+        tracemalloc.start()
+        try:
+            back = read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * back.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_pipe_is_read_whole(self, tmp_path, dtype):
+        src, fifo = tmp_path / "m.aent", tmp_path / "fifo"
+        arr = np.random.default_rng(4).standard_normal((6, 10)).astype(dtype)
+        write_matrix(src, arr)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()))
+        writer.start()
+        try:
+            back = read_matrix(fifo)
+        finally:
+            writer.join()
+        assert back.dtype == np.float64 and back.flags.writeable
+        assert np.array_equal(back, arr.astype(np.float64))

@@ -616,3 +616,11 @@ class TestRescaled:
         stack[1, 2] = value
         with pytest.raises(error, match=rf"^factor B\[1, 2\] {what}$"):
             _rescaled(stack, stack=2, name="factor B")
+
+    @pytest.mark.parametrize("run", [schmidt_values, decompose, lambda t: decompose(t, chi_max=8)],
+                             ids=["schmidt_values", "decompose", "decompose-capped"])
+    def test_values_that_overflow_once_scaled_back_are_refused(self, run):
+        # finite entries near float64's maximum; their largest Schmidt values are not
+        tensor = np.random.default_rng(0).standard_normal((64, 64)).reshape(8, 8, 8, 8) * 2.0**1021
+        with pytest.raises(InvalidArgumentError, match=r"Schmidt values overflow float64 at its scale 2\*\*1023"):
+            run(tensor)

@@ -196,8 +196,8 @@ class TestRowStochastic:
 
 
 def _draw(a):
-    """A draw of the contract of cardy_fit: ``a`` on every call."""
-    return lambda: a
+    """A draw of the contract of cardy_fit: a new copy of ``a`` on every call."""
+    return lambda: a.copy()
 
 
 class TestCardyFit:
@@ -351,9 +351,11 @@ class TestGramSpectra:
         sigmas, svd, _ = _stochastic_spectrum(lambda: draws.append(a.copy()) or draws[-1])
         assert svd
         assert [m.shape for m in seen] == [(32, 32)]
-        # A is drawn a second time, for the SVD alone, which sees that array
+        # A is drawn a second time, for the SVD alone, which sees that array;
+        # the first draw holds the bulk A - 1/T, written over it
         assert len(draws) == 2 and seen[0] is draws[1]
-        assert np.array_equal(draws[0], draws[1])
+        assert np.array_equal(draws[1], a)
+        assert np.array_equal(draws[0], a - 1.0 / 32)
         assert np.count_nonzero(normalize_spectrum(sigmas)) == 16
         # the Gram alone would leave values near sqrt(eps) above the floor
         lam = np.linalg.eigvalsh(a @ a.T)
@@ -381,7 +383,7 @@ class TestGramSpectra:
         t = a.shape[0]
         direct = np.linalg.svd(a, compute_uv=False)
         calls, draws = _svd_call_log(monkeypatch), []
-        sigmas, svd, _ = _stochastic_spectrum(lambda: draws.append(t) or a)
+        sigmas, svd, _ = _stochastic_spectrum(lambda: draws.append(t) or a.copy())
         assert (calls, draws, svd) == ([], [t], False)
         # the unresolved value reads 0, and every value is the SVD's within x
         x = t * np.finfo(np.float64).eps * sigmas[0] ** 2
@@ -408,7 +410,7 @@ class TestGramSpectra:
     def test_gaussian_scene_makes_no_svd_call(self, monkeypatch):
         samples = _scenes(0.65, False, sizes=(32, 64, 128, 256), seeds=1)
         calls, draws = _svd_call_log(monkeypatch), []
-        fit = cardy_fit((lambda t=t, a=a: draws.append(t) or a) for t, a in samples)
+        fit = cardy_fit((lambda t=t, a=a: draws.append(t) or a.copy()) for t, a in samples)
         assert calls == []
         assert fit.svd_fallbacks == 0
         # each Gaussian sample is drawn once
@@ -469,6 +471,13 @@ class TestGramSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
         cardy_fit(_draw(a) for _, a in samples)
         assert calls == [(t, t) for t, _ in samples]
+
+    def test_the_bulk_is_written_over_the_drawn_array(self):
+        for t, a in _scenes(0.65, False, sizes=(64, 256), seeds=1):
+            drawn = []
+            _stochastic_spectrum(lambda: drawn.append(a.copy()) or drawn[-1])
+            assert len(drawn) == 1
+            assert np.array_equal(drawn[0], a - 1.0 / t), t
 
 
 class TestOutputCollapse:

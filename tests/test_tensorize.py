@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,23 @@ class TestTensorize:
         for i in range(3):
             for j in range(2):
                 assert tensor.ravel()[2 * i + j] == matrix[i, j]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        matrix = np.ones((4, 6))
+        matrix[3, 1] = value
+        with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+            tensorize(matrix)
+
+    def test_finiteness_check_makes_no_full_size_temporary(self):
+        matrix = np.random.default_rng(5).standard_normal((512, 256))
+        tracemalloc.start()
+        try:
+            tensorize(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes / 100
 
     @given(
         st.integers(min_value=1, max_value=40),
