@@ -66,11 +66,8 @@ from .rmt import (
     entropy_bounds,
     estimate_sigma2,
     ks_distance,
-    mp_density,
-    mp_support,
     output_collapse_check,
     sample_gaussian_matrix,
-    stable_rank,
 )
 from .tensorize import SiteLayout, prime_factorize, tensorize
 from .version import __version__
@@ -110,8 +107,6 @@ __all__ = [
     "ks_distance",
     "mask_ablation",
     "mp_compare",
-    "mp_density",
-    "mp_support",
     "mps_adapter_materialize",
     "normalize_spectrum",
     "output_collapse_check",
@@ -125,7 +120,6 @@ __all__ = [
     "reconstruct",
     "renyi",
     "sample_gaussian_matrix",
-    "stable_rank",
     "tensorize",
     "valley_check",
     "valley_experiment",

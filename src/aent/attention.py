@@ -107,6 +107,11 @@ def _softmax_rows(logits: np.ndarray, causal: bool) -> np.ndarray:
     return logits
 
 
+def _check_rope_theta(theta_base: float) -> None:
+    if not (math.isfinite(theta_base) and theta_base > 0.0):
+        raise InvalidArgumentError(f"RoPE base theta_base must be finite and > 0, got {theta_base}")
+
+
 def apply_rope(m: np.ndarray, theta_base: float = 10000.0) -> np.ndarray:
     """Rotary position embedding with split-half dimension pairing.
 
@@ -114,8 +119,7 @@ def apply_rope(m: np.ndarray, theta_base: float = 10000.0) -> np.ndarray:
     against coordinate j + d/2 by angle pos * theta_base^(-2j/d).  Norms
     are preserved exactly up to rounding.
     """
-    if not (math.isfinite(theta_base) and theta_base > 0.0):
-        raise InvalidArgumentError(f"RoPE base theta_base must be finite and > 0, got {theta_base}")
+    _check_rope_theta(theta_base)
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidArgumentError("apply_rope expects a (T, d_qk) matrix")
@@ -164,7 +168,8 @@ class AttentionScene:
         rope_theta: float = 10000.0,
         qk_std: float = DEFAULT_QK_STD,
     ) -> AttentionScene:
-        """Q, K and V of shape (T, T), drawn in that order; V's entries have std 1/sqrt(T)."""
+        """Q, K and V of shape (T, T), drawn in that order after a ``rope_theta`` check; V entries have std 1/sqrt(T)."""
+        _check_rope_theta(rope_theta)
         rng = _seeded_rng(seed)
         q = _qk_rows(rng, t, t, qk_std)
         k = _qk_rows(rng, t, t, qk_std)

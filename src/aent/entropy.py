@@ -9,6 +9,7 @@ for nats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +74,22 @@ def von_neumann(lambdas, base: float = 2.0) -> float:
 
 
 def renyi(lambdas, alpha: float, base: float = 2.0) -> float:
-    """Renyi entropy S_alpha = log(sum (lambda^2)^alpha) / (1 - alpha)."""
-    if not alpha > 0 or alpha == 1:
-        raise InvalidArgumentError(f"alpha must be positive and != 1, got {alpha}")
+    """Renyi entropy S_alpha = log(sum w^alpha) / (1 - alpha), w = lambda^2, for a finite alpha.
+
+    A power sum that underflows (a large alpha) is read as alpha log w_1 + log sum (w/w_1)^alpha, w_1 = max w.
+    """
+    if not (math.isfinite(alpha) and alpha > 0) or alpha == 1:
+        raise InvalidArgumentError(f"alpha must be finite, positive and != 1, got {alpha}")
     arr = _check_normalized(lambdas)
     w = arr[arr > 0.0] ** 2
-    s = float(np.log((w**alpha).sum()) / ((1.0 - alpha) * _log_base(base)))
+    total = (w**alpha).sum()
+    # float64's smallest normal; numpy's finfo(...).tiny builds and keeps a cache on its first read
+    if total >= sys.float_info.min:
+        s = float(np.log(total) / ((1.0 - alpha) * _log_base(base)))
+    else:
+        top = w.max()
+        rest = math.log(((w / top) ** alpha).sum())
+        s = (alpha / (1.0 - alpha) * math.log(top) + rest / (1.0 - alpha)) / _log_base(base)
     return s if s > 0.0 else 0.0
 
 

@@ -52,7 +52,6 @@ class ExperimentReport:
     config: dict = field(default_factory=dict)
     tool_version: str = __version__
     wall_clock_seconds: float = 0.0
-    details: object = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -194,26 +193,10 @@ def cardy_experiment(
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
     fit = cardy_fit(functools.partial(_cardy_sample, t, qk_std, [seed + s, t]) for t in sizes for s in range(seeds))
-
-    points = [
-        {"t": int(t), "entropy_nats": float(s_nats)} for t, s_nats in fit.points
-    ]
-    fit_rows = [
-        {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "sigma2": fit.sigma2_estimate,
-            "predicted_charge": fit.predicted_charge,
-            "relative_slope_deviation": fit.relative_slope_deviation,
-            "s1_largest_t": fit.s1_largest_t,
-            "p1_largest_t": fit.p1_largest_t,
-            "renyi2_largest_t": fit.renyi2_largest_t,
-            "renyi2_predicted": fit.renyi2_predicted,
-        }
-    ]
-    return ExperimentReport(
-        name="cardy", config={"t_grid": sizes}, tables={"points": points, "fit": fit_rows}, details=fit
-    )
+    row = {**vars(fit)}
+    points = [{"t": t, "entropy_nats": s_nats} for t, s_nats in row.pop("points")]
+    del row["svd_fallbacks"]
+    return ExperimentReport(name="cardy", config={"t_grid": sizes}, tables={"points": points, "fit": [row]})
 
 
 # ---------------------------------------------------------------------------
@@ -449,25 +432,9 @@ def collapse_experiment(log2_min: int = 6, log2_max: int = 12) -> ExperimentRepo
     if log2_min < 1 or log2_max < log2_min:
         raise InvalidArgumentError("need 1 <= log2_min <= log2_max")
     report = output_collapse_check([collapse_spectrum(1 << k) for k in range(log2_min, log2_max + 1)])
-    rows = [
-        {
-            "t": row.size,
-            "eta": row.eta,
-            "delta1": row.delta1,
-            "entropy_nats": row.entropy,
-            "vn_bound": row.vn_bound,
-            "ratio": row.ratio,
-        }
-        for row in report.rows
-    ]
-    summary = [
-        {
-            "ratio_spread": report.ratio_spread,
-            "monotone_decreasing": report.monotone_decreasing,
-            "bound_satisfied": report.bound_satisfied,
-        }
-    ]
-    return ExperimentReport(name="collapse", tables={"grid": rows, "summary": summary}, details=report)
+    summary = {**vars(report)}
+    rows = [{**vars(row)} for row in summary.pop("rows")]
+    return ExperimentReport(name="collapse", tables={"grid": rows, "summary": [summary]})
 
 
 # ---------------------------------------------------------------------------

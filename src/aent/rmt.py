@@ -36,34 +36,15 @@ def sample_gaussian_matrix(rows: int, cols: int, seed) -> np.ndarray:
 # Reference spectral laws
 
 
-def mp_support(c: float) -> tuple[float, float]:
-    """Support edges [(1-sqrt(c))^2, (1+sqrt(c))^2] of the MP law."""
-    if not 0.0 < c <= 1.0:
-        raise InvalidArgumentError(f"aspect ratio c must be in (0, 1], got {c}")
-    root = math.sqrt(c)
-    return (1.0 - root) ** 2, (1.0 + root) ** 2
-
-
-def mp_density(x, c: float):
-    """Marchenko-Pastur density with aspect ratio c, zero off support."""
-    lo, hi = mp_support(c)
-    arr = np.asarray(x, dtype=np.float64)
-    inside = (arr > lo) & (arr < hi)
-    out = np.zeros_like(arr)
-    xs = arr[inside]
-    out[inside] = np.sqrt((hi - xs) * (xs - lo)) / (2.0 * np.pi * c * xs)
-    if np.isscalar(x):
-        return float(out)
-    return out
-
-
 class MarchenkoPastur:
-    """MP law as a sampling-free distribution object with pdf/cdf."""
+    """MP law with aspect ratio c in (0, 1], sampling-free: support [(1-sqrt(c))^2, (1+sqrt(c))^2], pdf and cdf."""
 
     def __init__(self, c: float):
+        if not 0.0 < c <= 1.0:
+            raise InvalidArgumentError(f"aspect ratio c must be in (0, 1], got {c}")
         self.c = float(c)
-        self.support = mp_support(c)
-        lo, hi = self.support
+        root = math.sqrt(c)
+        lo, hi = self.support = (1.0 - root) ** 2, (1.0 + root) ** 2
         # CDF via the substitution x = lo + (hi-lo) sin^2(theta), which
         # removes the edge singularities (including x^-1/2 at c = 1).
         theta = np.linspace(0.0, np.pi / 2.0, 4001)
@@ -79,7 +60,16 @@ class MarchenkoPastur:
         self._grid_f = cum / cum[-1]
 
     def pdf(self, x):
-        return mp_density(x, self.c)
+        """The density, zero off the support."""
+        lo, hi = self.support
+        arr = np.asarray(x, dtype=np.float64)
+        inside = (arr > lo) & (arr < hi)
+        out = np.zeros_like(arr)
+        xs = arr[inside]
+        out[inside] = np.sqrt((hi - xs) * (xs - lo)) / (2.0 * np.pi * self.c * xs)
+        if np.isscalar(x):
+            return float(out)
+        return out
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=np.float64)
@@ -119,18 +109,11 @@ def _eigen_probs(eigenvalues) -> np.ndarray:
     return arr / arr.sum()
 
 
-def stable_rank(eigenvalues) -> float:
-    """Tr(Sigma^2)/lambda_1^2 = 1 + sum_{i>=2} (lambda_i/lambda_1)^2."""
-    arr = np.asarray(eigenvalues, dtype=np.float64)
-    _eigen_probs(arr)
-    ratios = arr / arr[0]
-    return float(np.dot(ratios, ratios))
-
-
 @dataclass(frozen=True)
 class EntropyBounds:
     """Spectrum-only certificates for the entropies of rho = Sigma/Tr(Sigma).
 
+    ``eta`` is the stable rank Tr(Sigma^2)/lambda_1^2 less one: sum_{i>=2} (lambda_i/lambda_1)^2.
     ``vn_bound`` is the max-entropy bound evaluated at the exact tail mass
     1 - p_1 = delta1/(1+delta1); it never exceeds log T and is certified
     >= the von Neumann entropy for every spectrum.
@@ -148,7 +131,8 @@ def entropy_bounds(eigenvalues, base: float = math.e) -> EntropyBounds:
     arr = np.asarray(eigenvalues, dtype=np.float64)
     _eigen_probs(arr)
     t = arr.size
-    eta = stable_rank(arr) - 1.0
+    ratios = arr / arr[0]
+    eta = float(np.dot(ratios, ratios)) - 1.0
     delta1 = float(arr[1:].sum() / arr[0])
     log_t_minus_1 = math.log(t - 1) / log_base if t > 1 else 0.0
     tail = delta1 / (1.0 + delta1)
@@ -221,31 +205,28 @@ def _stochastic_spectrum(draw):
 class CardyFit:
     """Least-squares fit of attention entropy against ln T.
 
-    ``points`` holds (T, S) with S in nats.  The estimates suffixed
-    ``_largest_t`` are averaged over the samples at the largest T, where
-    the limit quantities are least biased.  ``svd_fallbacks`` counts the
+    The fields before ``points`` are the cardy report's ``fit`` columns, in
+    order.  ``relative_slope_deviation`` is |slope - charge| / charge, or
+    |slope| at charge 0.  The ``_largest_t`` estimates are means over the
+    samples at the largest T, where the limit quantities are least biased.
+    ``points`` holds (T, S), S in nats.  ``svd_fallbacks`` counts the
     samples whose spectrum came from an SVD rather than the Gram matrix:
     those with two or more Gram eigenvalues at or below x = T eps lam_max
     (eps = 2.2e-16).  One such value reads 0, which moves S by at most
     x^ (1 + ln(1/x^)) nats, x^ = x / sum(lam); see :func:`cardy_fit`.
     """
 
-    points: list[tuple[int, float]]
     slope: float
     intercept: float
-    sigma2_estimate: float
+    sigma2: float
     predicted_charge: float
+    relative_slope_deviation: float
     s1_largest_t: float
     p1_largest_t: float
     renyi2_largest_t: float
     renyi2_predicted: float
+    points: list[tuple[int, float]]
     svd_fallbacks: int
-
-    @property
-    def relative_slope_deviation(self) -> float:
-        if self.predicted_charge == 0.0:
-            return abs(self.slope)
-        return abs(self.slope - self.predicted_charge) / self.predicted_charge
 
 
 def cardy_fit(attention_samples) -> CardyFit:
@@ -305,21 +286,22 @@ def cardy_fit(attention_samples) -> CardyFit:
 
     log_t = np.log([t for t, _ in points])
     entropies = np.array([s for _, s in points])
-    slope, intercept = np.polyfit(log_t, entropies, 1)
+    slope, intercept = np.polyfit(log_t, entropies, 1).tolist()
 
     largest = [row[2:] for row in rows if row[0] == rows[-1][0]]
     s1, p1, renyi2, sigma2 = (float(np.mean(column)) for column in zip(*largest))
     charge = sigma2 / (1.0 + sigma2)
     return CardyFit(
-        points=points,
-        slope=float(slope),
-        intercept=float(intercept),
-        sigma2_estimate=sigma2,
+        slope=slope,
+        intercept=intercept,
+        sigma2=sigma2,
         predicted_charge=charge,
+        relative_slope_deviation=abs(slope - charge) / charge if charge else abs(slope),
         s1_largest_t=s1,
         p1_largest_t=p1,
         renyi2_largest_t=renyi2,
         renyi2_predicted=2.0 * math.log1p(sigma2),
+        points=points,
         svd_fallbacks=svd_fallbacks,
     )
 
@@ -330,17 +312,23 @@ def cardy_fit(attention_samples) -> CardyFit:
 
 @dataclass(frozen=True)
 class CollapseRow:
-    size: int
-    entropy: float
-    vn_bound: float
+    """One grid point, its fields the columns of the collapse report's ``grid`` table in order."""
+
+    t: int
     eta: float
     delta1: float
+    entropy_nats: float
+    vn_bound: float
     ratio: float
 
 
 @dataclass
 class CollapseReport:
-    """S(X) against the (log T)/T collapse scaling, with bound checks."""
+    """S(X) against the (log T)/T collapse scaling, with bound checks.
+
+    The fields after ``rows`` are the columns of the collapse report's
+    ``summary`` table, in its order.
+    """
 
     rows: list[CollapseRow] = field(default_factory=list)
     ratio_spread: float = math.inf
@@ -365,21 +353,15 @@ def output_collapse_check(spectra) -> CollapseReport:
             raise InvalidArgumentError("grid sizes must be >= 2")
         s = _shannon(probs, math.e)
         bounds = entropy_bounds(eig, base=math.e)
-        rows.append(
-            CollapseRow(
-                size=t,
-                entropy=s,
-                vn_bound=bounds.vn_bound,
-                eta=bounds.eta,
-                delta1=bounds.delta1,
-                ratio=s * t / math.log(t),
-            )
-        )
+        rows.append(CollapseRow(
+            t=t, eta=bounds.eta, delta1=bounds.delta1, entropy_nats=s, vn_bound=bounds.vn_bound,
+            ratio=s * t / math.log(t),
+        ))
     ratios = np.array([r.ratio for r in rows])
-    entropies = np.array([r.entropy for r in rows])
+    entropies = np.array([r.entropy_nats for r in rows])
     return CollapseReport(
         rows=rows,
         ratio_spread=float(ratios.max() / ratios.min()) if ratios.min() > 0 else math.inf,
         monotone_decreasing=bool(np.all(np.diff(entropies) < 0.0)) if len(rows) > 1 else True,
-        bound_satisfied=bool(all(r.entropy <= r.vn_bound + 1e-12 for r in rows)),
+        bound_satisfied=bool(all(r.entropy_nats <= r.vn_bound + 1e-12 for r in rows)),
     )

@@ -117,13 +117,13 @@ def test_04_attention_entropy_scaling():
     report = cardy_experiment(
         t_grid=(64, 128, 256, 512, 1024, 2048), seeds=5, d_mult=16
     )
-    fit = report.details
+    fit = report.tables["fit"][0]
     wall = time.perf_counter() - start
 
-    rel_dev = fit.relative_slope_deviation
-    s1_err = abs(fit.s1_largest_t - 1.0)
-    p1_err = abs(fit.p1_largest_t - 1.0 / (1.0 + fit.sigma2_estimate))
-    renyi2_err = abs(fit.renyi2_largest_t - fit.renyi2_predicted)
+    rel_dev = fit["relative_slope_deviation"]
+    s1_err = abs(fit["s1_largest_t"] - 1.0)
+    p1_err = abs(fit["p1_largest_t"] - 1.0 / (1.0 + fit["sigma2"]))
+    renyi2_err = abs(fit["renyi2_largest_t"] - fit["renyi2_predicted"])
     ok = (
         rel_dev <= 0.15
         and s1_err <= 0.05
@@ -135,7 +135,7 @@ def test_04_attention_entropy_scaling():
         4,
         "attention entropy log-scaling",
         ok,
-        f"slope {fit.slope:.4f} vs charge {fit.predicted_charge:.4f} "
+        f"slope {fit['slope']:.4f} vs charge {fit['predicted_charge']:.4f} "
         f"(rel dev {rel_dev:.4f}, tol 0.15); |s1-1| = {s1_err:.5f} (tol 0.05); "
         f"|p1 - 1/(1+sigma2)| = {p1_err:.5f} (tol 0.05); Renyi-2 gap "
         f"{renyi2_err:.4f} nats (tol 0.1); wall {wall:.0f}s (limit 600s)",

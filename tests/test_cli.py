@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aent.attention
 import aent.experiments
 from aent import MarchenkoPastur, ks_distance, write_matrix
 from aent.cli import SUBCOMMANDS, build_parser, main
@@ -359,6 +360,17 @@ class TestAttnCommand:
 
     def test_t_validated(self, tmp_path):
         assert run_to_file(tmp_path, ["attn", "--T", "12"])[0] == 2
+
+    @pytest.mark.parametrize("rope", [[], ["--rope"]], ids=["plain", "rope"])
+    @pytest.mark.parametrize("theta", ["-5", "nan"])
+    def test_a_bad_rope_theta_is_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, theta, rope):
+        draws, seeded = [], aent.attention._seeded_rng
+        monkeypatch.setattr(aent.attention, "_seeded_rng", lambda seed: draws.append(seed) or seeded(seed))
+        code, lines = run_to_file(tmp_path, ["attn", "--T", "16", "--rope-theta", theta, *rope])
+        assert (code, lines, draws) == (2, [], [])
+        assert capsys.readouterr().err == (
+            f"aent: invalid argument: RoPE base theta_base must be finite and > 0, got {float(theta)}\n"
+        )
 
 
 class TestAdaptersCountCommand:

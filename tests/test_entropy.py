@@ -122,6 +122,19 @@ class TestRenyi:
             with pytest.raises(InvalidArgumentError):
                 renyi([1.0], alpha)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+    def test_a_non_finite_alpha_is_refused(self, alpha):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            renyi(normalize_spectrum([3.0, 2.0, 1.0]), alpha)
+
+    @pytest.mark.parametrize("alpha", [2000.0, 1e6, 1e300])
+    def test_a_power_sum_that_underflows_is_read_from_the_largest_weight(self, alpha):
+        # (9/14)^2000 underflows float64; S_alpha = alpha/(alpha-1) log2(14/9) + O(2^-alpha)
+        s = renyi(normalize_spectrum([3.0, 2.0, 1.0]), alpha)
+        assert s == pytest.approx(alpha / (alpha - 1.0) * math.log2(14.0 / 9.0), rel=1e-12)
+        # no larger than at an alpha whose sum does not underflow, no smaller than the min-entropy
+        assert renyi(normalize_spectrum([3.0, 2.0, 1.0]), 1000.0) >= s >= math.log2(14.0 / 9.0) - 1e-12
+
     @given(spectra)
     @settings(max_examples=60, deadline=None)
     def test_renyi2_below_von_neumann(self, sigmas):

@@ -37,13 +37,12 @@ from aent.tensorize import prime_factorize
 
 
 class TestExperimentReport:
-    def test_json_sorted_and_excludes_details(self):
+    def test_json_sorted_with_the_report_fields(self):
         report = ExperimentReport(
             name="demo",
             config={"b": 2, "a": 1},
             tables={"rows": [{"x": 1.5}]},
             wall_clock_seconds=0.25,
-            details=object(),
         )
         payload = json.loads(report.to_json())
         assert set(payload) == {
@@ -454,6 +453,14 @@ class TestCollapse:
         assert summary["bound_satisfied"]
         assert summary["monotone_decreasing"]
         assert summary["ratio_spread"] <= 2.0
+
+    def test_table_columns_are_pinned_in_order(self):
+        report = collapse_experiment(log2_min=2, log2_max=3)
+        grid, summary = report.tables["grid"], report.tables["summary"]
+        assert [list(row) for row in grid] == [["t", "eta", "delta1", "entropy_nats", "vn_bound", "ratio"]] * 2
+        assert [[type(v) for v in row.values()] for row in grid] == [[int] + [float] * 5] * 2
+        assert [list(row) for row in summary] == [["ratio_spread", "monotone_decreasing", "bound_satisfied"]]
+        assert [type(v) for v in summary[0].values()] == [float, bool, bool]
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -16,11 +16,8 @@ from aent import (
     entropy_bounds,
     estimate_sigma2,
     ks_distance,
-    mp_density,
-    mp_support,
     output_collapse_check,
     sample_gaussian_matrix,
-    stable_rank,
 )
 from aent.attention import _qk_rows, attention_matrix
 from aent.entropy import _shannon, normalize_spectrum, renyi, von_neumann
@@ -34,30 +31,30 @@ sorted_spectra = st.lists(
 
 class TestReferenceLaws:
     def test_mp_support_edges(self):
-        assert mp_support(1.0) == (0.0, 4.0)
-        assert mp_support(0.25) == (0.25, 2.25)
+        assert MarchenkoPastur(1.0).support == (0.0, 4.0)
+        assert MarchenkoPastur(0.25).support == (0.25, 2.25)
 
     def test_mp_support_domain(self):
         for c in (0.0, -0.5, 1.5):
             with pytest.raises(InvalidArgumentError):
-                mp_support(c)
+                MarchenkoPastur(c)
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
     def test_mp_moments(self, c):
         # integrate with x = lo + (hi-lo) sin^2(theta) to tame the edges
-        lo, hi = mp_support(c)
+        lo, hi = MarchenkoPastur(c).support
         theta = np.linspace(0.0, np.pi / 2, 200001)
         x = lo + (hi - lo) * np.sin(theta) ** 2
         w = (hi - lo) * np.sin(2 * theta)
-        f = mp_density(x, c)
+        f = MarchenkoPastur(c).pdf(x)
         assert np.trapezoid(f * w, theta) == pytest.approx(1.0, abs=1e-5)
         assert np.trapezoid(x * f * w, theta) == pytest.approx(1.0, abs=1e-6)
         assert np.trapezoid(x**2 * f * w, theta) == pytest.approx(1.0 + c, abs=1e-6)
 
     def test_mp_density_zero_off_support(self):
-        assert mp_density(5.0, 1.0) == 0.0
-        assert mp_density(-1.0, 1.0) == 0.0
-        assert mp_density(0.1, 0.25) == 0.0
+        assert MarchenkoPastur(1.0).pdf(5.0) == 0.0
+        assert MarchenkoPastur(1.0).pdf(-1.0) == 0.0
+        assert MarchenkoPastur(0.25).pdf(0.1) == 0.0
 
     def test_mp_cdf_square_case_midpoint(self):
         # for c = 1 the point mass below 2 is 1/2 + 1/pi
@@ -100,26 +97,26 @@ class TestKsDistance:
 
 class TestStableRank:
     def test_uniform_is_dimension(self):
-        assert stable_rank([1.0] * 5) == pytest.approx(5.0, abs=1e-12)
+        assert entropy_bounds([1.0] * 5).eta + 1 == pytest.approx(5.0, abs=1e-12)
 
     def test_rank_one(self):
-        assert stable_rank([3.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
+        assert entropy_bounds([3.0, 0.0, 0.0]).eta + 1 == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_value(self):
-        assert stable_rank([2.0, 1.0, 1.0]) == pytest.approx(1.5, abs=1e-12)
+        assert entropy_bounds([2.0, 1.0, 1.0]).eta + 1 == pytest.approx(1.5, abs=1e-12)
 
     def test_requires_sorted_nonnegative(self):
         with pytest.raises(InvalidArgumentError):
-            stable_rank([1.0, 2.0])
+            entropy_bounds([1.0, 2.0])
         with pytest.raises(InvalidArgumentError):
-            stable_rank([1.0, -1.0])
+            entropy_bounds([1.0, -1.0])
         with pytest.raises(DegenerateInputError):
-            stable_rank([0.0, 0.0])
+            entropy_bounds([0.0, 0.0])
 
     @given(sorted_spectra)
     @settings(max_examples=60, deadline=None)
     def test_between_one_and_dimension(self, eig):
-        r = stable_rank(eig)
+        r = entropy_bounds(eig).eta + 1
         assert 1.0 - 1e-12 <= r <= eig.size + 1e-9
 
 
@@ -205,7 +202,7 @@ class TestCardyFit:
         samples = [_draw(np.full((t, t), 1.0 / t)) for t in (4, 8, 16, 32)]
         fit = cardy_fit(samples)
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
-        assert fit.sigma2_estimate == 0.0
+        assert fit.sigma2 == 0.0
         assert fit.predicted_charge == 0.0
         assert fit.relative_slope_deviation == pytest.approx(0.0, abs=1e-12)
         assert fit.s1_largest_t == pytest.approx(1.0)
@@ -218,7 +215,7 @@ class TestCardyFit:
         # S(I_T) = ln T exactly, so the fit recovers slope 1, intercept 0
         assert fit.slope == pytest.approx(1.0, abs=1e-10)
         assert fit.intercept == pytest.approx(0.0, abs=1e-10)
-        assert fit.sigma2_estimate == pytest.approx(31.0, abs=1e-9)
+        assert fit.sigma2 == pytest.approx(31.0, abs=1e-9)
         assert fit.predicted_charge == pytest.approx(31.0 / 32.0, rel=1e-9)
         assert fit.relative_slope_deviation == pytest.approx(1.0 / 31.0, rel=1e-6)
         assert fit.p1_largest_t == pytest.approx(1.0 / 32.0, rel=1e-12)
@@ -268,7 +265,7 @@ def _svd_cardy_fields(samples) -> dict:
         "points": points,
         "slope": slope,
         "intercept": intercept,
-        "sigma2_estimate": s2,
+        "sigma2": s2,
         "predicted_charge": charge,
         "s1_largest_t": float(np.mean(s1)),
         "p1_largest_t": float(np.mean(p1)),
@@ -484,15 +481,15 @@ class TestOutputCollapse:
     def test_rank_one_rows(self):
         grid = [np.array([1.0] + [0.0] * (t - 1)) for t in (16, 4, 8)]
         report = output_collapse_check(grid)
-        assert [r.size for r in report.rows] == [4, 8, 16]
-        assert all(r.entropy == 0.0 for r in report.rows)
+        assert [r.t for r in report.rows] == [4, 8, 16]
+        assert all(r.entropy_nats == 0.0 for r in report.rows)
         assert report.bound_satisfied
         assert report.ratio_spread == math.inf
 
     def test_uniform_rows(self):
         report = output_collapse_check([np.ones(4) / 4, np.ones(8) / 8])
-        assert [r.size for r in report.rows] == [4, 8]
-        assert report.rows[0].entropy == pytest.approx(math.log(4.0))
+        assert [r.t for r in report.rows] == [4, 8]
+        assert report.rows[0].entropy_nats == pytest.approx(math.log(4.0))
         assert report.rows[0].ratio == pytest.approx(4.0)
         assert report.rows[1].ratio == pytest.approx(8.0)
         assert not report.monotone_decreasing
