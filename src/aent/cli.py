@@ -90,18 +90,14 @@ def _power_of_two(minimum: int):
     return check
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise InvalidArgumentError(f"could not parse {what}: {text!r}") from exc
     if not values:
         raise InvalidArgumentError(f"{what} is empty")
     return values
-
-
-def _int_tuple(text: str, what: str) -> tuple[int, ...]:
-    return tuple(_parse_int_list(text, what))
 
 
 def _power_of_two_grid(text: str, what: str) -> tuple[int, ...]:
@@ -193,7 +189,7 @@ SUBCOMMANDS = {
     "valley": ("low-rank update entanglement valley", "valley_experiment", True, (
         ("--dout", "d_out", _INT, _power_of_two(2)),
         ("--din", "d_in", _INT, _power_of_two(2)),
-        ("--rank", "ranks", {}, _int_tuple),
+        ("--rank", "ranks", {}, _parse_int_list),
         _SEEDS, _SEED, _BASE,
     )),
     "mp-compare": ("cut spectrum vs the Marchenko-Pastur law", _mp_compare, True, (

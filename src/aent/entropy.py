@@ -158,6 +158,7 @@ def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> Entangleme
     ``normalized`` is the entropy divided by log(min(d_left, d_right)).
     """
     log_base = _log_base(base)
+    mps._check_chi_max(chi_max)
     layout, tensor = tensorize(matrix)
     records: list[CutRecord] = []
     if layout.num_cuts == 0:

@@ -54,14 +54,7 @@ class ExperimentReport:
     wall_clock_seconds: float = 0.0
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "config": self.config,
-            "tables": self.tables,
-            "tool_version": self.tool_version,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
 
 def _echoed(fn):
@@ -106,26 +99,15 @@ def page_bench(
         raise InvalidArgumentError(f"size must be >= 2 for a matrix with cuts, got {size}")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
-    sums = None
-    first = None
-    for s in range(seeds):
-        matrix = sample_gaussian_matrix(size, size, [seed + s, size])
-        prof = profile(matrix, chi_max=chi_max, base=base)
-        if sums is None:
-            first = prof
-            sums = np.array(prof.entropies, dtype=np.float64)
-        else:
-            sums += prof.entropies
-    means = sums / seeds
+    profiles = [
+        profile(sample_gaussian_matrix(size, size, [seed + s, size]), chi_max=chi_max, base=base) for s in range(seeds)
+    ]
+    means = np.mean([prof.entropies for prof in profiles], axis=0)
 
     rows = []
-    max_dev_min4 = 0.0
-    for rec, mean_s in zip(first.records, means):
+    for rec, mean_s in zip(profiles[0].records, means):
         d_lo, d_hi = sorted((rec.d_left, rec.d_right))
         reference = page_entropy(d_lo, d_hi, base=base)
-        dev = abs(mean_s - reference)
-        if d_lo >= 4:
-            max_dev_min4 = max(max_dev_min4, dev)
         rows.append(
             {
                 "cut": rec.cut,
@@ -134,12 +116,12 @@ def page_bench(
                 "min_dim": d_lo,
                 "mean_entropy": float(mean_s),
                 "page_entropy": float(reference),
-                "abs_deviation": float(dev),
+                "abs_deviation": float(abs(mean_s - reference)),
             }
         )
     summary = [
         {
-            "max_abs_deviation_min4": float(max_dev_min4),
+            "max_abs_deviation_min4": max((row["abs_deviation"] for row in rows if row["min_dim"] >= 4), default=0.0),
             "max_mean_entropy": float(means.max()),
             "cuts": len(rows),
         }
@@ -225,10 +207,10 @@ def valley_experiment(
     if min(ranks, default=1) < 1:
         raise InvalidArgumentError(f"rank must be >= 1, got {min(ranks)}")
     _log_base(base)  # checks the base before any draw
+    ranks = [int(r) for r in ranks]
     rows = []
     summary = []
     for r in ranks:
-        r = int(r)
         b, a = np.empty((seeds, d_out, r)), np.empty((seeds, r, d_in))
         for s in range(seeds):
             rng = _seeded_rng([seed + s, r])
@@ -256,11 +238,7 @@ def valley_experiment(
                 "pass_rate": int(check.passes.sum()) / seeds,
             }
         )
-    return ExperimentReport(
-        name="valley",
-        config={"ranks": [int(r) for r in ranks]},
-        tables={"instances": rows, "summary": summary},
-    )
+    return ExperimentReport(name="valley", config={"ranks": ranks}, tables={"instances": rows, "summary": summary})
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +286,10 @@ def mp_compare(
     centers = 0.5 * (edges[:-1] + edges[1:])
     density = counts / (scaled.size * widths)
     hist_rows = [
-        {
-            "bin_left": float(edges[i]),
-            "bin_right": float(edges[i + 1]),
-            "count": int(counts[i]),
-            "empirical_density": float(density[i]),
-            "mp_density": float(law.pdf(centers[i])),
-        }
-        for i in range(bins)
+        {"bin_left": left, "bin_right": right, "count": count, "empirical_density": emp, "mp_density": mp}
+        for left, right, count, emp, mp in zip(
+            edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(), density.tolist(), law.pdf(centers).tolist()
+        )
     ]
     summary = [
         {
@@ -375,17 +349,9 @@ def attn_experiment(
             ablation = mask_ablation(scene, chi_max=chi_max, base=base)
             # one of the ablation's two matrices is scene.a itself
             prof_a = ablation.profile_masked if causal else ablation.profile_unmasked
-            head_rows.append(
-                {
-                    "seed": seed + s,
-                    "head": h,
-                    "s1": s1,
-                    "sigma2": sigma2,
-                    "p1": p1,
-                    "max_normalized_a": float(max(r.normalized for r in prof_a.records)),
-                }
-            )
             key = {"seed": seed + s, "head": h}
+            max_normalized = float(max(r.normalized for r in prof_a.records))
+            head_rows.append({**key, "s1": s1, "sigma2": sigma2, "p1": p1, "max_normalized_a": max_normalized})
             profile_rows += _profile_rows(prof_a, {**key, "matrix": "A"})
             profile_rows += _profile_rows(prof_sigma, {**key, "matrix": "Sigma"})
             for rec_m, rec_u in zip(

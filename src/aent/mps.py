@@ -166,6 +166,11 @@ def _gram_sigmas(m: np.ndarray, vectors: bool = False):
     return (u[:, ::-1], np.sqrt(lam[::-1]), None) if vectors else np.sqrt(lam[::-1])
 
 
+def _check_chi_max(chi_max: int | None) -> None:
+    if chi_max is not None and chi_max < 1:
+        raise InvalidArgumentError(f"chi_max must be >= 1, got {chi_max}")
+
+
 def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     """Tensor train of ``tensor`` by a left-to-right sweep.
 
@@ -186,8 +191,7 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     Where one does not, the sweep runs from cut 1.
     """
     arr, exponent = _rescaled(tensor)
-    if chi_max is not None and chi_max < 1:
-        raise InvalidArgumentError(f"chi_max must be >= 1, got {chi_max}")
+    _check_chi_max(chi_max)
 
     dims = arr.shape
     cores: list[np.ndarray] = []

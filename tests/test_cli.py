@@ -1,4 +1,7 @@
+import contextlib
+import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aent.attention
 import aent.experiments
@@ -134,6 +139,8 @@ def _bad_file(tmp_path, kind):
         (["mp-compare", "--gaussian", "1x8"], 2),
         (["mp-compare", "--gaussian", "8x1"], 2),
         (["mp-compare", "<eye>", "--seed", "3"], 2),
+        (["profile", "<one>", "--chi-max", "0"], 2),
+        (["profile", "<col>", "--chi-max", "-3"], 2),
     ],
     ids=[
         "profile-nan",
@@ -163,12 +170,15 @@ def _bad_file(tmp_path, kind):
         "mp-compare-1xN",
         "mp-compare-Nx1",
         "mp-compare-file-seed",
+        "profile-1x1-chi-max-0",
+        "profile-7x1-chi-max-negative",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, expected):
     files = {f"<{kind}>": _bad_file(tmp_path, kind) for kind in ("nan", "inf", "huge-dims")}
-    for kind, matrix in (("eye", np.eye(4)), ("zero", np.zeros((6, 4)))):
+    matrices = {"eye": np.eye(4), "zero": np.zeros((6, 4)), "one": np.ones((1, 1)), "col": np.ones((7, 1))}
+    for kind, matrix in matrices.items():
         files[f"<{kind}>"] = str(tmp_path / f"{kind}.aent")
         write_matrix(files[f"<{kind}>"], matrix)
     code, lines = run_to_file(tmp_path, [files.get(arg, arg) for arg in argv])
@@ -644,3 +654,177 @@ def test_readme_synopsis_names_every_flag(command):
     named = set(re.findall(r"--?[\w-]+|[A-Z]+", entry))
     flags = [flag if flag.startswith("-") else flag.upper() for flag, _, _, _ in SUBCOMMANDS[command][3]]
     assert entry and [flag for flag in flags if flag not in named] == []
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs
+
+
+def _write_pinned_inputs() -> None:
+    rng = np.random.default_rng(23)
+    write_matrix("f8.aent", rng.standard_normal((64, 48)))
+    write_matrix("f4.aent", rng.standard_normal((96, 64)).astype(np.float32))
+    # exact low rank: an apex of the ladder does not resolve, so the profile goes cut by cut
+    write_matrix("rank4.aent", rng.standard_normal((256, 4)) @ rng.standard_normal((4, 256)))
+
+
+#: argv -> sha256 of its CSV below the timestamp line.  ``--qk-std 0``
+#: gives cardy samples whose Gram spectrum does not resolve (the SVD route).
+PINNED_OUTPUTS = {
+    "profile f8.aent": "e0e841c9776e60926311f78a2778dc039877d73ad821e6bf3c48a82287fb6c2a",
+    "profile f8.aent --chi-max 4": "5296244483b6c1adf2a1afdaf2c195a08e1b0373cab79b21d2f17d13fd68b02c",
+    "profile f4.aent": "fbbe373bde2d50c8cfcacdfcb78253288fc52092e52d5b03e4c4cbcdf1ceb566",
+    "profile f4.aent --chi-max 4": "9c9fe0e01f020ef1dbac321a7e3246585d1649ba7b81b1fe7833d35def488414",
+    "profile rank4.aent": "102643e2ec0892c295e087164dfc3e24ff8e011c3a2d8722d28f3bf91996264e",
+    "profile rank4.aent --chi-max 4": "ea716d082efe39a43094155b5660607122391bc3f1547240e455017b35ee6af5",
+    "page-bench --size 16 --seeds 2": "feff0c34157e761d914593d436bee5ab9cd2fd6f8fd1dc7ad1c219765c9acd01",
+    "cardy --T-grid 8,16,32,64 --seeds 2": "2509b59206f37b9638407689e871a5a0d790068ef203869874b5b3f269375418",
+    "cardy --T-grid 8,16,32,64 --seeds 2 --qk-std 0":
+        "7477df3afb0c60e9edd3990180bbbaefbe6cd536f5bc9064f420abdbd7b8ba27",
+    "valley --dout 16 --din 16 --rank 1,2 --seeds 2":
+        "234c77ec8e18c15907c2100cffd67ac6a4c3f5596449c1e38310feaaf9cc4569",
+    "mp-compare --gaussian 64x48": "e674792fe0b3daddc5d9e801358624fa80bbb1ac5f1f4180ce1235d1d39dc569",
+    "attn --T 16 --heads 2": "ede4195bd94f6592c6cab9782ec27d28a2332f7530d61664357042d31190b0f8",
+    "attn --T 16 --heads 2 --causal --rope": "53e2818127b134e27846a78ec763c17124e19db4810730e4de8bdb543bc76cdf",
+    "adapters-count": "c13c34f6b650d1b8adcfa962a06c49073b53191cb4ff367446514bd7f3e0a7bb",
+}
+
+
+@pytest.mark.parametrize("argv,digest", list(PINNED_OUTPUTS.items()), ids=list(PINNED_OUTPUTS))
+def test_subcommand_output_is_pinned(tmp_path, monkeypatch, argv, digest):
+    # relative file names keep profile's echo of its input the same in any directory
+    monkeypatch.chdir(tmp_path)
+    _write_pinned_inputs()
+    assert main(argv.split() + ["--out", "out.csv"]) == 0
+    below = Path("out.csv").read_text().split("\n", 1)[1]
+    assert hashlib.sha256(below.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed argv and matrix files
+
+_JUNK = ["x", "", "0x10", ",", "4x4x4", "1.5", "nan", "inf"]
+#: (good, bad) pools of flag values: the bad ones are parseable but out of range
+_COUNTS = (["1", "2", "3"], ["0", "-1", "-3"])
+_SEEDS = (["0", "1", "7"], ["-1"])
+_SIZES = (["2", "4", "8", "16", "32", "64"], ["-4", "0", "1", "3", "6", "48"])
+_BASES = (["2", "10", "0.5", "2.718281828459045"], ["0", "1", "-2", "nan", "inf", "-inf"])
+_QK_STDS = (["0", "1e-3", "0.65", "2"], ["-2", "nan", "inf", "1e300"])
+_THETAS = (["0.5", "100", "10000"], ["0", "-5", "nan", "inf"])
+
+
+def _value(good, bad=()):
+    """A value from ``good``, or three times in sixteen from ``bad``, or once a junk string."""
+    return st.integers(0, 15).flatmap(lambda i: st.sampled_from(good if i > 3 else (list(bad) or good) if i else _JUNK))
+
+
+def _int_list(good, bad=(), min_size=1):
+    return st.lists(_value(good, bad), min_size=min_size, max_size=6).map(",".join)
+
+
+@st.composite
+def _aent_file(draw) -> bytes:
+    """A small matrix file, intact, truncated, with flipped or trailing bytes, or random bytes."""
+    rows, cols = draw(st.sampled_from([(1, 1), (7, 1), (4, 4), (8, 6), (16, 12), (64, 64)]))
+    code, dtype = draw(st.sampled_from([(0, "<f4"), (1, "<f8")]))
+    matrix = np.random.default_rng(rows * cols).standard_normal((rows, cols)).astype(dtype)
+    blob = struct.pack("<4sHHH2Q", b"AENT", 1, code, 2, rows, cols) + matrix.tobytes()
+    kind = draw(st.sampled_from(["intact", "truncated", "flipped", "trailing", "random"]))
+    if kind == "truncated":
+        blob = blob[: draw(st.integers(0, len(blob) - 1))]
+    elif kind == "flipped":
+        flipped = bytearray(blob)
+        for at in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=3)):
+            flipped[at] ^= draw(st.integers(1, 255))
+        blob = bytes(flipped)
+    elif kind == "trailing":
+        blob += draw(st.binary(min_size=1, max_size=16))
+    elif kind == "random":
+        blob = draw(st.binary(max_size=64))
+    return blob
+
+
+_GAUSSIAN_SHAPES = [f"{rows}x{cols}" for rows in _SIZES[0] for cols in _SIZES[0]]
+_ADAPTER_SPEC = st.tuples(
+    _value(["full", "lora", "mps", "MPS"], ["dense"]), st.lists(_value(*_SIZES), max_size=7).map(",".join)
+).map(":".join)
+
+#: command -> {flag: strategy for its value, None for a switch or the input
+#: file}; the first entry of a command is always given, the others each with
+#: probability 1/2.  Sizes stay at 64 or below, seeds and heads at 3.
+_GRAMMAR = {
+    "profile": {"<file>": None, "--chi-max": _value(*_SIZES), "--base": _value(*_BASES)},
+    "page-bench": {
+        "--size": _value(*_SIZES), "--seeds": _value(*_COUNTS), "--chi-max": _value(*_SIZES),
+        "--seed": _value(*_SEEDS), "--base": _value(*_BASES),
+    },
+    "cardy": {
+        "--T-grid": _int_list(*_SIZES, min_size=4), "--seeds": _value(*_COUNTS), "--d-mult": _value(*_COUNTS),
+        "--qk-std": _value(*_QK_STDS), "--seed": _value(*_SEEDS),
+    },
+    "valley": {
+        "--seeds": _value(*_COUNTS), "--dout": _value(*_SIZES), "--din": _value(*_SIZES),
+        "--rank": _int_list(["1", "2", "4", "64"], ["0", "-1", "100"]), "--seed": _value(*_SEEDS),
+        "--base": _value(*_BASES),
+    },
+    "mp-compare": {
+        "--bins": _value(["4", "16", "64"], ["-1", "0", "3"]), "<file>": None,
+        "--gaussian": _value(_GAUSSIAN_SHAPES, ["0x8", "8x1", "1x8", "64x-1", "8x8x8", "x8"]),
+        "--cut": _value(["1", "2", "3"], ["0", "-1", "12"]), "--seed": _value(*_SEEDS),
+    },
+    "attn": {
+        "--T": _value(*_SIZES), "--heads": _value(*_COUNTS), "--seeds": _value(*_COUNTS), "--causal": None,
+        "--rope": None, "--rope-theta": _value(*_THETAS), "--qk-std": _value(*_QK_STDS),
+        "--chi-max": _value(*_SIZES), "--seed": _value(*_SEEDS),
+    },
+    "adapters-count": {"--spec": _ADAPTER_SPEC},
+}
+
+
+@st.composite
+def _cli_case(draw):
+    command = draw(st.sampled_from(list(_GRAMMAR)))
+    argv, blob = [command], None
+    for i, (flag, value) in enumerate(_GRAMMAR[command].items()):
+        if i and not draw(st.booleans()):
+            continue
+        if flag == "<file>":
+            blob = draw(_aent_file())
+            argv.append("in.aent")
+        elif value is None:
+            argv.append(flag)
+        else:
+            argv += [flag, draw(value)]
+        if flag == "--spec" and draw(st.booleans()):
+            argv += [flag, draw(value)]
+    if draw(st.integers(0, 19)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_JUNK + ["--nope"])))
+    return argv, blob
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(case=_cli_case())
+def test_fuzzed_argv_and_files_exit_with_a_documented_code(tmp_path_factory, case):
+    argv, blob = case
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    (work / "in.aent").unlink(missing_ok=True)
+    if blob is not None:
+        (work / "in.aent").write_bytes(blob)
+    argv = [str(work / arg) if arg == "in.aent" else arg for arg in argv] + ["--out", str(work / "out.csv")]
+    if argv[0] != "profile":
+        argv += ["--json", str(work / "out.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert ": error: " in err.getvalue()
+            return
+    assert code in (0, 2, 3, 4, 5)
+    # a refusal is one line of its own, and a run that succeeds prints nothing
+    if code:
+        assert err.getvalue().startswith("aent: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""

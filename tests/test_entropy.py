@@ -236,6 +236,15 @@ class TestProfile:
         prof = profile(np.array([[2.5]]))
         assert prof.records == []
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1)])
+    @pytest.mark.parametrize("chi_max", [0, -3])
+    def test_a_bad_chi_max_is_refused_without_cuts(self, shape, chi_max):
+        with pytest.raises(InvalidArgumentError) as no_cuts:
+            profile(np.ones(shape), chi_max=chi_max)
+        with pytest.raises(InvalidArgumentError) as cuts:
+            decompose(np.ones((2, 2, 2)), chi_max=chi_max)
+        assert str(no_cuts.value) == str(cuts.value) == f"chi_max must be >= 1, got {chi_max}"
+
 
 def _noisy_product(rows, cols, rank, noise, seed):
     """Gaussian matrix when rank is None, else a rank-r product plus noise."""

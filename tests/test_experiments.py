@@ -329,6 +329,16 @@ class TestMpCompare:
         reference = ks_distance(np.sort(256 * sigmas**2 / np.dot(sigmas, sigmas)), MarchenkoPastur(1.0))
         assert abs(ks - reference) <= 1e-12
 
+    def test_the_density_is_evaluated_once_on_the_bin_centres(self, monkeypatch):
+        calls = []
+        pdf = MarchenkoPastur.pdf
+        monkeypatch.setattr(MarchenkoPastur, "pdf", lambda law, x: calls.append(np.shape(x)) or pdf(law, x))
+        report = mp_compare(sample_gaussian_matrix(64, 48, seed=4))
+        assert calls == [(64,)]
+        law = MarchenkoPastur(report.tables["summary"][0]["c"])
+        for row in report.tables["histogram"]:
+            assert row["mp_density"] == pdf(law, 0.5 * (row["bin_left"] + row["bin_right"]))
+
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError, match="all zero"):
             mp_compare(np.zeros((8, 6)))
