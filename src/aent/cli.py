@@ -109,8 +109,8 @@ def _parse_adapter_spec(text: str) -> AdapterSpec:
     kind = kind.strip().lower()
     if kind == "mps":
         kind = "mps_adapt"
-    fields = _parse_int_list(rest, f"adapter spec {text!r}")
     names = _SPEC_FIELDS.get(kind)
+    fields = () if names is None else _parse_int_list(rest, f"adapter spec {text!r}")
     if names is None or len(names) != len(fields):
         raise InvalidArgumentError(
             f"adapter spec {text!r} not understood; use full:DOUT,DIN or "

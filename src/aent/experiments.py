@@ -198,16 +198,15 @@ def valley_experiment(
 
     Instance s of rank r draws B (d_out, r), then A (r, d_in), from
     (seed + s, r).  Each rank's stacked factors go through one
-    :func:`valley_check`, which never forms B A.
+    :func:`valley_check`, which never forms B A.  Every rank is checked
+    first as a LoRA :class:`AdapterSpec` of the shape: 1 <= r <= min(d_out, d_in).
     """
     if d_out < 2 or d_in < 2:
         raise InvalidArgumentError(f"a {d_out}x{d_in} update has no row-column cut; need d_out, d_in >= 2")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
-    if min(ranks, default=1) < 1:
-        raise InvalidArgumentError(f"rank must be >= 1, got {min(ranks)}")
+    ranks = [AdapterSpec(kind="lora", d_out=d_out, d_in=d_in, r=int(r)).r for r in ranks]
     _log_base(base)  # checks the base before any draw
-    ranks = [int(r) for r in ranks]
     rows = []
     summary = []
     for r in ranks:

@@ -236,9 +236,9 @@ def _walk(gram: np.ndarray, dims: tuple[int, ...], cuts, rows: bool, spectra: di
     """Descending Schmidt values at ``cuts`` into ``spectra``; the first cut failing :func:`_resolved`, else None.
 
     ``gram`` is the Gram matrix on the left (``rows``) or right side of a
-    cut of a tensor of shape ``dims``.  ``cuts`` start at that cut or the
-    next one toward that end of the chain and go on one site at a time;
-    each cut's Gram matrix is the last one's with the site between traced out.
+    cut of a tensor of shape ``dims``.  ``cuts`` start at that cut and go
+    toward that end of the chain one site at a time; each later cut's Gram
+    matrix is the last one's with the site between traced out.
     """
     size = math.prod(dims)
     for cut in cuts:
@@ -261,19 +261,21 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
     """(Schmidt values at every cut, None) from two Gram products, else (None, the first unresolved cut).
 
     The left apex is the last cut whose left side is the smaller (m @ m^T),
-    the right apex the next one (m^T @ m); both are tested, as
-    :func:`_sigmas` tests a cut but probed on min(_PROBE, k/4) >= 4 rows,
-    before any walk starts; the cut is None where a probe failed first.
-    Walking outward (:func:`_walk`), each cut's Gram matrix is its
-    neighbour's with one site traced out, and keeps the test; by the
-    condition bound, a walked cut below a resolved apex essentially never
-    fails it.
+    the right apex the next one (m^T @ m).  Each side in turn, the left
+    first, is probed on min(_PROBE, k/4) >= 4 rows, then its apex Gram is
+    tested as :func:`_sigmas` tests a cut and walked outward at once
+    (:func:`_walk`): each further cut's Gram matrix is its neighbour's with
+    one site traced out, and keeps the test.  The walk holds the only
+    reference to the apex Gram, which is freed at its first trace, before
+    the right apex is formed.  The cut is None where a probe failed first;
+    a walked left cut that fails is returned whatever the right apex would
+    give.  By the condition bound, a walked cut below a resolved apex
+    essentially never fails the test.
     """
     dims = arr.shape
     lefts = [math.prod(dims[:cut]) for cut in range(1, len(dims))]
     apex = sum(left * left <= arr.size for left in lefts)
     spectra: dict[int, np.ndarray] = {}
-    walks = []
     for cut, rows in ((apex, True), (apex + 1, False)):
         if not 1 <= cut < len(dims):
             continue
@@ -281,12 +283,7 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
         g = m if rows else m.T
         if not _probe_resolves(g, min(_PROBE, g.shape[0] // 4)):
             return None, None
-        gram = _gram(g)
-        if _walk(gram, dims, (cut,), rows, spectra) is not None:
-            return None, cut
-        walks.append((gram, rows, range(cut - 1, 0, -1) if rows else range(cut + 1, len(dims))))
-    for gram, rows, cuts in walks:
-        unresolved = _walk(gram, dims, cuts, rows, spectra)
+        unresolved = _walk(_gram(g), dims, range(cut, 0, -1) if rows else range(cut, len(dims)), rows, spectra)
         if unresolved is not None:
             return None, unresolved
     return [spectra[cut] for cut in range(1, len(dims))], None

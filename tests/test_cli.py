@@ -290,6 +290,11 @@ class TestValleyCommand:
         assert run_to_file(tmp_path, ["valley", "--dout", "12"])[0] == 2
         assert run_to_file(tmp_path, ["valley", "--rank", "oops"])[0] == 2
 
+    def test_rank_above_the_smaller_dim_rejected(self, tmp_path, capsys):
+        argv = ["valley", "--dout", "4", "--din", "8", "--rank", "9", "--seeds", "1"]
+        assert run_to_file(tmp_path, argv) == (2, [])
+        assert capsys.readouterr().err == "aent: invalid argument: rank 9 exceeds min(d_out, d_in) = 4\n"
+
 
 class TestMpCompareCommand:
     def test_gaussian_source(self, tmp_path):
@@ -419,6 +424,14 @@ class TestAdaptersCountCommand:
         assert run_to_file(tmp_path, ["adapters-count", "--spec", "lora:16,16,0"])[0] == 2
         assert run_to_file(tmp_path, ["adapters-count", "--spec", "banana:1,2"])[0] == 2
         assert run_to_file(tmp_path, ["adapters-count", "--spec", "lora:16,16"])[0] == 2
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("dense:", "not understood; use full:"), ("dense:4,4", "not understood; use full:"), ("lora:", "is empty")],
+    )
+    def test_an_unknown_kind_is_named_before_its_fields(self, tmp_path, capsys, spec, message):
+        assert run_to_file(tmp_path, ["adapters-count", "--spec", spec]) == (2, [])
+        assert capsys.readouterr().err.startswith(f"aent: invalid argument: adapter spec {spec!r} {message}")
 
 
 class TestTopLevel:

@@ -234,6 +234,12 @@ class TestValleyExperiment:
         with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
             valley_experiment(d_out=8, d_in=8, ranks=(2, rank), seeds=1)
 
+    def test_rank_above_the_smaller_dim_rejected_before_any_draw(self):
+        # seed -1 would fail the first draw, so the ranks are checked before it
+        with pytest.raises(InvalidArgumentError, match=r"rank 9 exceeds min\(d_out, d_in\) = 4"):
+            valley_experiment(d_out=4, d_in=8, ranks=(2, 9), seeds=1, seed=-1)
+        assert valley_experiment(d_out=4, d_in=8, ranks=(4,), seeds=1).tables["summary"][0]["rank"] == 4
+
     @pytest.mark.parametrize("d_out, d_in", [(1, 8), (8, 1), (0, 8), (8, 0)])
     def test_dims_without_a_row_column_cut_rejected_before_any_draw(self, d_out, d_in):
         # seed -1 would fail the first draw, so the dims are checked before it
@@ -249,11 +255,11 @@ class TestValleyExperiment:
         "kwargs",
         [
             dict(d_out=64, d_in=64, seeds=3),
-            dict(d_out=8, d_in=4, ranks=(1, 2, 8), seeds=4),  # r > d_in
+            dict(d_out=8, d_in=4, ranks=(1, 2, 4), seeds=4),  # r = d_in, the largest rank allowed
             dict(d_out=12, d_in=18, ranks=(1, 2, 3, 5), seeds=4),  # prime sites
             dict(d_out=16, d_in=16, ranks=(1, 2, 4), seeds=4, base=math.e),
         ],
-        ids=["64x64", "8x4-r-above-d_in", "12x18", "16x16-nats"],
+        ids=["64x64", "8x4-r-at-d_in", "12x18", "16x16-nats"],
     )
     def test_matches_the_profile_of_the_formed_update(self, kwargs):
         report = valley_experiment(seed=5, **kwargs)

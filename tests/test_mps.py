@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ class TestSchmidtValues:
 
     def test_unresolved_walked_cut_sends_the_tensor_to_the_carried_loop(self, monkeypatch):
         # every 8 x 8 Gram matrix is made to fail the test: the left walk
-        # reaches one first, at cut 3, after both apexes (32 and 16) resolved
+        # reaches one first, at cut 3, before the right apex (16) is formed
         tensor = _random_tensor((2,) * 10, 11)
         resolved = mps._resolved
         monkeypatch.setattr(mps, "_resolved", lambda lam, k: k != 8 and resolved(lam, k))
@@ -289,6 +290,21 @@ class TestSchmidtValues:
         schmidt_values(tensor)
         assert products == [tensor.size] * 2
         assert svd_calls == []
+
+    def test_left_apex_gram_is_freed_before_the_right_one_is_formed(self, monkeypatch):
+        # the left walk holds the only reference to its apex Gram and rebinds
+        # it at the first partial trace, so CPython frees it there
+        grams, gram = [], mps._gram
+
+        def tracked(g):
+            assert all(ref() is None for ref in grams), "an earlier apex Gram is still referenced"
+            product = gram(g)
+            grams.append(weakref.ref(product))
+            return product
+
+        monkeypatch.setattr(mps, "_gram", tracked)
+        profile(_random_tensor((1024, 1024), 12))
+        assert len(grams) == 2
 
     def _svd_calls(self, monkeypatch, tensor):
         calls = _svd_call_log(monkeypatch)

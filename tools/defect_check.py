@@ -1,0 +1,113 @@
+"""Measure the acceptance criteria's power against known one-line defects.
+
+    python3 tools/defect_check.py
+
+For a defect-free baseline and then for each defect in ``DEFECTS``, the
+script copies the checkout's ``src/`` to a temporary directory, applies
+the defect there as an exact string replacement (its anchor must occur
+exactly once in its file), and runs ``tests/test_acceptance.py`` in a
+fresh interpreter with ``PYTHONPATH`` set to the copy.  It prints every
+``[criterion NN]`` line that reads FAIL, and every acceptance test that
+failed without printing a verdict.  A criterion that passes with a defect
+applied is a gate that cannot see it.
+
+The baseline must read all PASS; the script exits 1 where it does not.
+The acceptance suite takes about 12 s on 2 cores, so a full run takes
+about a minute.  The working tree is never written.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/aent, anchor, replacement)
+DEFECTS = [
+    (
+        "rmt.cardy_fit: charge = sigma2",
+        "rmt.py",
+        "charge = sigma2 / (1.0 + sigma2)",
+        "charge = sigma2",
+    ),
+    (
+        "entropy._shannon returns 0.99 S",
+        "entropy.py",
+        "return float(-(w * np.log(w)).sum() / _log_base(base))",
+        "return 0.99 * float(-(w * np.log(w)).sum() / _log_base(base))",
+    ),
+    (
+        "mps.SIGMA_FLOOR = 1e-3",
+        "mps.py",
+        "SIGMA_FLOOR = 1e-12",
+        "SIGMA_FLOOR = 1e-3",
+    ),
+    (
+        "_cardy_sample draws Q at qk_std 0.8",
+        "experiments.py",
+        "q = _qk_rows(rng, t, t, qk_std)",
+        "q = _qk_rows(rng, t, t, 0.8)",
+    ),
+]
+
+_VERDICT = re.compile(r"\[criterion (\d\d)\] (PASS|FAIL) .*")
+_FAILED_TEST = re.compile(r"^FAILED tests/test_acceptance\.py::test_(\d\d)", re.MULTILINE)
+
+
+def _patched_source(dest: Path, defect) -> None:
+    """Copy ``src/`` to ``dest`` with ``defect`` (or nothing, for None) applied."""
+    shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
+    if defect is None:
+        return
+    name, file, anchor, replacement = defect
+    path = dest / "aent" / file
+    text = path.read_text()
+    if text.count(anchor) != 1:
+        raise SystemExit(f"defect {name!r}: anchor {anchor!r} occurs {text.count(anchor)} times in src/aent/{file}")
+    path.write_text(text.replace(anchor, replacement))
+
+
+def _run_acceptance(src: Path) -> tuple[int, list[re.Match], list[str]]:
+    """(pytest's exit code, the verdict lines, numbers of the tests that failed without one)."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-rf", "-p", "no:cacheprovider", "tests/test_acceptance.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=900,
+    )
+    # not anchored at the line start: pytest -q prints each test's "." before its output
+    verdicts = list(_VERDICT.finditer(done.stdout))
+    silent = sorted(set(_FAILED_TEST.findall(done.stdout)) - {m.group(1) for m in verdicts})
+    return done.returncode, verdicts, silent
+
+
+def main() -> int:
+    for defect in DEFECTS:  # every anchor is checked before the first run
+        with tempfile.TemporaryDirectory() as tmp:
+            _patched_source(Path(tmp) / "src", defect)
+    baseline_ok = True
+    for defect in [None, *DEFECTS]:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            _patched_source(src, defect)
+            code, verdicts, silent = _run_acceptance(src)
+        fails = [m for m in verdicts if m.group(2) == "FAIL"]
+        caught = sorted({m.group(1) for m in fails} | set(silent))
+        name = "baseline (no defect)" if defect is None else defect[0]
+        print(f"{name}: pytest exit {code}, {len(verdicts)} verdicts, failing criteria: {', '.join(caught) or 'none'}")
+        for m in fails:
+            print(f"    {m.group(0)}")
+        for number in silent:
+            print(f"    [criterion {number}] failed without a verdict line")
+        if defect is None:
+            baseline_ok = code == 0 and bool(verdicts)
+    return 0 if baseline_ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
