@@ -43,6 +43,10 @@ class AdapterSpec:
     def __post_init__(self):
         if self.kind not in _SPEC_FIELDS:
             raise InvalidArgumentError(f"unknown adapter kind {self.kind!r}")
+        for name in _SPEC_FIELDS["mps_adapt"]:  # every size field
+            value = getattr(self, name)
+            if value is not None and not float(value).is_integer():
+                raise InvalidArgumentError(f"adapter {name} must be a whole number, got {value}")
         if self.d_out < 1 or self.d_in < 1:
             raise InvalidArgumentError("adapter dims must be >= 1")
         if self.kind == "full":

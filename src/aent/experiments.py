@@ -205,7 +205,7 @@ def valley_experiment(
         raise InvalidArgumentError(f"a {d_out}x{d_in} update has no row-column cut; need d_out, d_in >= 2")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
-    ranks = [AdapterSpec(kind="lora", d_out=d_out, d_in=d_in, r=int(r)).r for r in ranks]
+    ranks = [int(AdapterSpec(kind="lora", d_out=d_out, d_in=d_in, r=r).r) for r in ranks]
     _log_base(base)  # checks the base before any draw
     rows = []
     summary = []

@@ -4,10 +4,10 @@ At bond k the carried matrix m is reshaped to (chi_prev * d_k, rest), its
 left factor U (the next core) and values S come from eigh(m @ m^T) or an
 SVD, and S @ Vh = U^T m is carried forward.  As every left factor is
 orthonormal, the values at bond k of an untruncated sweep are exactly the
-Schmidt values of the full tensor across that cut.  Under a cap
-``chi_max`` the cuts whose left side is at most chi_max and at most the
-right side cannot truncate; they are read by partial trace (below) from
-one Gram product, with identity cores, and the sweep starts after them.
+Schmidt values of the full tensor across that cut.  No sweep, capped or
+not, can truncate a cut whose left side is at most its right side and at
+most ``chi_max`` if set: this exact prefix is read by partial trace (below)
+from one Gram product, with identity cores, and the sweep starts after it.
 
 The untruncated Schmidt values need no cores, only the Gram matrix on the
 smaller side of each cut, the reduced density matrix rho_A = Tr_B rho of
@@ -16,7 +16,9 @@ at the two apex cuts where the smaller side flips from left to right, and
 reads every other cut's Gram matrix as an exact partial trace of its
 neighbour's, walking outward one site at a time.  Tracing out a site sums
 d principal blocks, so it cannot raise the condition number:
-cond(Tr_i G) <= cond(G).
+cond(Tr_i G) <= cond(G).  Every Gram product of k >= 4 ``_PROBE`` rows is
+tested first on its leading ``_PROBE`` rows: by Cauchy interlacing the
+whole fails where they fail.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ class MpsChain:
     """Cores of a tensor train plus the singular values kept at each bond.
 
     ``cores[k]`` has shape (chi_{k-1}, d_k, chi_k) with chi_0 = chi_M = 1.
-    Each core but the last is a left isometry.  In a capped chain the
-    cores up to the last cut the cap cannot truncate (see
-    :func:`decompose`) are identities, ``eye(chi_k)`` reshaped.
+    Each core but the last is a left isometry.  The cores of the exact
+    prefix, the cuts no sweep can truncate (see :func:`decompose`), are
+    identities, ``eye(chi_k)`` reshaped.
     ``bond_spectra[k]`` holds the unnormalized singular values retained at
     the bond between sites k and k+1 (0-based), so its length equals the
     bond dimension chi_{k+1}.
@@ -62,9 +64,9 @@ class MpsChain:
 
 
 def _as_tensor(tensor) -> np.ndarray:
-    arr = np.ascontiguousarray(tensor, dtype=np.float64)
-    if arr.ndim < 1:
+    if np.ndim(tensor) < 1:  # ascontiguousarray would make a 0-d input 1-d
         raise InvalidArgumentError("expected a tensor with at least one axis")
+    arr = np.ascontiguousarray(tensor, dtype=np.float64)
     if arr.size == 0:
         raise InvalidArgumentError("expected a non-empty tensor")
     return arr
@@ -133,20 +135,19 @@ def _resolved(lam: np.ndarray, k: int):
     return lam[..., 0] > 100 * k * np.finfo(np.float64).eps * lam[..., -1]
 
 
-def _probe_resolves(g: np.ndarray, p: int = _PROBE) -> bool:
-    """False where g's leading p rows, 4 <= p <= k/4, fail :func:`_resolved` for its k (by interlacing, g fails too)."""
+def _probe_resolves(g: np.ndarray) -> bool:
+    """False where g has k >= 4 _PROBE rows whose leading _PROBE fail :func:`_resolved`; by interlacing, all k do."""
     k = g.shape[0]
-    return not 4 <= p <= k // 4 or bool(_resolved(np.linalg.eigvalsh(g[:p] @ g[:p].T), k))
+    return k < 4 * _PROBE or bool(_resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k))
 
 
 def _sigmas(m: np.ndarray, vectors: bool = False):
     """Descending singular values of a rescaled unfolding ``m``.
 
     sqrt(eigh) of the k x k Gram matrix on the smaller side (rows side with
-    ``vectors``) where lam_min > 100 k eps lam_max resolves ``SIGMA_FLOOR``,
-    tried first on the leading ``_PROBE`` block once k >= 4 ``_PROBE`` (by
-    Cauchy interlacing the whole fails where it does); else an SVD.  With
-    ``vectors`` (a tall ``m`` takes the SVD) returns (u, s, vh), vh None on the Gram path.
+    ``vectors``) where lam_min > 100 k eps lam_max resolves ``SIGMA_FLOOR``
+    (probed first, :func:`_probe_resolves`); else an SVD.  With ``vectors``
+    (a tall ``m`` takes the SVD) returns (u, s, vh), vh None on the Gram path.
     """
     found = _gram_sigmas(m, vectors)
     if found is not None:
@@ -181,14 +182,15 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     Values below ``SIGMA_FLOOR`` times the bond maximum are dropped
     regardless.  Kept values are stored unnormalized.
 
-    A capped sweep cannot truncate a cut whose left side is at most
-    ``chi_max`` and at most its right side.  The last such cut P takes one
-    Gram product of the tensor, and cuts P-1..1 are read from it by exact
-    partial traces (:func:`_walk`).  Where every one of them passes the
-    test of :func:`_resolved` they keep every value, so their cores are
-    identity isometries, ``eye(chi_k)`` reshaped to (chi_{k-1}, d_k, chi_k),
-    and the sweep goes on from cut P+1 with the tensor itself, unrotated.
-    Where one does not, the sweep runs from cut 1.
+    No sweep, capped or not, can truncate a cut whose left side is at most
+    its right side and at most ``chi_max`` if set.  The last such cut P
+    takes one Gram product of the tensor, and cuts P-1..1 are read from it
+    by exact partial traces (:func:`_walk`); uncapped, these are
+    :func:`schmidt_values`' own, bit for bit.  Where every one of them
+    passes the test of :func:`_resolved` they keep every value, so their
+    cores are identity isometries, ``eye(chi_k)`` reshaped to
+    (chi_{k-1}, d_k, chi_k), and the sweep goes on from cut P+1 with the
+    tensor itself, unrotated.  Where one does not, the sweep runs from cut 1.
     """
     arr, exponent = _rescaled(tensor)
     _check_chi_max(chi_max)
@@ -198,17 +200,16 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     spectra: list[np.ndarray] = []
     carried = arr.reshape(1, -1)
     chi = 1
-    if chi_max is not None:
-        lefts = [math.prod(dims[:cut]) for cut in range(1, len(dims))]
-        prefix = sum(left <= chi_max and left * left <= arr.size for left in lefts)
-        g = arr.reshape(math.prod(dims[:prefix]), -1)
-        walked: dict[int, np.ndarray] = {}
-        if prefix and _probe_resolves(g) and _walk(_gram(g), dims, range(prefix, 0, -1), True, walked) is None:
-            for d in dims[:prefix]:
-                cores.append(np.eye(chi * d).reshape(chi, d, chi * d))
-                spectra.append(_scaled_back(walked[len(cores)], exponent))
-                chi *= d
-            carried = g
+    lefts = [math.prod(dims[:cut]) for cut in range(1, len(dims))]
+    prefix = sum(left * left <= arr.size and (chi_max is None or left <= chi_max) for left in lefts)
+    g = arr.reshape(math.prod(dims[:prefix]), -1)
+    walked: dict[int, np.ndarray] = {}
+    if prefix and _walk(g, dims, range(prefix, 0, -1), True, walked) is None:
+        for d in dims[:prefix]:
+            cores.append(np.eye(chi * d).reshape(chi, d, chi * d))
+            spectra.append(_scaled_back(walked[len(cores)], exponent))
+            chi *= d
+        carried = g
     for d in dims[len(cores) : -1]:
         m = carried.reshape(chi * d, -1)
         u, s, vh = _sigmas(m, vectors=True)
@@ -232,14 +233,19 @@ def reconstruct(mps: MpsChain) -> np.ndarray:
     return left.reshape(mps.site_dims)
 
 
-def _walk(gram: np.ndarray, dims: tuple[int, ...], cuts, rows: bool, spectra: dict) -> int | None:
-    """Descending Schmidt values at ``cuts`` into ``spectra``; the first cut failing :func:`_resolved`, else None.
+def _walk(g: np.ndarray, dims: tuple[int, ...], cuts, rows: bool, spectra: dict) -> int | None:
+    """Descending Schmidt values at ``cuts`` into ``spectra``; the first cut it cannot read, else None.
 
-    ``gram`` is the Gram matrix on the left (``rows``) or right side of a
-    cut of a tensor of shape ``dims``.  ``cuts`` start at that cut and go
-    toward that end of the chain one site at a time; each later cut's Gram
-    matrix is the last one's with the site between traced out.
+    ``g`` is the unfolding at ``cuts[0]`` of a tensor of shape ``dims``, its
+    rows the left (``rows``) or right side.  It is probed there
+    (:func:`_probe_resolves`) and multiplied once (:func:`_gram`).  ``cuts``
+    go toward that end of the chain one site at a time; each later cut's
+    Gram matrix is the last one's with the site between traced out, which
+    frees the last one, and each must pass :func:`_resolved`.
     """
+    if not _probe_resolves(g):
+        return cuts[0]
+    gram = _gram(g)
     size = math.prod(dims)
     for cut in cuts:
         left = math.prod(dims[:cut])
@@ -262,15 +268,11 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
 
     The left apex is the last cut whose left side is the smaller (m @ m^T),
     the right apex the next one (m^T @ m).  Each side in turn, the left
-    first, is probed on min(_PROBE, k/4) >= 4 rows, then its apex Gram is
-    tested as :func:`_sigmas` tests a cut and walked outward at once
-    (:func:`_walk`): each further cut's Gram matrix is its neighbour's with
-    one site traced out, and keeps the test.  The walk holds the only
-    reference to the apex Gram, which is freed at its first trace, before
-    the right apex is formed.  The cut is None where a probe failed first;
-    a walked left cut that fails is returned whatever the right apex would
-    give.  By the condition bound, a walked cut below a resolved apex
-    essentially never fails the test.
+    first, is walked outward from its apex (:func:`_walk`), so the left apex
+    Gram is freed before the right one is formed.  A failed probe reports
+    its apex; a walked left cut that fails is returned whatever the right
+    apex would give.  By the condition bound, a walked cut below a resolved
+    apex essentially never fails the test.
     """
     dims = arr.shape
     lefts = [math.prod(dims[:cut]) for cut in range(1, len(dims))]
@@ -280,10 +282,7 @@ def _ladder(arr: np.ndarray) -> tuple[list[np.ndarray] | None, int | None]:
         if not 1 <= cut < len(dims):
             continue
         m = arr.reshape(lefts[cut - 1], -1)
-        g = m if rows else m.T
-        if not _probe_resolves(g, min(_PROBE, g.shape[0] // 4)):
-            return None, None
-        unresolved = _walk(_gram(g), dims, range(cut, 0, -1) if rows else range(cut, len(dims)), rows, spectra)
+        unresolved = _walk(m if rows else m.T, dims, range(cut, 0, -1) if rows else range(cut, len(dims)), rows, spectra)
         if unresolved is not None:
             return None, unresolved
     return [spectra[cut] for cut in range(1, len(dims))], None

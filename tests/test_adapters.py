@@ -42,6 +42,19 @@ class TestAdapterSpec:
         with pytest.raises(InvalidArgumentError):
             AdapterSpec("lora", 4, 4, r=5)
 
+    @pytest.mark.parametrize(
+        "fields, name, value",
+        [
+            (("lora", 8, 8, 2.5), "r", "2.5"),
+            (("full", 8.5, 8), "d_out", "8.5"),
+            (("full", 8, 8, math.nan), "r", "nan"),
+            (("mps_adapt", 8, 8, 2, 2, 4, math.inf), "chi", "inf"),
+        ],
+    )
+    def test_a_size_that_is_not_a_whole_number_is_refused_by_name(self, fields, name, value):
+        with pytest.raises(InvalidArgumentError, match=f"adapter {name} must be a whole number, got {value}$"):
+            AdapterSpec(*fields)
+
     def test_mps_factorization_validation(self):
         with pytest.raises(InvalidArgumentError):
             AdapterSpec("mps_adapt", 4, 6, r=2, d1=2, d2=2, chi=1)

@@ -179,6 +179,10 @@ class TestAttentionScene:
             assert m.shape == (64, 64)
             assert np.std(m) == pytest.approx(0.5, rel=0.05)
 
+    def test_empty_context_refused(self):
+        with pytest.raises(InvalidArgumentError, match="T must be >= 1, got 0"):
+            AttentionScene.build(0)
+
     @pytest.mark.parametrize("qk_std", [math.nan, math.inf, -0.1])
     def test_qk_std_validated(self, qk_std):
         with pytest.raises(InvalidArgumentError):

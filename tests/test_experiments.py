@@ -234,6 +234,16 @@ class TestValleyExperiment:
         with pytest.raises(InvalidArgumentError, match="rank must be >= 1"):
             valley_experiment(d_out=8, d_in=8, ranks=(2, rank), seeds=1)
 
+    def test_rank_that_is_not_a_whole_number_rejected_before_any_draw(self):
+        with pytest.raises(InvalidArgumentError, match="adapter r must be a whole number, got 2.5"):
+            valley_experiment(d_out=8, d_in=8, ranks=(2, 2.5), seeds=1, seed=-1)
+
+    def test_whole_ranks_of_any_type_give_the_same_report(self):
+        reports = [valley_experiment(d_out=8, d_in=8, ranks=(r,), seeds=2) for r in (2, np.int64(2), 2.0)]
+        for report in reports:
+            assert report.config["ranks"] == [2] and type(report.config["ranks"][0]) is int
+            assert json.dumps(report.tables) == json.dumps(reports[0].tables)  # the interior entropies are NaN
+
     def test_rank_above_the_smaller_dim_rejected_before_any_draw(self):
         # seed -1 would fail the first draw, so the ranks are checked before it
         with pytest.raises(InvalidArgumentError, match=r"rank 9 exceeds min\(d_out, d_in\) = 4"):

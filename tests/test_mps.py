@@ -15,7 +15,7 @@ from aent import (
     tensorize,
 )
 from aent import mps
-from aent.mps import _PROBE, _rescaled, _sigmas, _svd_compressed, schmidt_values
+from aent.mps import _PROBE, MpsChain, _rescaled, _sigmas, _svd_compressed, schmidt_values
 from svd_reference import cut_spectrum
 
 
@@ -107,6 +107,10 @@ class TestReconstruct:
         assert len(chain.cores) == 1
         assert chain.bond_spectra == []
         assert np.allclose(reconstruct(chain), tensor, atol=1e-12)
+
+    def test_empty_chain_refused(self):
+        with pytest.raises(InvalidArgumentError, match="cannot reconstruct an empty chain"):
+            reconstruct(MpsChain())
 
     def test_four_by_six_round_trip(self):
         _, tensor = tensorize(_random_tensor((4, 6), 7))
@@ -266,6 +270,30 @@ class TestSchmidtValues:
         carried = schmidt_values(tensor)
         assert all(np.array_equal(a, b) for a, b in zip(spectra, carried, strict=True))
 
+    def test_gram_below_four_probes_is_read_whole_without_a_probe(self, monkeypatch):
+        # the left apex (cut 5) is 32 x 32, fewer than 4 _PROBE rows, so it is
+        # not probed; its rank-4 Gram matrix fails and the carried loop skips it
+        tensor = _low_rank_tensor((2,) * 10, 5, 4, seed=3)
+        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        spectra = schmidt_values(tensor)
+        assert eig_calls[0] == (32, 32)
+        assert eig_calls.count((32, 32)) == 1
+        monkeypatch.setattr(mps, "_ladder", lambda arr: (None, None))
+        carried = schmidt_values(tensor)
+        assert all(np.array_equal(a, b) for a, b in zip(spectra, carried, strict=True))
+
+    def test_failed_probe_reports_its_cut(self, monkeypatch):
+        # the left apex (cut 9, 512 x 512) has rank 32, so its _PROBE-row probe
+        # fails and the ladder returns that cut, forming no Gram matrix
+        tensor = _low_rank_tensor((2,) * 18, 9, 32, seed=4)
+        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        assert mps._ladder(mps._rescaled(tensor)[0]) == (None, 9)
+        assert eig_calls == [(_PROBE, _PROBE)]
+        spectra = schmidt_values(tensor)
+        monkeypatch.setattr(mps, "_ladder", lambda arr: (None, None))
+        carried = schmidt_values(tensor)
+        assert all(np.array_equal(a, b) for a, b in zip(spectra, carried, strict=True))
+
     def test_unresolved_apex_gram_is_formed_once(self, monkeypatch):
         # the noise keeps every cut above the compression cutoff, so the
         # carried loop reaches the apex (cut 5, 32 x 32) uncompressed
@@ -336,6 +364,15 @@ class TestSchmidtValues:
 
     def test_single_axis_has_no_cuts(self):
         assert schmidt_values(np.array([1.0, -2.0, 0.5])) == []
+
+    @pytest.mark.parametrize("call", [schmidt_values, decompose])
+    def test_a_scalar_is_refused(self, call):
+        with pytest.raises(InvalidArgumentError, match="expected a tensor with at least one axis"):
+            call(3.0)
+
+    def test_empty_tensor_refused(self):
+        with pytest.raises(InvalidArgumentError, match="expected a non-empty tensor"):
+            schmidt_values(np.empty(0))
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError, match="all zero"):
@@ -445,13 +482,15 @@ class TestGramSweep:
         decompose(tensor, chi_max=4)
         assert any(rows <= cols for rows, cols in calls)
 
-    # (dims, chi_max, P): P is the last cut whose left side is at most chi_max and at most its right side
+    # (dims, chi_max, P): P is the last cut whose left side is at most its right side and chi_max if set
     PREFIXES = [
         ((2,) * 10, 32, 5),
         ((2,) * 10, 8, 3),
         ((3, 5, 2, 3, 5), 4, 1),
         ((3, 5, 2, 3, 5), 15, 2),
         ((2,) * 9 + (3,) + (2,) * 5, 32, 5),
+        ((2,) * 10, None, 5),
+        ((3, 5, 2, 3, 5), None, 2),
     ]
 
     @pytest.mark.parametrize("dims,chi_max,prefix", PREFIXES)
@@ -475,6 +514,8 @@ class TestGramSweep:
         exact = schmidt_values(tensor)
         for cut in range(1, prefix + 1):
             np.testing.assert_allclose(chain.bond_spectra[cut - 1], exact[cut - 1], rtol=1e-12, atol=0)
+            # uncapped, the prefix is read by schmidt_values' own left walk
+            assert chi_max is not None or np.array_equal(chain.bond_spectra[cut - 1], exact[cut - 1])
             core = chain.cores[cut - 1]
             assert np.array_equal(core.reshape(-1, core.shape[2]), np.eye(core.shape[2]))
 

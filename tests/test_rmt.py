@@ -112,6 +112,8 @@ class TestStableRank:
             entropy_bounds([1.0, -1.0])
         with pytest.raises(DegenerateInputError):
             entropy_bounds([0.0, 0.0])
+        with pytest.raises(InvalidArgumentError, match="expected a non-empty 1-d spectrum"):
+            entropy_bounds([])
 
     @given(sorted_spectra)
     @settings(max_examples=60, deadline=None)

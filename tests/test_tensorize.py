@@ -101,6 +101,12 @@ class TestTensorize:
         with pytest.raises(InvalidArgumentError):
             tensorize(np.ones((2, 2, 2)))
 
+    def test_rejects_empty_and_complex(self):
+        with pytest.raises(InvalidArgumentError, match="expected a non-empty matrix"):
+            tensorize(np.empty((0, 3)))
+        with pytest.raises(InvalidArgumentError, match="complex matrices are not supported"):
+            tensorize(np.ones((2, 2), dtype=complex))
+
     def test_reshape_only_no_permutation(self):
         matrix = np.arange(24.0).reshape(4, 6)
         _, tensor = tensorize(matrix)

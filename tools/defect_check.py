@@ -54,6 +54,24 @@ DEFECTS = [
         "q = _qk_rows(rng, t, t, qk_std)",
         "q = _qk_rows(rng, t, t, 0.8)",
     ),
+    (
+        "valley_check reads the row cuts from B alone",
+        "adapters.py",
+        'c = b @ np.linalg.qr(a.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)',
+        "c = b",
+    ),
+    (
+        "mp_compare scales the spectrum by d_max",
+        "experiments.py",
+        "scaled = np.sort(d_min * eigs / eigs.sum())",
+        "scaled = np.sort(d_max * eigs / eigs.sum())",
+    ),
+    (
+        "decompose drops the last core's scale",
+        "mps.py",
+        "cores.append(_scaled_back(carried, exponent).reshape(chi, dims[-1], 1))",
+        "cores.append(carried.reshape(chi, dims[-1], 1))",
+    ),
 ]
 
 _VERDICT = re.compile(r"\[criterion (\d\d)\] (PASS|FAIL) .*")
