@@ -30,7 +30,7 @@ _SPEC_FIELDS = {
 
 @dataclass(frozen=True)
 class AdapterSpec:
-    """Shape bookkeeping for one adapter configuration."""
+    """Shape bookkeeping for one adapter configuration; every size given is stored as a Python int."""
 
     kind: str
     d_out: int
@@ -45,8 +45,11 @@ class AdapterSpec:
             raise InvalidArgumentError(f"unknown adapter kind {self.kind!r}")
         for name in _SPEC_FIELDS["mps_adapt"]:  # every size field
             value = getattr(self, name)
-            if value is not None and not float(value).is_integer():
+            if value is None:
+                continue
+            if not float(value).is_integer():
                 raise InvalidArgumentError(f"adapter {name} must be a whole number, got {value}")
+            object.__setattr__(self, name, int(value))  # 2.0 and np.int64(2) are kept as 2
         if self.d_out < 1 or self.d_in < 1:
             raise InvalidArgumentError("adapter dims must be >= 1")
         if self.kind == "full":

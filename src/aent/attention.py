@@ -1,9 +1,11 @@
 """Synthetic single-layer softmax attention at isotropic initialization.
 
-Queries, keys and values are drawn directly as i.i.d. Gaussian matrices
-of shape (T, T): Q and K with entry std ``qk_std``, V with entry std
-1/sqrt(T).  This is the exact law of X @ W for any context X with
-orthonormal rows and Gaussian weights W, so no context is simulated.
+Every scene and cardy sample comes from one seeded draw
+(:func:`_seeded_logits`): Q, then K, each (T, T) with i.i.d. N(0, qk_std^2)
+entries, optionally rotated by RoPE, give the logits Q K^T / sqrt(T).  A
+scene then draws V, entries of std 1/sqrt(T), from the same generator.
+This is the exact law of X @ W for any context X with orthonormal rows
+and Gaussian weights W, so no context is simulated.
 Query/key entries default to std 0.65, which puts the logit std near
 0.42 after the 1/sqrt(d_qk) scaling and the off-mean-field Frobenius
 mass near 0.2: strong enough that the entanglement log-scaling is
@@ -123,18 +125,45 @@ def apply_rope(m: np.ndarray, theta_base: float = 10000.0) -> np.ndarray:
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidArgumentError("apply_rope expects a (T, d_qk) matrix")
+    return _rotated(arr, 0, theta_base)
+
+
+def _rotated(arr: np.ndarray, lo: int, theta_base: float) -> np.ndarray:
+    """:func:`apply_rope` of the float64 rows ``arr`` at positions lo, lo + 1, ...
+
+    A block of rows comes out bit for bit as it does in the whole.
+    """
     t, d = arr.shape
     if d % 2 != 0:
         raise InvalidArgumentError(f"rotary embedding needs an even dim, got {d}")
     half = d // 2
     freqs = theta_base ** (-2.0 * np.arange(half) / d)
-    angles = np.arange(t)[:, None] * freqs[None, :]
+    angles = np.arange(lo, lo + t)[:, None] * freqs[None, :]
     cos, sin = np.cos(angles), np.sin(angles)
     first, second = arr[:, :half], arr[:, half:]
     out = np.empty_like(arr)
     out[:, :half] = first * cos - second * sin
     out[:, half:] = first * sin + second * cos
     return out
+
+
+def _seeded_logits(rng: np.random.Generator, t: int, qk_std: float, rope_theta: float | None = None) -> np.ndarray:
+    """The logits Q K^T / sqrt(T) of the module's one draw, Q and then K from ``rng``.
+
+    K is drawn in 4 row blocks into the logits (:func:`_logits`), so the
+    logits are those of Q and K drawn whole, bit for bit, and Q is freed on
+    return.  With ``rope_theta`` Q and each block of K are rotated at their
+    own positions (:func:`apply_rope`).
+    """
+    q = _qk_rows(rng, t, t, qk_std)
+    if rope_theta is not None:
+        q = _rotated(q, 0, rope_theta)
+
+    def k_rows(lo: int, hi: int) -> np.ndarray:
+        k = _qk_rows(rng, hi - lo, t, qk_std)
+        return k if rope_theta is None else _rotated(k, lo, rope_theta)
+
+    return _logits(q, k_rows, blocks=4)
 
 
 def output_operator(x) -> np.ndarray:
@@ -149,11 +178,11 @@ def output_operator(x) -> np.ndarray:
 class AttentionScene:
     """One single-head attention draw and everything derived from it.
 
-    ``causal`` is the mask ``a`` was formed with.
+    ``logits`` are Q K^T / sqrt(T) of the module's one draw, ``a`` their
+    row softmax under the mask ``causal``, and ``x`` = A V.
     """
 
-    q: np.ndarray
-    k: np.ndarray
+    logits: np.ndarray
     a: np.ndarray
     x: np.ndarray
     causal: bool
@@ -168,18 +197,13 @@ class AttentionScene:
         rope_theta: float = 10000.0,
         qk_std: float = DEFAULT_QK_STD,
     ) -> AttentionScene:
-        """Q, K and V of shape (T, T), drawn in that order after a ``rope_theta`` check; V entries have std 1/sqrt(T)."""
+        """The draw's logits (:func:`_seeded_logits`), then V, after a ``rope_theta`` check."""
         _check_rope_theta(rope_theta)
         rng = _seeded_rng(seed)
-        q = _qk_rows(rng, t, t, qk_std)
-        k = _qk_rows(rng, t, t, qk_std)
+        logits = _seeded_logits(rng, t, qk_std, rope_theta if rope else None)
         v = (1.0 / math.sqrt(t)) * rng.standard_normal((t, t))
-        if rope:
-            q = apply_rope(q, rope_theta)
-            k = apply_rope(k, rope_theta)
-        a = attention_matrix(q, k, causal=causal)
-        x = a @ v
-        return cls(q=q, k=k, a=a, x=x, causal=causal)
+        a = _softmax_rows(logits.copy(), causal=causal)
+        return cls(logits=logits, a=a, x=a @ v, causal=causal)
 
 
 @dataclass
@@ -195,10 +219,11 @@ class MaskAblation:
 def mask_ablation(scene: AttentionScene, chi_max: int | None = None, base: float = 2.0) -> MaskAblation:
     """Profile the scene's attention with the causal mask on and off.
 
-    The branch with the scene's own mask is ``scene.a`` itself; only the
-    other branch is formed.
+    The branch with the scene's own mask is ``scene.a`` itself; the other
+    is the softmax of a copy of ``scene.logits`` under the other mask, so
+    no second Q K^T or rotation is formed.
     """
-    other = attention_matrix(scene.q, scene.k, causal=not scene.causal)
+    other = _softmax_rows(scene.logits.copy(), causal=not scene.causal)
     a_masked, a_unmasked = (scene.a, other) if scene.causal else (other, scene.a)
     return MaskAblation(
         a_masked=a_masked,

@@ -164,11 +164,10 @@ def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> Entangleme
     if layout.num_cuts == 0:
         return EntanglementProfile(records=records, log_base=base, chi_max=chi_max)
     # entropies do not depend on a power-of-two scale, which may not fit back
-    tensor, _ = mps._rescaled(tensor)
     if chi_max is None:
-        spectra = mps.schmidt_values(tensor)
+        spectra = mps.schmidt_values(tensor, scale_back=False)
     else:
-        spectra = mps.decompose(tensor, chi_max=chi_max).bond_spectra
+        spectra = mps.decompose(tensor, chi_max=chi_max, scale_back=False).bond_spectra
     for k, sigmas in enumerate(spectra, start=1):
         d_left, d_right = layout.cut_dims(k)
         lambdas = normalize_spectrum(sigmas)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapters import AdapterSpec, param_count, valley_check
-from .attention import DEFAULT_QK_STD, AttentionScene, _logits, _qk_rows, _softmax_rows, mask_ablation, output_operator
+from .attention import DEFAULT_QK_STD, AttentionScene, _seeded_logits, _softmax_rows, mask_ablation, output_operator
 from .entropy import EntanglementProfile, _log_base, page_entropy, profile
 from .errors import InvalidArgumentError
 from .mps import _rescaled, _sigmas
@@ -134,16 +134,12 @@ def page_bench(
 
 
 def _cardy_sample(t: int, qk_std: float, seed) -> np.ndarray:
-    """One T x T attention matrix, bit for bit :func:`attention_matrix` of Q and K drawn whole.
+    """One T x T attention matrix: ``AttentionScene.build(t, seed, qk_std=qk_std).a``, bit for bit.
 
-    K is drawn after Q, in 4 blocks into the logits, and Q is dropped
-    before the softmax: two T x T arrays and a block of K are alive at most.
+    It is the softmax of the scene's draw (:func:`_seeded_logits`) without
+    V, formed over the logits: two T x T arrays and a block of K are alive at most.
     """
-    rng = _seeded_rng(seed)
-    q = _qk_rows(rng, t, t, qk_std)
-    logits = _logits(q, lambda lo, hi: _qk_rows(rng, hi - lo, t, qk_std), blocks=4)
-    del q
-    return _softmax_rows(logits, causal=False)
+    return _softmax_rows(_seeded_logits(_seeded_rng(seed), t, qk_std), causal=False)
 
 
 @_echoed
@@ -156,10 +152,9 @@ def cardy_experiment(
 ) -> ExperimentReport:
     """Fit attention-matrix entropy against ln T across a grid of scenes.
 
-    Each sample draws Q and K of shape (T, T) with i.i.d. N(0, qk_std^2)
-    entries from a generator seeded by (seed + s, T); only the attention
-    matrix is formed, the value path is not needed for the fit.  The head
-    width is T, so the rescaled bulk law is identical across the grid.
+    Each sample is the attention matrix of :mod:`aent.attention`'s one
+    draw from a generator seeded by (seed + s, T) (:func:`_cardy_sample`);
+    the value path is not needed for the fit.
     ``d_mult`` (the width of a simulated context, in units of T) has no
     effect on the draw, since Q and K have the same law at every context
     width; it is still validated and echoed.
@@ -205,7 +200,7 @@ def valley_experiment(
         raise InvalidArgumentError(f"a {d_out}x{d_in} update has no row-column cut; need d_out, d_in >= 2")
     if seeds < 1:
         raise InvalidArgumentError("need at least one seed")
-    ranks = [int(AdapterSpec(kind="lora", d_out=d_out, d_in=d_in, r=r).r) for r in ranks]
+    ranks = [AdapterSpec(kind="lora", d_out=d_out, d_in=d_in, r=r).r for r in ranks]
     _log_base(base)  # checks the base before any draw
     rows = []
     summary = []

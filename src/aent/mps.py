@@ -172,7 +172,7 @@ def _check_chi_max(chi_max: int | None) -> None:
         raise InvalidArgumentError(f"chi_max must be >= 1, got {chi_max}")
 
 
-def decompose(tensor, chi_max: int | None = None) -> MpsChain:
+def decompose(tensor, chi_max: int | None = None, *, scale_back: bool = True) -> MpsChain:
     """Tensor train of ``tensor`` by a left-to-right sweep.
 
     Each bond is split by :func:`_sigmas`: a wide unfolding by the top
@@ -191,8 +191,13 @@ def decompose(tensor, chi_max: int | None = None) -> MpsChain:
     cores are identity isometries, ``eye(chi_k)`` reshaped to
     (chi_{k-1}, d_k, chi_k), and the sweep goes on from cut P+1 with the
     tensor itself, unrotated.  Where one does not, the sweep runs from cut 1.
+
+    With ``scale_back=False`` the chain is that of the tensor divided by
+    its power-of-two scale (:func:`_rescaled`), whose values cannot
+    overflow; entropies do not depend on the scale.
     """
     arr, exponent = _rescaled(tensor)
+    exponent = exponent if scale_back else 0
     _check_chi_max(chi_max)
 
     dims = arr.shape
@@ -309,7 +314,7 @@ def _svd_compressed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sigmas, vh[:keep] @ m if wide else s[:keep, None] * vh[:keep]
 
 
-def schmidt_values(tensor) -> list[np.ndarray]:
+def schmidt_values(tensor, *, scale_back: bool = True) -> list[np.ndarray]:
     """Descending Schmidt values at cuts 1..n-1.
 
     The two apex cuts, where the smaller side flips from left to right,
@@ -322,8 +327,10 @@ def schmidt_values(tensor) -> list[np.ndarray]:
     keeps every value, so nothing is compressed), else
     :func:`_svd_compressed`, which may compress the unfolding for the later
     cuts, so their arrays may be shorter than min(d_left, d_right).
+    ``scale_back`` is :func:`decompose`'s.
     """
     arr, exponent = _rescaled(tensor)
+    exponent = exponent if scale_back else 0
     spectra, unresolved = _ladder(arr)
     if spectra is None:
         spectra, carried = [], arr.reshape(1, -1)

@@ -20,6 +20,7 @@ from aent import (
     estimate_sigma2,
     mp_compare,
     page_bench,
+    profile,
     reconstruct,
     sample_gaussian_matrix,
     valley_experiment,
@@ -290,4 +291,22 @@ def test_10_cli_determinism(tmp_path):
         "all 7 subcommands byte-identical below the timestamp line"
         if ok
         else f"mismatched rows in: {mismatched}",
+    )
+
+
+def test_11_identity_entropy_tent():
+    start = time.perf_counter()
+    prof = profile(np.eye(1024))
+    # eye(2^10) over 20 qubit sites: a flat spectrum of rank 2^min(k, 20 - k) at cut k
+    tent = [min(k, 20 - k) for k in range(1, 20)]
+    worst = max(abs(value - s) for r, s in zip(prof.records, tent) for value in (r.entropy, r.renyi2))
+    wall = time.perf_counter() - start
+
+    ok = len(prof.records) == len(tent) and worst <= 1e-10 and wall <= 10.0
+    _verdict(
+        11,
+        "identity entropy tent",
+        ok,
+        f"worst |S - min(k, 20 - k)| over the entropy and Renyi-2 of eye(1024)'s "
+        f"{len(prof.records)} cuts {worst:.1e} bits (tol 1e-10); wall {wall:.1f}s (limit 10s)",
     )

@@ -8,10 +8,12 @@ from aent import (
     DegenerateInputError,
     InvalidArgumentError,
     ShapeMismatchError,
+    adapter_count_rows,
     mps_adapter_materialize,
     param_count,
     valley_check,
 )
+from aent.cli import main
 from aent.entropy import profile
 from aent.tensorize import prime_factorize
 
@@ -54,6 +56,16 @@ class TestAdapterSpec:
     def test_a_size_that_is_not_a_whole_number_is_refused_by_name(self, fields, name, value):
         with pytest.raises(InvalidArgumentError, match=f"adapter {name} must be a whole number, got {value}$"):
             AdapterSpec(*fields)
+
+    @pytest.mark.parametrize("r", [2.0, np.int64(2), np.float32(2.0)], ids=["float", "int64", "float32"])
+    def test_a_whole_size_of_any_type_is_kept_as_an_int(self, r, tmp_path):
+        spec = AdapterSpec("lora", 8, 8, r)
+        assert type(spec.r) is int and spec == AdapterSpec("lora", 8, 8, 2)
+        assert spec.text == "lora:8,8,2"
+        assert main(["adapters-count", "--spec", spec.text, "--out", str(tmp_path / "counts.csv")]) == 0
+        assert type(param_count(spec)) is int and param_count(spec) == 32
+        (row,) = adapter_count_rows([spec]).tables["counts"]
+        assert (type(row["r"]), row["r"], type(row["params"]), row["params"]) == (int, 2, int, 32)
 
     def test_mps_factorization_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -151,13 +151,42 @@ class TestSplitAndOutput:
             output_operator(np.zeros(4))
 
 
+def _whole_draw(t, seed, qk_std, rope):
+    """Q and K drawn whole from ``seed``, rotated by RoPE if ``rope``."""
+    rng = _seeded_rng(seed)
+    q, k = _qk_rows(rng, t, t, qk_std), _qk_rows(rng, t, t, qk_std)
+    return (apply_rope(q), apply_rope(k)) if rope else (q, k)
+
+
+class TestOneDraw:
+    @pytest.mark.parametrize("t", [8, 64, 96, 100, 256, 1000])
+    def test_cardy_sample_is_the_scene_matrix(self, t):
+        for qk_std, seed in ((0.65, [3, t]), (0.5, 7)):
+            assert np.array_equal(_cardy_sample(t, qk_std, seed), AttentionScene.build(t, seed, qk_std=qk_std).a)
+
+    @pytest.mark.parametrize("t", [8, 64, 100, 256])
+    @pytest.mark.parametrize("rope", [False, True])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_scene_is_the_whole_draw_bit_for_bit(self, t, rope, causal):
+        # K streamed in blocks, each rotated at its own positions, is K drawn whole and then rotated
+        scene = AttentionScene.build(t, [2, t], causal=causal, rope=rope)
+        q, k = _whole_draw(t, [2, t], 0.65, rope)
+        rng = _seeded_rng([2, t])
+        rng.standard_normal((2, t, t))  # Q and K
+        v = (1.0 / math.sqrt(t)) * rng.standard_normal((t, t))
+        a = attention_matrix(q, k, causal=causal)
+        assert np.array_equal(scene.a, a)
+        assert np.array_equal(scene.x, a @ v)
+        ab = mask_ablation(scene, chi_max=4)
+        assert np.array_equal(ab.a_masked, attention_matrix(q, k, causal=True))
+        assert np.array_equal(ab.a_unmasked, attention_matrix(q, k, causal=False))
+
+
 class TestAttentionScene:
     def test_defaults_and_shapes(self):
         # Q, K and V are (T, T), and V's entries have std 1/sqrt(T)
         scene = AttentionScene.build(16, seed=3)
-        assert scene.q.shape == scene.k.shape == (16, 16)
-        assert scene.a.shape == (16, 16)
-        assert scene.x.shape == (16, 16)
+        assert scene.logits.shape == scene.a.shape == scene.x.shape == (16, 16)
         rng = np.random.default_rng(3)
         rng.standard_normal((2, 16, 16))  # Q and K
         assert np.allclose(scene.x, scene.a @ (rng.standard_normal((16, 16)) / 4.0), atol=1e-12)
@@ -165,19 +194,18 @@ class TestAttentionScene:
     def test_invariants(self):
         scene = AttentionScene.build(64, seed=3, qk_std=0.5)
         assert np.allclose(scene.a.sum(axis=1), 1.0, atol=1e-9)
-        assert np.array_equal(scene.a, attention_matrix(scene.q, scene.k))
         assert scene.causal is False
         # Q, K and V are drawn in that order from the scene's generator
         rng = np.random.default_rng(3)
-        assert np.array_equal(scene.q, 0.5 * rng.standard_normal((64, 64)))
-        assert np.array_equal(scene.k, 0.5 * rng.standard_normal((64, 64)))
+        q, k = 0.5 * rng.standard_normal((2, 64, 64))
+        assert np.array_equal(scene.logits, q @ k.T / 8.0)
+        assert np.array_equal(scene.a, attention_matrix(q, k))
         # V has entries of std 1/sqrt(T) = 1/8
         v = rng.standard_normal((64, 64)) / 8.0
         assert np.allclose(scene.x, scene.a @ v, atol=1e-12)
-        # 4096 entries each: the sample std is within 5 percent of qk_std
-        for m in (scene.q, scene.k):
-            assert m.shape == (64, 64)
-            assert np.std(m) == pytest.approx(0.5, rel=0.05)
+        # a logit is a sum of T products of two N(0, qk_std^2) entries over
+        # sqrt(T), so the 4096 logits have a sample std within 5 percent of qk_std^2
+        assert np.std(scene.logits) == pytest.approx(0.5**2, rel=0.05)
 
     def test_empty_context_refused(self):
         with pytest.raises(InvalidArgumentError, match="T must be >= 1, got 0"):
@@ -222,8 +250,14 @@ class TestAttentionScene:
         assert np.allclose(scene.a.sum(axis=1), 1.0, atol=1e-9)
         # the default RoPE base is 10000, applied to the default-std draw
         rng = np.random.default_rng(4)
-        assert np.array_equal(scene.q, apply_rope(0.65 * rng.standard_normal((8, 8)), 10000.0))
-        assert np.array_equal(scene.k, apply_rope(0.65 * rng.standard_normal((8, 8)), 10000.0))
+        q = apply_rope(0.65 * rng.standard_normal((8, 8)), 10000.0)
+        k = apply_rope(0.65 * rng.standard_normal((8, 8)), 10000.0)
+        assert np.array_equal(scene.logits, q @ k.T / math.sqrt(8))
+
+    def test_odd_rope_width_refused(self):
+        # the head width is T, so RoPE needs an even T
+        with pytest.raises(InvalidArgumentError, match="^rotary embedding needs an even dim, got 7$"):
+            AttentionScene.build(7, rope=True)
 
     def test_output_operator_tracks_attention_gram(self):
         # with a 16 T-wide V of entry std 1/sqrt(16 T) the value map is
@@ -259,9 +293,9 @@ class TestMaskAblation:
     @pytest.mark.parametrize("causal", [False, True])
     def test_scene_is_not_written_and_the_two_matrices_are_distinct(self, causal):
         scene = AttentionScene.build(16, seed=7, causal=causal)
-        q, k, a = scene.q.copy(), scene.k.copy(), scene.a.copy()
+        logits, a = scene.logits.copy(), scene.a.copy()
         ab = mask_ablation(scene)
-        assert np.array_equal(scene.q, q) and np.array_equal(scene.k, k) and np.array_equal(scene.a, a)
+        assert np.array_equal(scene.logits, logits) and np.array_equal(scene.a, a)
         assert not np.shares_memory(ab.a_masked, ab.a_unmasked)
         assert not np.array_equal(ab.a_masked, ab.a_unmasked)
         # the branch that matches the scene's mask is its matrix, bit for bit
@@ -282,6 +316,18 @@ class TestMaskAblation:
         # only the branch without the scene's mask is formed
         assert calls == [not causal]
         assert (ab.a_masked if causal else ab.a_unmasked) is scene.a
+
+    @pytest.mark.parametrize("rope", [False, True])
+    def test_no_second_product_or_rotation(self, monkeypatch, rope):
+        scene = AttentionScene.build(64, seed=9, rope=rope)
+        expected = attention_matrix(*_whole_draw(64, 9, 0.65, rope), causal=True)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("mask_ablation formed a second Q K^T or rotation")
+
+        for name in ("_logits", "_rotated", "apply_rope", "attention_matrix"):
+            monkeypatch.setattr(aent.attention, name, refused)
+        assert np.array_equal(mask_ablation(scene).a_masked, expected)
 
     def test_profiles_present_with_base(self):
         scene = AttentionScene.build(8, seed=6)

@@ -1,3 +1,5 @@
+import functools
+import importlib
 import math
 
 import numpy as np
@@ -270,6 +272,11 @@ def _assert_untruncated_profile_matches(matrix):
 prime_products = st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3).map(math.prod)
 
 
+def _counted(calls, name, original, *args, **kwargs):
+    calls.append(name)
+    return original(*args, **kwargs)
+
+
 class TestProfilePaths:
     """The untruncated profile reads per-cut spectra; the sweep is the reference."""
 
@@ -324,6 +331,23 @@ class TestProfilePaths:
             values = [getattr(r, name) for r in scaled.records]
             assert values == pytest.approx([getattr(r, name) for r in unit.records], rel=0.0, abs=1e-12)
         assert [round(s, 6) for s in scaled.entropies[:3]] == [0.997062, 1.992342, 2.983074]
+
+    @pytest.mark.parametrize("chi_max", [None, 4])
+    def test_one_finiteness_scan_and_one_rescale(self, monkeypatch, chi_max):
+        calls = []
+        for module, name in (("tensorize", "_finite"), ("mps", "_rescaled")):
+            module = importlib.import_module(f"aent.{module}")  # aent.tensorize is the function
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, functools.partial(_counted, calls, name, original))
+        matrix = np.random.default_rng(12).standard_normal((32, 48)) * 1e200
+        profile(matrix, chi_max=chi_max)
+        assert calls == ["_finite", "_rescaled"]
+        calls.clear()
+        with pytest.raises(InvalidArgumentError, match="^matrix has NaN or infinite entries$"):
+            profile(np.full((4, 6), np.nan), chi_max=chi_max)
+        with pytest.raises(DegenerateInputError, match="^tensor is all zero$"):
+            profile(np.zeros((4, 6)), chi_max=chi_max)
+        assert calls == ["_finite", "_finite", "_rescaled"]
 
     def test_all_zero_still_rejected(self):
         with pytest.raises(DegenerateInputError, match="^tensor is all zero$"):

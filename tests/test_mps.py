@@ -681,3 +681,13 @@ class TestRescaled:
         tensor = np.random.default_rng(0).standard_normal((64, 64)).reshape(8, 8, 8, 8) * 2.0**1021
         with pytest.raises(InvalidArgumentError, match=r"Schmidt values overflow float64 at its scale 2\*\*1023"):
             run(tensor)
+
+    @pytest.mark.parametrize("run", [schmidt_values, lambda t, **kw: decompose(t, chi_max=8, **kw).bond_spectra],
+                             ids=["schmidt_values", "decompose-capped"])
+    def test_without_scale_back_the_values_are_those_of_the_rescaled_tensor(self, run):
+        # scaled so that its largest entry is in [0.5, 1), where no tensor is rescaled
+        tensor = np.random.default_rng(0).standard_normal((64, 64)).reshape(8, 8, 8, 8)
+        unit = np.ldexp(tensor, -np.frexp(np.abs(tensor).max())[1])
+        for given, want in ((tensor * 2.0**1021, unit), (tensor, tensor)):
+            got = run(given, scale_back=False)
+            assert [s.tolist() for s in got] == [s.tolist() for s in run(want)]

@@ -49,8 +49,8 @@ DEFECTS = [
         "SIGMA_FLOOR = 1e-3",
     ),
     (
-        "_cardy_sample draws Q at qk_std 0.8",
-        "experiments.py",
+        "the attention draw takes Q at qk_std 0.8",
+        "attention.py",
         "q = _qk_rows(rng, t, t, qk_std)",
         "q = _qk_rows(rng, t, t, 0.8)",
     ),
