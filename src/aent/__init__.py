@@ -21,8 +21,6 @@ from .adapters import (
 from .attention import (
     AttentionScene,
     MaskAblation,
-    apply_rope,
-    attention_matrix,
     mask_ablation,
     output_operator,
 )
@@ -94,8 +92,6 @@ __all__ = [
     "ValleyCheck",
     "adapter_count_rows",
     "attn_experiment",
-    "apply_rope",
-    "attention_matrix",
     "binary_entropy",
     "cardy_experiment",
     "cardy_fit",

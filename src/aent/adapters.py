@@ -30,7 +30,10 @@ _SPEC_FIELDS = {
 
 @dataclass(frozen=True)
 class AdapterSpec:
-    """Shape bookkeeping for one adapter configuration; every size given is stored as a Python int."""
+    """Shape bookkeeping for one adapter configuration; every size given is stored as a Python int.
+
+    A size the kind does not list in ``_SPEC_FIELDS`` is refused, so ``.text`` parses back to the spec.
+    """
 
     kind: str
     d_out: int
@@ -49,6 +52,8 @@ class AdapterSpec:
                 continue
             if not float(value).is_integer():
                 raise InvalidArgumentError(f"adapter {name} must be a whole number, got {value}")
+            if name not in _SPEC_FIELDS[self.kind]:
+                raise InvalidArgumentError(f"a {self.kind} adapter takes no {name}, got {value}")
             object.__setattr__(self, name, int(value))  # 2.0 and np.int64(2) are kept as 2
         if self.d_out < 1 or self.d_in < 1:
             raise InvalidArgumentError("adapter dims must be >= 1")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import EntanglementProfile, profile
-from .errors import InvalidArgumentError, ShapeMismatchError
+from .errors import InvalidArgumentError
 from .rmt import _seeded_rng
 from .tensorize import _finite
 
@@ -51,50 +51,6 @@ def _qk_rows(rng: np.random.Generator, rows: int, d_qk: int, qk_std: float) -> n
     return m
 
 
-def attention_matrix(q: np.ndarray, k: np.ndarray, causal: bool = False) -> np.ndarray:
-    """Row-wise softmax of Q K^T / sqrt(d_qk), optionally causally masked.
-
-    Masking sets logits above the diagonal to -inf before the softmax, so
-    masked entries come out exactly zero.  ``q`` and ``k`` are not written;
-    the logits are formed as one product, divided and pushed through the
-    softmax in one T x T array, which is returned.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if q.ndim != 2 or k.ndim != 2 or q.shape != k.shape:
-        raise ShapeMismatchError(
-            f"Q and K must share shape (T, d_qk), got {q.shape} and {k.shape}"
-        )
-    if q.size == 0:
-        raise InvalidArgumentError(f"Q and K need T >= 1 and d_qk >= 1, got {q.shape} and {k.shape}")
-    return _softmax_rows(_logits(q, lambda lo, hi: k), causal=causal)
-
-
-def _logits(q: np.ndarray, k_rows, blocks: int = 1) -> np.ndarray:
-    """Q K^T / sqrt(d_qk), rejected if not finite; ``k_rows(lo, hi)`` returns K[lo:hi], called in order.
-
-    K comes in at most ``blocks`` row blocks, each multiplied into its
-    columns of the logits.  Each block repacks Q for BLAS, so only a caller
-    that draws K block by block asks for more than one.  Blocks are whole
-    32-column tiles, since BLAS rounds edge tiles differently, so a T that
-    is not a multiple of 32 takes K whole: the logits are Q K^T bit for bit.
-    """
-    t, d_qk = q.shape
-    logits = np.empty((t, t))
-    tiles = t // 32 if t % 32 == 0 else 1
-    blocks = min(blocks, tiles)
-    edges = [32 * (i * tiles // blocks) for i in range(blocks)] + [t]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(edges, edges[1:]):
-            np.matmul(q, k_rows(lo, hi).T, out=logits[:, lo:hi])
-        logits /= math.sqrt(d_qk)
-    if not _finite(logits):
-        raise InvalidArgumentError(
-            "attention logits Q K^T / sqrt(d_qk) are not finite (float64 overflow); reduce qk_std"
-        )
-    return logits
-
-
 def _softmax_rows(logits: np.ndarray, causal: bool) -> np.ndarray:
     """Row-wise softmax of float64 ``logits``, written over them and returned.
 
@@ -109,29 +65,13 @@ def _softmax_rows(logits: np.ndarray, causal: bool) -> np.ndarray:
     return logits
 
 
-def _check_rope_theta(theta_base: float) -> None:
-    if not (math.isfinite(theta_base) and theta_base > 0.0):
-        raise InvalidArgumentError(f"RoPE base theta_base must be finite and > 0, got {theta_base}")
-
-
-def apply_rope(m: np.ndarray, theta_base: float = 10000.0) -> np.ndarray:
-    """Rotary position embedding with split-half dimension pairing.
-
-    Row index is the position.  Coordinate j in the first half is rotated
-    against coordinate j + d/2 by angle pos * theta_base^(-2j/d).  Norms
-    are preserved exactly up to rounding.
-    """
-    _check_rope_theta(theta_base)
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidArgumentError("apply_rope expects a (T, d_qk) matrix")
-    return _rotated(arr, 0, theta_base)
-
-
 def _rotated(arr: np.ndarray, lo: int, theta_base: float) -> np.ndarray:
-    """:func:`apply_rope` of the float64 rows ``arr`` at positions lo, lo + 1, ...
+    """Rotary position embedding of the float64 rows ``arr`` at positions lo, lo + 1, ...
 
-    A block of rows comes out bit for bit as it does in the whole.
+    Split-half pairing: coordinate j in the first half is rotated against
+    coordinate j + d/2 by angle pos * theta_base^(-2j/d), so norms are kept
+    up to rounding.  A block of rows comes out bit for bit as it does in
+    the whole.
     """
     t, d = arr.shape
     if d % 2 != 0:
@@ -148,22 +88,35 @@ def _rotated(arr: np.ndarray, lo: int, theta_base: float) -> np.ndarray:
 
 
 def _seeded_logits(rng: np.random.Generator, t: int, qk_std: float, rope_theta: float | None = None) -> np.ndarray:
-    """The logits Q K^T / sqrt(T) of the module's one draw, Q and then K from ``rng``.
+    """The logits Q K^T / sqrt(T) of the module's one draw, Q and then K from ``rng``, rejected if not finite.
 
-    K is drawn in 4 row blocks into the logits (:func:`_logits`), so the
-    logits are those of Q and K drawn whole, bit for bit, and Q is freed on
-    return.  With ``rope_theta`` Q and each block of K are rotated at their
-    own positions (:func:`apply_rope`).
+    K is drawn in at most 4 row blocks, each multiplied into its columns of
+    the logits, and Q is freed on return.  Blocks are whole 32-column
+    tiles, since BLAS rounds edge tiles differently, so a T that is not a
+    multiple of 32 takes K whole: the logits are those of Q and K drawn
+    whole, bit for bit.  With ``rope_theta`` Q and each block of K are
+    rotated at their own positions (:func:`_rotated`).
     """
     q = _qk_rows(rng, t, t, qk_std)
     if rope_theta is not None:
         q = _rotated(q, 0, rope_theta)
-
-    def k_rows(lo: int, hi: int) -> np.ndarray:
-        k = _qk_rows(rng, hi - lo, t, qk_std)
-        return k if rope_theta is None else _rotated(k, lo, rope_theta)
-
-    return _logits(q, k_rows, blocks=4)
+    logits = np.empty((t, t))
+    tiles = t // 32 if t % 32 == 0 else 1
+    blocks = min(4, tiles)
+    edges = [32 * (i * tiles // blocks) for i in range(blocks)] + [t]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(edges, edges[1:]):
+            k = _qk_rows(rng, hi - lo, t, qk_std)
+            if rope_theta is not None:
+                k = _rotated(k, lo, rope_theta)
+            np.matmul(q, k.T, out=logits[:, lo:hi])
+            del k  # one block of K is held at a time
+        logits /= math.sqrt(t)
+    if not _finite(logits):
+        raise InvalidArgumentError(
+            "attention logits Q K^T / sqrt(d_qk) are not finite (float64 overflow); reduce qk_std"
+        )
+    return logits
 
 
 def output_operator(x) -> np.ndarray:
@@ -198,7 +151,8 @@ class AttentionScene:
         qk_std: float = DEFAULT_QK_STD,
     ) -> AttentionScene:
         """The draw's logits (:func:`_seeded_logits`), then V, after a ``rope_theta`` check."""
-        _check_rope_theta(rope_theta)
+        if not (math.isfinite(rope_theta) and rope_theta > 0.0):
+            raise InvalidArgumentError(f"RoPE base theta_base must be finite and > 0, got {rope_theta}")
         rng = _seeded_rng(seed)
         logits = _seeded_logits(rng, t, qk_std, rope_theta if rope else None)
         v = (1.0 / math.sqrt(t)) * rng.standard_normal((t, t))

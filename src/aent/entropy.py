@@ -31,6 +31,8 @@ def normalize_spectrum(sigmas) -> np.ndarray:
     arr = np.asarray(sigmas, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidArgumentError("expected a non-empty 1-d spectrum")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("singular values must be finite")
     if np.any(arr < 0):
         raise InvalidArgumentError("singular values must be non-negative")
     top = arr.max()
@@ -53,7 +55,7 @@ def _check_normalized(lambdas: np.ndarray) -> np.ndarray:
     if np.any(arr < 0):
         raise InvalidArgumentError("singular values must be non-negative")
     total = float(np.dot(arr, arr))
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # a NaN total is refused too
         raise InvalidArgumentError(
             f"spectrum is not normalized: sum(lambda^2) = {total!r}"
         )

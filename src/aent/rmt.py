@@ -84,6 +84,8 @@ def ks_distance(samples, law) -> float:
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     if xs.size == 0:
         raise InvalidArgumentError("ks_distance needs at least one sample")
+    if not np.all(np.isfinite(xs)):
+        raise InvalidArgumentError("ks_distance samples must be finite")
     n = xs.size
     f = np.asarray(law.cdf(xs), dtype=np.float64)
     i = np.arange(1, n + 1, dtype=np.float64)
@@ -100,6 +102,8 @@ def _eigen_probs(eigenvalues) -> np.ndarray:
     arr = np.asarray(eigenvalues, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidArgumentError("expected a non-empty 1-d spectrum")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("eigenvalues must be finite")
     if np.any(arr < 0):
         raise InvalidArgumentError("eigenvalues must be non-negative")
     if np.any(np.diff(arr) > 0):

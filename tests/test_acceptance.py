@@ -23,6 +23,7 @@ from aent import (
     profile,
     reconstruct,
     sample_gaussian_matrix,
+    tensorize,
     valley_experiment,
     write_matrix,
 )
@@ -309,4 +310,59 @@ def test_11_identity_entropy_tent():
         ok,
         f"worst |S - min(k, 20 - k)| over the entropy and Renyi-2 of eye(1024)'s "
         f"{len(prof.records)} cuts {worst:.1e} bits (tol 1e-10); wall {wall:.1f}s (limit 10s)",
+    )
+
+
+def _planted_matrix() -> tuple[np.ndarray, np.ndarray]:
+    """(U diag(s) V^T, s) at 64 x 64, s_i = 10^(-5i/63), U and V from QRs of seeded Gaussians."""
+    rng = np.random.default_rng(12)
+    u = np.linalg.qr(rng.standard_normal((64, 64)))[0]
+    v = np.linalg.qr(rng.standard_normal((64, 64)))[0]
+    s = 10.0 ** (-5.0 * np.arange(64) / 63)
+    return (u * s) @ v.T, s
+
+
+_PLANTED_SCALES = (0, 700, -700)
+
+
+def test_12_planted_spectrum_entropy():
+    start = time.perf_counter()
+    x, s = _planted_matrix()
+    p = s**2 / np.dot(s, s)
+    reference = float(-(p * np.log2(p)).sum())
+    # 64 x 64 is 12 qubit sites, so cut 6 (record 5) is the row-column cut, whose Schmidt values are s
+    errors = [abs(profile(x * 2.0**e).records[5].entropy - reference) for e in _PLANTED_SCALES]
+    worst = max(errors)
+    wall = time.perf_counter() - start
+
+    # each error is tested, so a NaN, which max() may pass over, reads as FAIL
+    ok = all(err <= 1e-10 for err in errors) and wall <= 10.0
+    _verdict(
+        12,
+        "planted spectrum entropy",
+        ok,
+        f"worst |S - H(s^2/sum s^2)| at the row-column cut of U diag(s) V^T, s_i = 10^(-5i/63), at scales "
+        f"2^0 and 2^+-700: {worst:.1e} bits (reference {reference:.6f} bits, tol 1e-10); wall {wall:.1f}s (limit 10s)",
+    )
+
+
+def test_13_planted_reconstruction():
+    start = time.perf_counter()
+    x, _ = _planted_matrix()
+    errors = []
+    for e in _PLANTED_SCALES:
+        _, tensor = tensorize(x * 2.0**e)
+        with np.errstate(over="ignore", invalid="ignore"):  # a wrong scale may overflow, and inf reads as FAIL
+            back = reconstruct(decompose(tensor)).reshape(x.shape) / 2.0**e
+            errors.append(np.linalg.norm(back - x) / np.linalg.norm(x))
+    worst = max(errors)
+    wall = time.perf_counter() - start
+
+    ok = all(err <= 1e-12 for err in errors) and wall <= 10.0
+    _verdict(
+        13,
+        "planted reconstruction",
+        ok,
+        f"worst relative error of reconstruct(decompose(x)) over the 12 sites of the planted 64 x 64 matrix "
+        f"at scales 2^0 and 2^+-700, scale undone: {worst:.1e} (tol 1e-12); wall {wall:.1f}s (limit 10s)",
     )

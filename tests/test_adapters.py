@@ -7,13 +7,15 @@ from aent import (
     AdapterSpec,
     DegenerateInputError,
     InvalidArgumentError,
+    REFERENCE_ADAPTER_SPECS,
     ShapeMismatchError,
     adapter_count_rows,
     mps_adapter_materialize,
     param_count,
     valley_check,
 )
-from aent.cli import main
+from aent.cli import _parse_adapter_spec, main
+from aent.adapters import _SPEC_FIELDS
 from aent.entropy import profile
 from aent.tensorize import prime_factorize
 
@@ -66,6 +68,33 @@ class TestAdapterSpec:
         assert type(param_count(spec)) is int and param_count(spec) == 32
         (row,) = adapter_count_rows([spec]).tables["counts"]
         assert (type(row["r"]), row["r"], type(row["params"]), row["params"]) == (int, 2, int, 32)
+
+    @pytest.mark.parametrize(
+        "fields, extra, message",
+        [
+            (("lora", 8, 8, 2), {"chi": 0}, "a lora adapter takes no chi, got 0$"),
+            (("lora", 8, 8, 2), {"d1": 2}, "a lora adapter takes no d1, got 2$"),
+            (("full", 8, 8), {"r": 3}, "a full adapter takes no r, got 3$"),
+            (("full", 8, 8), {"d2": 4.0}, "a full adapter takes no d2, got 4.0$"),
+        ],
+        ids=["lora-chi", "lora-d1", "full-r", "full-d2"],
+    )
+    def test_a_field_its_kind_does_not_use_is_refused_by_name(self, fields, extra, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            AdapterSpec(*fields, **extra)
+
+    @pytest.mark.parametrize("kind", ["full", "lora", "mps_adapt"])
+    def test_text_parses_back_to_the_spec(self, kind):
+        sizes = dict(d_out=16, d_in=16, r=4, d1=4, d2=4, chi=2)
+        listed = {name: sizes[name] for name in _SPEC_FIELDS[kind]}
+        spec = AdapterSpec(kind, **listed)
+        assert _parse_adapter_spec(spec.text) == spec
+        # a field the kind does not list would be lost from the text, so it is refused
+        for name in sizes.keys() - listed.keys():
+            with pytest.raises(InvalidArgumentError, match=f"a {kind} adapter takes no {name}, got"):
+                AdapterSpec(kind, **listed, **{name: sizes[name]})
+        for spec in REFERENCE_ADAPTER_SPECS:
+            assert _parse_adapter_spec(spec.text) == spec
 
     def test_mps_factorization_validation(self):
         with pytest.raises(InvalidArgumentError):

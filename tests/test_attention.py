@@ -8,87 +8,61 @@ import aent.attention
 from aent import (
     AttentionScene,
     InvalidArgumentError,
-    ShapeMismatchError,
-    apply_rope,
-    attention_matrix,
     mask_ablation,
     output_operator,
 )
-from aent.attention import _qk_rows, _softmax_rows
+from aent.attention import _rotated, _seeded_logits, _softmax_rows
 from aent.experiments import _cardy_sample
 from aent.rmt import _seeded_rng
+from attention_reference import complex_rotation, whole_attention, whole_logits
 
 
-class TestAttentionMatrix:
+class TestSoftmaxRows:
     def test_zero_logits_give_uniform_rows(self):
-        a = attention_matrix(np.zeros((6, 4)), np.zeros((6, 4)))
+        a = _softmax_rows(np.zeros((6, 6)), causal=False)
         assert np.allclose(a, 1.0 / 6.0, atol=1e-15)
 
     def test_zero_logits_causal_prefix_uniform(self):
         t = 5
-        a = attention_matrix(np.zeros((t, 4)), np.zeros((t, 4)), causal=True)
+        a = _softmax_rows(np.zeros((t, t)), causal=True)
         for i in range(t):
             assert np.allclose(a[i, : i + 1], 1.0 / (i + 1), atol=1e-15)
             assert np.all(a[i, i + 1 :] == 0.0)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        q, k = rng.standard_normal((2, 16, 8))
+        logits = rng.standard_normal((16, 16))
         for causal in (False, True):
-            a = attention_matrix(q, k, causal=causal)
+            a = _softmax_rows(logits.copy(), causal=causal)
             assert np.allclose(a.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(a >= 0.0)
 
     def test_causal_support_exact(self):
         rng = np.random.default_rng(4)
-        q, k = rng.standard_normal((2, 12, 6))
-        a = attention_matrix(q, k, causal=True)
+        a = _softmax_rows(rng.standard_normal((12, 12)), causal=True)
         assert np.all(a[np.triu_indices(12, k=1)] == 0.0)
 
-    def test_inputs_are_not_written(self):
-        rng = np.random.default_rng(8)
-        q, k = rng.standard_normal((2, 16, 8))
-        q0, k0 = q.copy(), k.copy()
-        for causal in (False, True):
-            attention_matrix(q, k, causal=causal)
-            assert np.array_equal(q, q0) and np.array_equal(k, k0)
 
-    @pytest.mark.parametrize(
-        "t, d", [(8, 8), (64, 64), (96, 96), (100, 100), (256, 256), (2048, 2048), (64, 48), (2048, 48)]
-    )
+class TestSeededLogits:
+    @pytest.mark.parametrize("t", [8, 64, 96, 100, 256, 2048])
     @pytest.mark.parametrize("rope", [False, True])
-    def test_blocked_logits_are_the_whole_product_bit_for_bit(self, t, d, rope):
+    def test_blocked_logits_are_the_whole_product_bit_for_bit(self, t, rope):
         # T = 8 and 100 are not multiples of 32 and take K whole
-        rng = _seeded_rng([5, t])
-        q, k = _qk_rows(rng, t, d, 0.65), _qk_rows(rng, t, d, 0.65)
-        if rope:
-            q, k = apply_rope(q), apply_rope(k)
-        logits = q @ k.T / math.sqrt(d)
-        for causal in (False, True):
-            expected = _softmax_rows(logits.copy(), causal=causal)
-            assert np.array_equal(attention_matrix(q, k, causal=causal), expected)
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeMismatchError):
-            attention_matrix(np.zeros((4, 8)), np.zeros((5, 8)))
-        with pytest.raises(ShapeMismatchError):
-            attention_matrix(np.zeros(8), np.zeros(8))
-        # an empty or zero-width pair is named, not a numpy reduction error or a false overflow
-        for shape in ((0, 4), (4, 0)):
-            with pytest.raises(InvalidArgumentError, match=rf"d_qk >= 1, got \({shape[0]}, {shape[1]}\)"):
-                attention_matrix(np.ones(shape), np.ones(shape))
+        theta = 10000.0 if rope else None
+        logits = _seeded_logits(_seeded_rng([5, t]), t, 0.65, theta)
+        assert np.array_equal(logits, whole_logits(t, [5, t], 0.65, theta))
 
 
-class TestRope:
+class TestRotated:
     def test_position_zero_unchanged(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((6, 8))
-        assert np.allclose(apply_rope(m)[0], m[0], atol=1e-15)
+        assert np.allclose(_rotated(m, 0, 10000.0)[0], m[0], atol=1e-15)
 
     def test_row_norms_preserved(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((32, 10))
-        out = apply_rope(m)
+        out = _rotated(m, 0, 10000.0)
         assert np.allclose(
             np.linalg.norm(out, axis=1), np.linalg.norm(m, axis=1), atol=1e-9
         )
@@ -99,21 +73,19 @@ class TestRope:
         t, d = 8, 4
         u = np.tile(np.array([0.3, -1.2, 0.7, 0.5]), (t, 1))
         v = np.tile(np.array([1.1, 0.4, -0.2, 0.9]), (t, 1))
-        gram = apply_rope(u) @ apply_rope(v).T
+        gram = _rotated(u, 0, 10000.0) @ _rotated(v, 0, 10000.0).T
         for offset in range(-(t - 1), t):
             diag = np.diagonal(gram, offset=offset)
             assert np.allclose(diag, diag[0], atol=1e-9)
 
-    def test_dimension_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            apply_rope(np.zeros((4, 5)))
-        with pytest.raises(InvalidArgumentError):
-            apply_rope(np.zeros(8))
+    @pytest.mark.parametrize("lo, theta_base", [(0, 10000.0), (37, 10000.0), (5, 2.5), (1000, 500000.0)])
+    def test_matches_the_complex_rotation(self, lo, theta_base):
+        m = np.random.default_rng(lo).standard_normal((48, 16))
+        assert np.allclose(_rotated(m, lo, theta_base), complex_rotation(m, lo, theta_base), rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("theta_base", [0.0, -5.0, math.nan, math.inf])
-    def test_theta_base_validated(self, theta_base):
-        with pytest.raises(InvalidArgumentError, match="RoPE base"):
-            apply_rope(np.ones((4, 8)), theta_base)
+    def test_odd_width_refused(self):
+        with pytest.raises(InvalidArgumentError, match="^rotary embedding needs an even dim, got 5$"):
+            _rotated(np.zeros((4, 5)), 0, 10000.0)
 
 
 class TestSplitAndOutput:
@@ -151,13 +123,6 @@ class TestSplitAndOutput:
             output_operator(np.zeros(4))
 
 
-def _whole_draw(t, seed, qk_std, rope):
-    """Q and K drawn whole from ``seed``, rotated by RoPE if ``rope``."""
-    rng = _seeded_rng(seed)
-    q, k = _qk_rows(rng, t, t, qk_std), _qk_rows(rng, t, t, qk_std)
-    return (apply_rope(q), apply_rope(k)) if rope else (q, k)
-
-
 class TestOneDraw:
     @pytest.mark.parametrize("t", [8, 64, 96, 100, 256, 1000])
     def test_cardy_sample_is_the_scene_matrix(self, t):
@@ -170,16 +135,16 @@ class TestOneDraw:
     def test_scene_is_the_whole_draw_bit_for_bit(self, t, rope, causal):
         # K streamed in blocks, each rotated at its own positions, is K drawn whole and then rotated
         scene = AttentionScene.build(t, [2, t], causal=causal, rope=rope)
-        q, k = _whole_draw(t, [2, t], 0.65, rope)
+        theta = 10000.0 if rope else None
         rng = _seeded_rng([2, t])
         rng.standard_normal((2, t, t))  # Q and K
         v = (1.0 / math.sqrt(t)) * rng.standard_normal((t, t))
-        a = attention_matrix(q, k, causal=causal)
+        a = whole_attention(t, [2, t], rope_theta=theta, causal=causal)
         assert np.array_equal(scene.a, a)
         assert np.array_equal(scene.x, a @ v)
         ab = mask_ablation(scene, chi_max=4)
-        assert np.array_equal(ab.a_masked, attention_matrix(q, k, causal=True))
-        assert np.array_equal(ab.a_unmasked, attention_matrix(q, k, causal=False))
+        assert np.array_equal(ab.a_masked, whole_attention(t, [2, t], rope_theta=theta, causal=True))
+        assert np.array_equal(ab.a_unmasked, whole_attention(t, [2, t], rope_theta=theta, causal=False))
 
 
 class TestAttentionScene:
@@ -199,7 +164,7 @@ class TestAttentionScene:
         rng = np.random.default_rng(3)
         q, k = 0.5 * rng.standard_normal((2, 64, 64))
         assert np.array_equal(scene.logits, q @ k.T / 8.0)
-        assert np.array_equal(scene.a, attention_matrix(q, k))
+        assert np.array_equal(scene.a, _softmax_rows(q @ k.T / 8.0, causal=False))
         # V has entries of std 1/sqrt(T) = 1/8
         v = rng.standard_normal((64, 64)) / 8.0
         assert np.allclose(scene.x, scene.a @ v, atol=1e-12)
@@ -250,9 +215,14 @@ class TestAttentionScene:
         assert np.allclose(scene.a.sum(axis=1), 1.0, atol=1e-9)
         # the default RoPE base is 10000, applied to the default-std draw
         rng = np.random.default_rng(4)
-        q = apply_rope(0.65 * rng.standard_normal((8, 8)), 10000.0)
-        k = apply_rope(0.65 * rng.standard_normal((8, 8)), 10000.0)
+        q = _rotated(0.65 * rng.standard_normal((8, 8)), 0, 10000.0)
+        k = _rotated(0.65 * rng.standard_normal((8, 8)), 0, 10000.0)
         assert np.array_equal(scene.logits, q @ k.T / math.sqrt(8))
+
+    @pytest.mark.parametrize("theta_base", [0.0, -5.0, math.nan, math.inf])
+    def test_theta_base_validated(self, theta_base):
+        with pytest.raises(InvalidArgumentError, match="RoPE base"):
+            AttentionScene.build(8, rope=True, rope_theta=theta_base)
 
     def test_odd_rope_width_refused(self):
         # the head width is T, so RoPE needs an even T
@@ -320,12 +290,12 @@ class TestMaskAblation:
     @pytest.mark.parametrize("rope", [False, True])
     def test_no_second_product_or_rotation(self, monkeypatch, rope):
         scene = AttentionScene.build(64, seed=9, rope=rope)
-        expected = attention_matrix(*_whole_draw(64, 9, 0.65, rope), causal=True)
+        expected = whole_attention(64, 9, rope_theta=10000.0 if rope else None, causal=True)
 
         def refused(*args, **kwargs):
             raise AssertionError("mask_ablation formed a second Q K^T or rotation")
 
-        for name in ("_logits", "_rotated", "apply_rope", "attention_matrix"):
+        for name in ("_seeded_logits", "_qk_rows", "_rotated"):
             monkeypatch.setattr(aent.attention, name, refused)
         assert np.array_equal(mask_ablation(scene).a_masked, expected)
 

@@ -54,6 +54,13 @@ class TestNormalizeSpectrum:
         with pytest.raises(DegenerateInputError):
             normalize_spectrum([0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes the sign and maximum tests, and would come out as [nan, nan]
+        for sigmas in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(InvalidArgumentError, match="^singular values must be finite$"):
+                normalize_spectrum(sigmas)
+
     def test_rejects_empty_and_2d(self):
         with pytest.raises(InvalidArgumentError):
             normalize_spectrum([])
@@ -94,6 +101,15 @@ class TestVonNeumann:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidArgumentError):
             von_neumann([0.6, 0.7])
+
+    @pytest.mark.parametrize("entropy", [von_neumann, lambda lam: renyi(lam, 2.0)])
+    @pytest.mark.parametrize(
+        "lambdas", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]], ids=["nan-first", "nan-last", "inf"]
+    )
+    def test_rejects_non_finite_values(self, entropy, lambdas):
+        # a NaN total fails no '> tol' test, and the sums would drop the NaN and read 0
+        with pytest.raises(InvalidArgumentError, match="spectrum is not normalized"):
+            entropy(lambdas)
 
     @pytest.mark.parametrize("entropy", [von_neumann, lambda lam: renyi(lam, 2.0)])
     def test_rejects_negative_values(self, entropy):

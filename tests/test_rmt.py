@@ -19,10 +19,10 @@ from aent import (
     output_collapse_check,
     sample_gaussian_matrix,
 )
-from aent.attention import _qk_rows, attention_matrix
 from aent.entropy import _shannon, normalize_spectrum, renyi, von_neumann
 from aent.experiments import _cardy_sample
-from aent.rmt import _seeded_rng, _stochastic_spectrum, check_row_stochastic
+from aent.rmt import _stochastic_spectrum, check_row_stochastic
+from attention_reference import whole_attention
 
 sorted_spectra = st.lists(
     st.floats(min_value=1e-6, max_value=1e3), min_size=2, max_size=40
@@ -94,6 +94,11 @@ class TestKsDistance:
         with pytest.raises(InvalidArgumentError):
             ks_distance([], MarchenkoPastur(1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="^ks_distance samples must be finite$"):
+            ks_distance([bad, 1.0], MarchenkoPastur(0.5))
+
 
 class TestStableRank:
     def test_uniform_is_dimension(self):
@@ -149,6 +154,13 @@ class TestEntropyBounds:
         assert bits.renyi2_bound == pytest.approx(
             nats.renyi2_bound / math.log(2.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("eigenvalues", [[math.inf, 1.0], [math.nan, 1.0], [1.0, math.nan]])
+    def test_non_finite_eigenvalues_rejected(self, eigenvalues):
+        with pytest.raises(InvalidArgumentError, match="^eigenvalues must be finite$"):
+            entropy_bounds(eigenvalues)
+        with pytest.raises(InvalidArgumentError, match="^eigenvalues must be finite$"):
+            output_collapse_check([np.array(eigenvalues)])
 
     def test_base_one_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -280,17 +292,13 @@ def _scenes(qk_std, causal, sizes=(16, 32, 64, 128, 256), seeds=2):
     samples = []
     for t in sizes:
         for s in range(seeds):
-            rng = _seeded_rng([s, t])
-            q, k = _qk_rows(rng, t, t, qk_std), _qk_rows(rng, t, t, qk_std)
-            samples.append((t, attention_matrix(q, k, causal=causal)))
+            samples.append((t, whole_attention(t, [s, t], qk_std, causal=causal)))
     return samples
 
 
 def _duplicated_rows(t, seed):
     """Row-stochastic t x t matrix of rank t/2: each row appears twice."""
-    rng = _seeded_rng([seed, t])
-    q, k = _qk_rows(rng, t, t, 0.65), _qk_rows(rng, t, t, 0.65)
-    return np.repeat(attention_matrix(q, k)[: t // 2], 2, axis=0)
+    return np.repeat(whole_attention(t, [seed, t])[: t // 2], 2, axis=0)
 
 
 def _one_duplicated_row(t):

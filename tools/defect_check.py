@@ -11,9 +11,11 @@ fresh interpreter with ``PYTHONPATH`` set to the copy.  It prints every
 failed without printing a verdict.  A criterion that passes with a defect
 applied is a gate that cannot see it.
 
-The baseline must read all PASS; the script exits 1 where it does not.
-The acceptance suite takes about 12 s on 2 cores, so a full run takes
-about a minute.  The working tree is never written.
+The baseline must read all PASS, and each defect must fail at least one
+criterion: the script exits 1 where the baseline fails or a defect is
+not caught, and its last line names the defects that no criterion
+caught.  The acceptance suite takes about 9 s on 2 cores, so a full run
+takes about 70 s.  The working tree is never written.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def main() -> int:
     for defect in DEFECTS:  # every anchor is checked before the first run
         with tempfile.TemporaryDirectory() as tmp:
             _patched_source(Path(tmp) / "src", defect)
-    baseline_ok = True
+    baseline_ok, uncaught = True, []
     for defect in [None, *DEFECTS]:
         with tempfile.TemporaryDirectory() as tmp:
             src = Path(tmp) / "src"
@@ -124,7 +126,10 @@ def main() -> int:
             print(f"    [criterion {number}] failed without a verdict line")
         if defect is None:
             baseline_ok = code == 0 and bool(verdicts)
-    return 0 if baseline_ok else 1
+        elif not caught:
+            uncaught.append(name)
+    print(f"uncaught defects ({len(uncaught)} of {len(DEFECTS)}): {'; '.join(uncaught) or 'none'}")
+    return 0 if baseline_ok and not uncaught else 1
 
 
 if __name__ == "__main__":
