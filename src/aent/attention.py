@@ -7,7 +7,7 @@ scene then draws V, entries of std 1/sqrt(T), from the same generator.
 This is the exact law of X @ W for any context X with orthonormal rows
 and Gaussian weights W, so no context is simulated.
 Query/key entries default to std 0.65, which puts the logit std near
-0.42 after the 1/sqrt(d_qk) scaling and the off-mean-field Frobenius
+0.42 after the 1/sqrt(T) scaling and the off-mean-field Frobenius
 mass near 0.2: strong enough that the entanglement log-scaling is
 measurable, weak enough that the profile stays in the area-law regime.
 The head width d_qk is T itself, so the rescaled bulk spectrum of
@@ -114,7 +114,7 @@ def _seeded_logits(rng: np.random.Generator, t: int, qk_std: float, rope_theta: 
         logits /= math.sqrt(t)
     if not _finite(logits):
         raise InvalidArgumentError(
-            "attention logits Q K^T / sqrt(d_qk) are not finite (float64 overflow); reduce qk_std"
+            "attention logits Q K^T / sqrt(T) are not finite (float64 overflow); reduce qk_std"
         )
     return logits
 

@@ -9,8 +9,10 @@ Layout, all little-endian:
     then        ndim dims, u64 each
     then        payload, row-major, exactly prod(dims) elements
 
-Readers read a regular file's payload straight into the float64 result,
-or widen a float32 one from it once; other files are read whole first.
+The payload is written from the array's own buffer, copied only to make
+it C-contiguous and little-endian.  A regular file's float64 payload is
+read straight into the result and a float32 one widened into it through
+one 64 KiB block; other files (pipes) are read whole first.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHH")
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _MAX_NDIM = 32
+_WIDEN_BLOCK = 1 << 14  # float32 elements, 64 KiB
 
 
 def write_matrix(path, array) -> None:
@@ -46,7 +49,7 @@ def write_matrix(path, array) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, code, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(payload.tobytes(order="C"))
+        fh.write(payload.data)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -77,8 +80,17 @@ def read_matrix(path) -> np.ndarray:
             raise FormatError(f"payload length mismatch: file has {size} bytes, expected {expected}")
         if not regular:
             return np.frombuffer(blob, dtype=dtype, offset=offset).reshape(dims).astype(np.float64)
-        out = np.empty(dims, dtype=dtype)
+        out = np.empty(dims)
+        flat = out.reshape(-1)
         fh.seek(offset)
-        if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
-            raise FormatError("file shrank while it was read")
-    return out.astype(np.float64, copy=False)
+        if dtype == out.dtype:
+            if fh.readinto(flat.view(np.uint8)) != out.nbytes:
+                raise FormatError("file shrank while it was read")
+            return out
+        block = np.empty(_WIDEN_BLOCK, dtype=dtype)
+        for lo in range(0, flat.size, _WIDEN_BLOCK):
+            part = block[: flat.size - lo]
+            if fh.readinto(part.view(np.uint8)) != part.nbytes:
+                raise FormatError("file shrank while it was read")
+            flat[lo : lo + part.size] = part
+    return out

@@ -110,7 +110,9 @@ def _eigen_probs(eigenvalues) -> np.ndarray:
         raise InvalidArgumentError("eigenvalues must be sorted non-increasing")
     if arr[0] <= 0:
         raise DegenerateInputError("all eigenvalues are zero")
-    return arr / arr.sum()
+    # divide by the top value first, so a finite spectrum cannot overflow the sum
+    ratios = arr / arr[0]
+    return ratios / ratios.sum()
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def entropy_bounds(eigenvalues, base: float = math.e) -> EntropyBounds:
     t = arr.size
     ratios = arr / arr[0]
     eta = float(np.dot(ratios, ratios)) - 1.0
-    delta1 = float(arr[1:].sum() / arr[0])
+    delta1 = float(ratios[1:].sum())
     log_t_minus_1 = math.log(t - 1) / log_base if t > 1 else 0.0
     tail = delta1 / (1.0 + delta1)
     vn_bound = binary_entropy(tail, base=base) + tail * log_t_minus_1

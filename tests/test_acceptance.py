@@ -24,6 +24,7 @@ from aent import (
     reconstruct,
     sample_gaussian_matrix,
     tensorize,
+    valley_check,
     valley_experiment,
     write_matrix,
 )
@@ -365,4 +366,25 @@ def test_13_planted_reconstruction():
         ok,
         f"worst relative error of reconstruct(decompose(x)) over the 12 sites of the planted 64 x 64 matrix "
         f"at scales 2^0 and 2^+-700, scale undone: {worst:.1e} (tol 1e-12); wall {wall:.1f}s (limit 10s)",
+    )
+
+
+def test_14_factored_valley_matches_dense_profile():
+    start = time.perf_counter()
+    rng = np.random.default_rng(14)
+    errors = {}
+    for r in (2, 8, 32):
+        b, a = rng.standard_normal((64, r)), rng.standard_normal((r, 64))
+        # valley_check never forms B A; the dense profile of B A is the reference for every one of its 11 cuts
+        errors[r] = float(np.abs(valley_check(b, a).entropies - profile(b @ a).entropies).max())
+    worst = max(errors.values())
+    wall = time.perf_counter() - start
+
+    ok = all(err <= 1e-10 for err in errors.values()) and wall <= 10.0
+    _verdict(
+        14,
+        "factored valley entropies",
+        ok,
+        f"worst |valley_check(B, A) - profile(B A)| over the 11 cuts of seeded 64 x 64 updates at r = 2, 8 "
+        f"and 32: {worst:.1e} bits (tol 1e-10); wall {wall:.1f}s (limit 10s)",
     )

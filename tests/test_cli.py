@@ -387,6 +387,15 @@ class TestAttnCommand:
             f"aent: invalid argument: RoPE base theta_base must be finite and > 0, got {float(theta)}\n"
         )
 
+    def test_logit_overflow_names_the_sqrt_t_scaling(self, tmp_path, capsys):
+        # the head width is T, so the logits are divided by sqrt(T)
+        code, lines = run_to_file(tmp_path, ["attn", "--T", "8", "--qk-std", "1e200"])
+        assert (code, lines) == (2, [])
+        assert capsys.readouterr().err == (
+            "aent: invalid argument: attention logits Q K^T / sqrt(T) are not finite (float64 overflow); "
+            "reduce qk_std\n"
+        )
+
 
 class TestAdaptersCountCommand:
     def test_default_reference_table(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import threading
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from aent import FormatError, InvalidArgumentError, read_matrix, write_matrix
-from aent.matrixfile import _HEADER, MAGIC, VERSION
+from aent.matrixfile import _HEADER, _WIDEN_BLOCK, MAGIC, VERSION
 
 
 def _write_raw(path, magic=MAGIC, version=VERSION, code=1, ndim=2, dims=(2, 2), payload=None):
@@ -28,12 +29,15 @@ class TestRoundTrip:
         assert back.dtype == np.float64
         assert np.array_equal(back, arr)
 
-    def test_float32_widened(self, tmp_path):
+    @pytest.mark.parametrize(
+        "shape", [(4, 2), (0, 5), (1,), (_WIDEN_BLOCK - 1,), (_WIDEN_BLOCK,), (2, _WIDEN_BLOCK + 7), (3, 7, 11)]
+    )
+    def test_float32_widened(self, tmp_path, shape):
         path = tmp_path / "m.aent"
-        arr = np.random.default_rng(1).standard_normal((4, 2)).astype(np.float32)
+        arr = np.random.default_rng(1).standard_normal(shape).astype(np.float32)
         write_matrix(path, arr)
         back = read_matrix(path)
-        assert back.dtype == np.float64
+        assert back.dtype == np.float64 and back.shape == shape
         assert np.array_equal(back, arr.astype(np.float64))
 
     def test_integer_input_stored_as_float64(self, tmp_path):
@@ -51,6 +55,47 @@ class TestRoundTrip:
         arr = np.random.default_rng(2).standard_normal((4, 4))[::2, ::2]
         write_matrix(path, arr)
         assert np.array_equal(read_matrix(path), arr)
+
+
+_BASE = np.arange(35.0).reshape(5, 7) / 7.0 - 2.0
+
+
+class TestWrittenBytes:
+    # sha256 of each file as written before the payload was written from the array's own buffer
+    @pytest.mark.parametrize(
+        ("arr", "digest"),
+        [
+            (_BASE.astype(np.float32), "89afef06e2404700da165c37ed17f174c68ba5e77385ffe6927c464547c333f6"),
+            (_BASE, "2ab2a32127616bedd85272e73b114815dacff18cb777d7fff98b46703881c34b"),
+            (_BASE[1], "91f3b6899bf96d2daf4f1b8d45f9af46ee93a86392d08f2c17729c2d11b4e150"),
+            (np.arange(120.0).reshape(10, 12)[::3, 1::4] / 3.0,
+             "3e3f1300c0df347d83fdc7b7e5bd779ee79524dd85c4b7ea8780368c0a063ae5"),
+            (_BASE.astype(">f8"), "2ab2a32127616bedd85272e73b114815dacff18cb777d7fff98b46703881c34b"),
+            # known-wrong bytes, pinned on purpose: write_matrix's `arr.dtype == np.float32` test holds only
+            # for native byte order, so '>f4' is stored as float64 (a FOUND line in CHANGES.md); change this
+            # digest to a float32 file's when that defect is mended
+            (_BASE.astype(">f4"), "ee4e96467bbcdc2b33e361571b6c525c47c883c5822a188f032414c04d2a74dc"),
+            (np.zeros((0, 4), np.float32), "bc2dd17a0e914b7f8637cc9dca9154dba2675ed4fa688f48855268d47e4875ac"),
+        ],
+        ids=["float32", "float64", "one-d", "non-contiguous", "big-endian-f8", "big-endian-f4", "zero-size"],
+    )
+    def test_file_digest(self, tmp_path, arr, digest):
+        path = tmp_path / "m.aent"
+        write_matrix(path, arr)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_write_makes_no_copy_of_its_payload(self, tmp_path, dtype):
+        path = tmp_path / "m.aent"
+        arr = np.random.default_rng(6).standard_normal((1024, 512)).astype(dtype)
+        write_matrix(path, arr)
+        tracemalloc.start()
+        try:
+            write_matrix(path, arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * arr.nbytes
 
 
 class TestWriteValidation:
@@ -116,10 +161,12 @@ class TestReadValidation:
 
 
 class TestReadPath:
-    def test_an_f8_read_peaks_at_its_result(self, tmp_path):
-        # the payload goes straight into the result: no bytes blob, no copy
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_read_peaks_at_its_result(self, tmp_path, dtype):
+        # float64 goes straight into the result and float32 is widened into it a block at a time:
+        # no bytes blob and no whole float32 array
         path = tmp_path / "m.aent"
-        write_matrix(path, np.random.default_rng(3).standard_normal((512, 384)))
+        write_matrix(path, np.random.default_rng(3).standard_normal((512, 384)).astype(dtype))
         read_matrix(path)
         tracemalloc.start()
         try:

@@ -162,6 +162,12 @@ class TestEntropyBounds:
         with pytest.raises(InvalidArgumentError, match="^eigenvalues must be finite$"):
             output_collapse_check([np.array(eigenvalues)])
 
+    def test_a_spectrum_whose_sum_overflows_stays_in_range(self):
+        with np.errstate(all="raise"):
+            b = entropy_bounds([1e308] * 3)
+        assert (b.eta, b.delta1) == (2.0, 2.0)
+        assert b.vn_bound == pytest.approx(math.log(3.0), rel=1e-15)
+
     def test_base_one_rejected(self):
         with pytest.raises(InvalidArgumentError):
             entropy_bounds([0.5, 0.3, 0.2], base=1)
@@ -503,6 +509,12 @@ class TestOutputCollapse:
         assert report.rows[0].ratio == pytest.approx(4.0)
         assert report.rows[1].ratio == pytest.approx(8.0)
         assert not report.monotone_decreasing
+
+    def test_a_spectrum_whose_sum_overflows_stays_in_range(self):
+        with np.errstate(all="raise"):
+            (row,) = output_collapse_check([np.array([1e308, 1e308])]).rows
+        assert row.entropy_nats == pytest.approx(math.log(2.0), rel=1e-15)
+        assert row.ratio == pytest.approx(2.0, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError, match="grid sizes must be >= 2"):

@@ -15,7 +15,7 @@ The baseline must read all PASS, and each defect must fail at least one
 criterion: the script exits 1 where the baseline fails or a defect is
 not caught, and its last line names the defects that no criterion
 caught.  The acceptance suite takes about 9 s on 2 cores, so a full run
-takes about 70 s.  The working tree is never written.
+takes about 65 s.  The working tree is never written.
 """
 
 from __future__ import annotations
