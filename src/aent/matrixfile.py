@@ -41,7 +41,7 @@ def write_matrix(path, array) -> None:
         raise InvalidArgumentError(f"ndim must be in [1, {_MAX_NDIM}], got {arr.ndim}")
     if np.iscomplexobj(arr):
         raise InvalidArgumentError("complex arrays are not supported")
-    if arr.dtype == np.float32:
+    if arr.dtype.kind == "f" and arr.dtype.itemsize == 4:  # either byte order
         code, dtype = 0, _DTYPE_CODES[0]
     else:
         code, dtype = 1, _DTYPE_CODES[1]

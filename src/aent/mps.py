@@ -16,13 +16,16 @@ at the two apex cuts where the smaller side flips from left to right, and
 reads every other cut's Gram matrix as an exact partial trace of its
 neighbour's, walking outward one site at a time.  Tracing out a site sums
 d principal blocks, so it cannot raise the condition number:
-cond(Tr_i G) <= cond(G).  Every Gram product of k >= 4 ``_PROBE`` rows is
-tested first on its leading ``_PROBE`` rows: by Cauchy interlacing the
-whole fails where they fail.
+cond(Tr_i G) <= cond(G).  The next cut is traced before LAPACK solves a
+Gram matrix in place, overwriting it (:func:`_eigvalsh`), so no Gram
+matrix is copied for its eigenvalues.  Every Gram product of k >= 4
+``_PROBE`` rows is tested first on its leading ``_PROBE`` rows: by
+Cauchy interlacing the whole fails where they fail.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -123,11 +126,63 @@ def _gram(g: np.ndarray) -> np.ndarray:
     """g @ g.T, the Gram matrix on the rows side of ``g``.
 
     numpy fills both triangles of the product identically, and a partial
-    trace keeps that exact symmetry, so each Gram matrix larger than the
-    probe goes to LAPACK as its F-order view ``gram.T``: the same input,
-    read without a transposing copy.
+    trace keeps that exact symmetry, so the C buffer :func:`_eigvalsh`
+    hands LAPACK as ``gram.T`` holds the Gram matrix itself.
     """
     return g @ g.T
+
+
+_F64, _I64 = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+
+
+def _lapack_dsyevd():
+    """numpy's own LAPACK dsyevd (ILP64, bundled scipy-openblas), or None where numpy has no such symbol.
+
+    dlsym on numpy's linalg extension also searches the libraries it links,
+    so this is the routine, thread pool and thread count eigvalsh uses.
+    """
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dsyevd_64_
+    except (AttributeError, OSError):  # numpy on Accelerate, MKL or an LP64 LAPACK
+        return None
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the two string lengths
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, _I64, _F64, _I64, _F64, _F64, _I64, _I64, _I64, _I64,
+                   ctypes.c_size_t, ctypes.c_size_t]
+    fn.restype = None
+    return fn
+
+
+_DSYEVD = _lapack_dsyevd()
+
+
+def _eigvalsh(gram: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Gram matrix ``gram``, ``np.linalg.eigvalsh(gram.T)`` bit for bit; overwrites ``gram``.
+
+    eigvalsh copies its input into a private buffer for LAPACK dsyevd.
+    Every Gram matrix handed here is a temporary that nothing reads
+    afterwards, so dsyevd (JOBZ='N', UPLO='L') runs in place on its C
+    buffer, which column-major is ``gram.T``, after the same workspace
+    query as numpy's: dsytrd picks its blocked path from lwork.  Where
+    numpy has no dsyevd to share (:func:`_lapack_dsyevd`) the eigvalsh
+    call is made instead.
+    """
+    gram = np.require(gram, np.float64, ["C", "W"])  # LAPACK writes the buffer it is handed
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise np.linalg.LinAlgError(f"expected a square Gram matrix, got shape {gram.shape}")
+    if _DSYEVD is None:
+        return np.linalg.eigvalsh(gram.T)
+    lam = np.empty(gram.shape[0])
+    n, lda, info = ctypes.c_int64(lam.size), ctypes.c_int64(max(lam.size, 1)), ctypes.c_int64(0)
+    a, w = gram.ctypes.data_as(_F64), lam.ctypes.data_as(_F64)
+    work, lwork, iwork, liwork = ctypes.c_double(), ctypes.c_int64(-1), ctypes.c_int64(), ctypes.c_int64(-1)
+    _DSYEVD(b"N", b"L", n, a, lda, w, work, lwork, iwork, liwork, info, 1, 1)
+    if not info.value:
+        lwork.value, liwork.value = int(work.value), iwork.value
+        work, iwork = np.empty(lwork.value), np.empty(liwork.value, np.int64)
+        _DSYEVD(b"N", b"L", n, a, lda, w, work.ctypes.data_as(_F64), lwork, iwork.ctypes.data_as(_I64), liwork, info, 1, 1)
+    if info.value:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return lam
 
 
 def _resolved(lam: np.ndarray, k: int):
@@ -138,7 +193,7 @@ def _resolved(lam: np.ndarray, k: int):
 def _probe_resolves(g: np.ndarray) -> bool:
     """False where g has k >= 4 _PROBE rows whose leading _PROBE fail :func:`_resolved`; by interlacing, all k do."""
     k = g.shape[0]
-    return k < 4 * _PROBE or bool(_resolved(np.linalg.eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k))
+    return k < 4 * _PROBE or bool(_resolved(_eigvalsh(g[:_PROBE] @ g[:_PROBE].T), k))
 
 
 def _sigmas(m: np.ndarray, vectors: bool = False):
@@ -161,7 +216,7 @@ def _gram_sigmas(m: np.ndarray, vectors: bool = False):
     k = g.shape[0]
     if (vectors and g is not m) or not _probe_resolves(g):
         return None
-    lam, u = np.linalg.eigh(_gram(g).T) if vectors else (np.linalg.eigvalsh(_gram(g).T), None)
+    lam, u = np.linalg.eigh(_gram(g).T) if vectors else (_eigvalsh(_gram(g)), None)
     if not _resolved(lam, k):
         return None
     return (u[:, ::-1], np.sqrt(lam[::-1]), None) if vectors else np.sqrt(lam[::-1])
@@ -245,26 +300,29 @@ def _walk(g: np.ndarray, dims: tuple[int, ...], cuts, rows: bool, spectra: dict)
     rows the left (``rows``) or right side.  It is probed there
     (:func:`_probe_resolves`) and multiplied once (:func:`_gram`).  ``cuts``
     go toward that end of the chain one site at a time; each later cut's
-    Gram matrix is the last one's with the site between traced out, which
-    frees the last one, and each must pass :func:`_resolved`.
+    Gram matrix is the last one's with the site between traced out.  That
+    trace is taken before :func:`_eigvalsh` overwrites the last one, which
+    is then dropped, so one Gram matrix and its trace are alive at most.
+    Each cut must pass :func:`_resolved`.
     """
     if not _probe_resolves(g):
         return cuts[0]
-    gram = _gram(g)
     size = math.prod(dims)
-    for cut in cuts:
-        left = math.prod(dims[:cut])
-        k = left if rows else size // left
-        if gram.shape[0] > k:
-            d = dims[cut] if rows else dims[cut - 1]  # the one site between this cut and the last
+    sides = [math.prod(dims[:cut]) if rows else size // math.prod(dims[:cut]) for cut in cuts]
+    gram = _gram(g)
+    for cut, k, after in zip(cuts, sides, sides[1:] + [None]):
+        traced = None
+        if after is not None:
+            d = k // after  # the one site between this cut and the next
             if rows:
-                gram = gram.reshape(k, d, k, d).trace(axis1=1, axis2=3)
+                traced = gram.reshape(after, d, after, d).trace(axis1=1, axis2=3)
             else:
-                gram = gram.reshape(d, k, d, k).trace(axis1=0, axis2=2)
-        lam = np.linalg.eigvalsh(gram.T)
+                traced = gram.reshape(d, after, d, after).trace(axis1=0, axis2=2)
+        lam = _eigvalsh(gram)
         if not _resolved(lam, k):
             return cut
         spectra[cut] = np.sqrt(lam[::-1])
+        gram = traced
     return None
 
 

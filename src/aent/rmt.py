@@ -16,6 +16,7 @@ import numpy as np
 
 from .entropy import _log_base, _shannon, binary_entropy, normalize_spectrum, renyi, von_neumann
 from .errors import DegenerateInputError, InvalidArgumentError
+from .mps import _eigvalsh
 
 
 def _seeded_rng(seed) -> np.random.Generator:
@@ -179,8 +180,9 @@ def _stochastic_spectrum(draw):
     ``sigmas`` are A's singular values, descending, from the SVD when ``svd``;
     ``sigma2`` is :func:`estimate_sigma2` of A, read from the same bulk.
     The bulk B = A - 1/T is written over A, in the array ``draw()`` returned,
-    and dropped once the Gram is formed, so two T x T arrays are alive at
-    most.  Of the Gram eigenvalues at or below
+    and dropped once the Gram is formed, whose eigenvalues LAPACK then
+    solves in place (:func:`mps._eigvalsh`): two T x T arrays are alive at
+    most, and one during the eigensolve.  Of the Gram eigenvalues at or below
     x = T eps lam_max (eps = 2.2e-16), which the Gram cannot resolve, one
     is read as 0, which moves S by at most x^ (1 + ln(1/x^)) nats with
     x^ = x / sum(lam); two or more mean a null space, and only then is A
@@ -194,11 +196,11 @@ def _stochastic_spectrum(draw):
     gram = b @ b.T
     del b
     # B B^T is exactly symmetric, but the corrections round differently at
-    # (i, j) and (j, i); added transposed, they make gram.T, the F-order view
-    # LAPACK reads without a copy, bit for bit B B^T + delta 1^T/T + 1 (delta + 1)^T/T
+    # (i, j) and (j, i); added transposed, they make gram.T, the matrix
+    # _eigvalsh hands LAPACK, bit for bit B B^T + delta 1^T/T + 1 (delta + 1)^T/T
     gram += delta / t
     gram += ((delta + 1.0) / t)[:, None]
-    lam = np.linalg.eigvalsh(gram.T)
+    lam = _eigvalsh(gram)
     del gram
     unresolved = np.count_nonzero(lam <= t * np.finfo(np.float64).eps * lam[-1])
     if unresolved > 1:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import aent.attention
 import aent.experiments
+from aent import mps
 from aent import MarchenkoPastur, ks_distance, write_matrix
 from aent.cli import SUBCOMMANDS, build_parser, main
 
@@ -190,10 +191,10 @@ def test_bad_input_exits_with_documented_code(tmp_path, capsys, argv, expected):
 
 
 def test_lapack_failure_is_degenerate_input(tmp_path, capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def unconverged(*args):  # LAPACK dsyevd's arguments; the 11th, info, reports no convergence
+        args[10].value = 1
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(mps, "_DSYEVD", unconverged)
     src = tmp_path / "gauss.aent"
     write_matrix(src, np.random.default_rng(0).standard_normal((8, 6)))
     code, lines = run_to_file(tmp_path, ["profile", str(src)])

@@ -40,6 +40,15 @@ class TestRoundTrip:
         assert back.dtype == np.float64 and back.shape == shape
         assert np.array_equal(back, arr.astype(np.float64))
 
+    @pytest.mark.parametrize("dtype", ["<f4", ">f4"])
+    def test_float32_in_either_byte_order_stays_float32(self, tmp_path, dtype):
+        path = tmp_path / "m.aent"
+        arr = np.random.default_rng(3).standard_normal((3, 5)).astype(dtype)
+        write_matrix(path, arr)
+        assert _HEADER.unpack_from(path.read_bytes())[2] == 0
+        assert path.stat().st_size == _HEADER.size + 2 * 8 + arr.size * 4
+        assert np.array_equal(read_matrix(path), arr.astype(np.float64))
+
     def test_integer_input_stored_as_float64(self, tmp_path):
         path = tmp_path / "m.aent"
         write_matrix(path, np.arange(6).reshape(2, 3))
@@ -71,10 +80,8 @@ class TestWrittenBytes:
             (np.arange(120.0).reshape(10, 12)[::3, 1::4] / 3.0,
              "3e3f1300c0df347d83fdc7b7e5bd779ee79524dd85c4b7ea8780368c0a063ae5"),
             (_BASE.astype(">f8"), "2ab2a32127616bedd85272e73b114815dacff18cb777d7fff98b46703881c34b"),
-            # known-wrong bytes, pinned on purpose: write_matrix's `arr.dtype == np.float32` test holds only
-            # for native byte order, so '>f4' is stored as float64 (a FOUND line in CHANGES.md); change this
-            # digest to a float32 file's when that defect is mended
-            (_BASE.astype(">f4"), "ee4e96467bbcdc2b33e361571b6c525c47c883c5822a188f032414c04d2a74dc"),
+            # stored as float32 like a native one, so the same file
+            (_BASE.astype(">f4"), "89afef06e2404700da165c37ed17f174c68ba5e77385ffe6927c464547c333f6"),
             (np.zeros((0, 4), np.float32), "bc2dd17a0e914b7f8637cc9dca9154dba2675ed4fa688f48855268d47e4875ac"),
         ],
         ids=["float32", "float64", "one-d", "non-contiguous", "big-endian-f8", "big-endian-f4", "zero-size"],

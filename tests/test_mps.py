@@ -37,6 +37,13 @@ def _svd_call_log(monkeypatch, name="svd"):
     return calls
 
 
+def _eigvalsh_log(monkeypatch):
+    """The shapes of all later Gram matrices handed to mps._eigvalsh, in order."""
+    calls, fn = [], mps._eigvalsh
+    monkeypatch.setattr(mps, "_eigvalsh", lambda m: calls.append(m.shape) or fn(m))
+    return calls
+
+
 class TestDecompose:
     def test_rank_one_product_state(self):
         u = np.array([3.0, 4.0])
@@ -274,7 +281,7 @@ class TestSchmidtValues:
         # the left apex (cut 5) is 32 x 32, fewer than 4 _PROBE rows, so it is
         # not probed; its rank-4 Gram matrix fails and the carried loop skips it
         tensor = _low_rank_tensor((2,) * 10, 5, 4, seed=3)
-        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        eig_calls = _eigvalsh_log(monkeypatch)
         spectra = schmidt_values(tensor)
         assert eig_calls[0] == (32, 32)
         assert eig_calls.count((32, 32)) == 1
@@ -286,7 +293,7 @@ class TestSchmidtValues:
         # the left apex (cut 9, 512 x 512) has rank 32, so its _PROBE-row probe
         # fails and the ladder returns that cut, forming no Gram matrix
         tensor = _low_rank_tensor((2,) * 18, 9, 32, seed=4)
-        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        eig_calls = _eigvalsh_log(monkeypatch)
         assert mps._ladder(mps._rescaled(tensor)[0]) == (None, 9)
         assert eig_calls == [(_PROBE, _PROBE)]
         spectra = schmidt_values(tensor)
@@ -391,37 +398,100 @@ class TestSchmidtValues:
 
 
 class TestGramLayout:
-    """Gram matrices reach LAPACK exactly symmetric, and F-ordered beyond the probe size."""
+    """Gram matrices reach mps._eigvalsh C-ordered, exactly symmetric and fresh; eigh F-ordered beyond the probe size."""
 
-    def _arguments(self, monkeypatch, name):
-        seen, fn = [], getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda m, **kw: seen.append(m) or fn(m, **kw))
+    def _eigvalsh_arguments(self, monkeypatch, source):
+        # _eigvalsh overwrites its argument, so each is recorded before the call
+        seen, fn = [], mps._eigvalsh
+
+        def spy(m):
+            seen.append((m.copy(), m.flags.c_contiguous, np.may_share_memory(m, source)))
+            return fn(m)
+
+        monkeypatch.setattr(mps, "_eigvalsh", spy)
         return seen
 
-    def _assert_layout(self, grams):
-        # an apex probe (at most _PROBE x _PROBE) is a fresh product in C order
-        assert any(g.shape[0] > _PROBE for g in grams)
-        for g in grams:
+    def _assert_layout(self, seen):
+        assert any(g.shape[0] > _PROBE for g, _, _ in seen)
+        for g, c_order, shared in seen:
             assert np.array_equal(g, g.T)
-            assert g.flags.f_contiguous or g.shape[0] <= _PROBE
+            assert c_order and not shared
 
     # apexes 512 and walks from 256 down; apexes 729 x 625; apexes 256 x 216
     @pytest.mark.parametrize("dims", [(2,) * 18, (3,) * 6 + (5,) * 4, (2,) * 8 + (3,) * 3 + (2,) * 3])
     def test_schmidt_values(self, monkeypatch, dims):
-        grams = self._arguments(monkeypatch, "eigvalsh")
-        schmidt_values(_random_tensor(dims, 9))
-        self._assert_layout(grams)
+        tensor = _random_tensor(dims, 9)
+        seen = self._eigvalsh_arguments(monkeypatch, tensor)
+        schmidt_values(tensor)
+        self._assert_layout(seen)
 
     @pytest.mark.parametrize("shape", [(4 * _PROBE, 5 * _PROBE), (5 * _PROBE, 4 * _PROBE), (_PROBE + 1, 3 * _PROBE)])
     def test_sigmas(self, monkeypatch, shape):
         m = _random_tensor(shape, 10)
-        grams = self._arguments(monkeypatch, "eigvalsh")
+        seen = self._eigvalsh_arguments(monkeypatch, m)
         _sigmas(m)
-        self._assert_layout(grams)
-        grams = self._arguments(monkeypatch, "eigh")
+        self._assert_layout(seen)
+        grams, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda g: grams.append(g) or eigh(g))
         _sigmas(m, vectors=True)
         if shape[0] <= shape[1]:
-            self._assert_layout(grams)
+            assert any(g.shape[0] > _PROBE for g in grams)
+            for g in grams:
+                assert np.array_equal(g, g.T)
+                assert g.flags.f_contiguous or g.shape[0] <= _PROBE
+
+
+class TestEigvalsh:
+    """mps._eigvalsh: numpy's eigvalsh of gram.T, bit for bit, with LAPACK run on the Gram's own buffer."""
+
+    @staticmethod
+    def _gram(n, kind):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n + 3))
+        if kind == "rank-deficient":
+            g = rng.standard_normal((n, n // 2)) @ rng.standard_normal((n // 2, n + 3))
+        gram = g @ g.T
+        if kind == "asymmetric":  # LAPACK reads gram.T's lower triangle, gram's upper one
+            gram += np.triu(1e-9 * rng.standard_normal((n, n)), 1)
+        return gram
+
+    @pytest.mark.parametrize("lapack", [True, False], ids=["lapack", "fallback"])
+    @pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "asymmetric"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 256, 257, 512])
+    def test_bit_identical_to_numpy(self, monkeypatch, lapack, kind, n):
+        if not lapack:
+            monkeypatch.setattr(mps, "_DSYEVD", None)
+        gram = self._gram(n, kind)
+        expected = np.linalg.eigvalsh(gram.T)
+        assert np.array_equal(mps._eigvalsh(gram), expected)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_a_non_square_gram_is_refused(self, shape):
+        with pytest.raises(np.linalg.LinAlgError, match="expected a square Gram matrix"):
+            mps._eigvalsh(np.ones(shape))
+
+    def test_non_convergence_is_a_linalg_error(self, monkeypatch):
+        def unconverged(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, *lengths):
+            if lwork.value == -1:  # the workspace query succeeds
+                work.value, iwork.value = 1.0, 1
+            else:
+                info.value = 1
+
+        monkeypatch.setattr(mps, "_DSYEVD", unconverged)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            mps._eigvalsh(np.eye(3))
+
+    def test_scipy_openblas_builds_share_their_dsyevd(self):
+        # a silent fallback would bring back eigvalsh's copy of every Gram matrix
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        assert lapack["name"] != "scipy-openblas" or mps._DSYEVD is not None
+
+    @pytest.mark.skipif(mps._DSYEVD is None, reason="numpy has no dsyevd to share")
+    def test_no_gram_beyond_the_probe_goes_to_numpy(self, monkeypatch):
+        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        _, tensor = tensorize(_random_tensor((512, 512), 13))
+        schmidt_values(tensor)
+        assert all(shape[0] <= _PROBE for shape in eig_calls)
 
 
 def _svd_sweep(tensor, chi_max=None):
@@ -571,7 +641,7 @@ class TestSigmas:
     @pytest.mark.parametrize("shape", [(4 * _PROBE, 5 * _PROBE), (5 * _PROBE, 4 * _PROBE)])
     def test_rank_deficient_probe_skips_the_gram_matrix(self, monkeypatch, shape):
         m = self._low_rank(*shape, rank=_PROBE // 2)
-        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        eig_calls = _eigvalsh_log(monkeypatch)
         svd_calls = _svd_call_log(monkeypatch)
         sigmas = _sigmas(m)
         assert eig_calls == [(_PROBE, _PROBE)]
@@ -587,7 +657,7 @@ class TestSigmas:
 
     def test_full_rank_probe_goes_on_to_the_gram_matrix(self, monkeypatch):
         m = np.random.default_rng(5).standard_normal((4 * _PROBE, 5 * _PROBE))
-        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        eig_calls = _eigvalsh_log(monkeypatch)
         svd_calls = _svd_call_log(monkeypatch)
         sigmas = _sigmas(m)
         assert eig_calls == [(_PROBE, _PROBE), (4 * _PROBE, 4 * _PROBE)]
@@ -606,16 +676,16 @@ class TestSigmas:
 
     def test_small_gram_matrix_is_not_probed(self, monkeypatch):
         m = self._low_rank(4 * _PROBE - 1, 5 * _PROBE, rank=4)
-        eig_calls = _svd_call_log(monkeypatch, "eigvalsh")
+        eig_calls = _eigvalsh_log(monkeypatch)
         _sigmas(m)
         assert eig_calls == [(4 * _PROBE - 1, 4 * _PROBE - 1)]
 
     def test_tall_unfolding_with_vectors_goes_straight_to_the_svd(self, monkeypatch):
         m = np.random.default_rng(7).standard_normal((3 * _PROBE, 2))
-        eig_calls = _svd_call_log(monkeypatch, "eigh") + _svd_call_log(monkeypatch, "eigvalsh")
+        eigh_calls, eig_calls = _svd_call_log(monkeypatch, "eigh"), _eigvalsh_log(monkeypatch)
         svd_calls = _svd_call_log(monkeypatch)
         _sigmas(m, vectors=True)
-        assert svd_calls == [m.shape] and eig_calls == []
+        assert svd_calls == [m.shape] and eigh_calls == [] and eig_calls == []
 
 
 class TestSvdCompressed:

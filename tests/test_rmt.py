@@ -19,6 +19,7 @@ from aent import (
     output_collapse_check,
     sample_gaussian_matrix,
 )
+from aent import rmt
 from aent.entropy import _shannon, normalize_spectrum, renyi, von_neumann
 from aent.experiments import _cardy_sample
 from aent.rmt import _stochastic_spectrum, check_row_stochastic
@@ -470,9 +471,10 @@ class TestGramSpectra:
         assert fallbacks < len(samples)
 
     def test_gram_reaches_eigvalsh_in_f_order(self, monkeypatch):
+        # mps._eigvalsh hands LAPACK a C-ordered gram's own buffer, which column-major is gram.T
         seen = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: seen.append(m.flags.f_contiguous) or eigvalsh(m))
+        eigvalsh = rmt._eigvalsh
+        monkeypatch.setattr(rmt, "_eigvalsh", lambda m: seen.append(m.flags.c_contiguous) or eigvalsh(m))
         for _, a in _scenes(0.65, False, sizes=(64, 128, 256), seeds=1):
             _stochastic_spectrum(_draw(a))
         assert seen == [True] * 3
@@ -480,8 +482,8 @@ class TestGramSpectra:
     def test_one_eigvalsh_per_sample(self, monkeypatch):
         samples = _scenes(0.65, False, sizes=(16, 32, 64, 128), seeds=2)[::-1]
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        eigvalsh = rmt._eigvalsh
+        monkeypatch.setattr(rmt, "_eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
         cardy_fit(_draw(a) for _, a in samples)
         assert calls == [(t, t) for t, _ in samples]
 
