@@ -16,11 +16,12 @@ at the two apex cuts where the smaller side flips from left to right, and
 reads every other cut's Gram matrix as an exact partial trace of its
 neighbour's, walking outward one site at a time.  Tracing out a site sums
 d principal blocks, so it cannot raise the condition number:
-cond(Tr_i G) <= cond(G).  The next cut is traced before LAPACK solves a
-Gram matrix in place, overwriting it (:func:`_eigvalsh`), so no Gram
-matrix is copied for its eigenvalues.  Every Gram product of k >= 4
-``_PROBE`` rows is tested first on its leading ``_PROBE`` rows: by
-Cauchy interlacing the whole fails where they fail.
+cond(Tr_i G) <= cond(G).  Each trace is written below the diagonal of
+the Gram matrix it is traced from, which LAPACK then solves in place from
+its upper triangle (:func:`_eigvalsh`), so one buffer holds all of a
+walk's Gram matrices.  Every Gram product of k >= 4 ``_PROBE`` rows is
+tested first on its leading ``_PROBE`` rows: by Cauchy interlacing the
+whole fails where they fail.
 """
 
 from __future__ import annotations
@@ -123,12 +124,7 @@ _PROBE = 64
 
 
 def _gram(g: np.ndarray) -> np.ndarray:
-    """g @ g.T, the Gram matrix on the rows side of ``g``.
-
-    numpy fills both triangles of the product identically, and a partial
-    trace keeps that exact symmetry, so the C buffer :func:`_eigvalsh`
-    hands LAPACK as ``gram.T`` holds the Gram matrix itself.
-    """
+    """g @ g.T, the Gram matrix on the rows side of ``g``; :func:`_eigvalsh` reads its upper triangle."""
     return g @ g.T
 
 
@@ -156,23 +152,26 @@ _DSYEVD = _lapack_dsyevd()
 
 
 def _eigvalsh(gram: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Gram matrix ``gram``, ``np.linalg.eigvalsh(gram.T)`` bit for bit; overwrites ``gram``.
+    """Ascending eigenvalues of the Gram matrix ``gram``, ``np.linalg.eigvalsh(gram.T)`` bit for bit.
 
-    eigvalsh copies its input into a private buffer for LAPACK dsyevd.
-    Every Gram matrix handed here is a temporary that nothing reads
-    afterwards, so dsyevd (JOBZ='N', UPLO='L') runs in place on its C
-    buffer, which column-major is ``gram.T``, after the same workspace
-    query as numpy's: dsytrd picks its blocked path from lwork.  Where
-    numpy has no dsyevd to share (:func:`_lapack_dsyevd`) the eigvalsh
-    call is made instead.
+    eigvalsh copies its input into a private buffer for LAPACK dsyevd.  Here
+    dsyevd (JOBZ='N', UPLO='L') runs on ``gram``'s own buffer, column-major
+    ``gram.T``, after numpy's workspace query (dsytrd picks its blocked path
+    from lwork).  It overwrites the upper triangle and diagonal and never
+    reads the strict lower triangle.  A writeable float64 ``gram`` with unit
+    column stride is solved where it lies, its row stride the LDA; anything
+    else is first copied to C order.  Where numpy has no dsyevd to share
+    (:func:`_lapack_dsyevd`) the eigvalsh call is made instead.
     """
-    gram = np.require(gram, np.float64, ["C", "W"])  # LAPACK writes the buffer it is handed
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise np.linalg.LinAlgError(f"expected a square Gram matrix, got shape {gram.shape}")
+    row, column = gram.strides
+    if not (gram.dtype == np.float64 and gram.flags.writeable and gram.flags.aligned and column == 8 and row >= 8 * len(gram)):
+        gram = np.require(gram, np.float64, ["C", "W"])  # LAPACK writes the buffer it is handed
     if _DSYEVD is None:
         return np.linalg.eigvalsh(gram.T)
-    lam = np.empty(gram.shape[0])
-    n, lda, info = ctypes.c_int64(lam.size), ctypes.c_int64(max(lam.size, 1)), ctypes.c_int64(0)
+    lam = np.empty(len(gram))
+    n, lda, info = ctypes.c_int64(lam.size), ctypes.c_int64(max(gram.strides[0] // 8, 1)), ctypes.c_int64(0)
     a, w = gram.ctypes.data_as(_F64), lam.ctypes.data_as(_F64)
     work, lwork, iwork, liwork = ctypes.c_double(), ctypes.c_int64(-1), ctypes.c_int64(), ctypes.c_int64(-1)
     _DSYEVD(b"N", b"L", n, a, lda, w, work, lwork, iwork, liwork, info, 1, 1)
@@ -293,6 +292,30 @@ def reconstruct(mps: MpsChain) -> np.ndarray:
     return left.reshape(mps.site_dims)
 
 
+def _traced(gram: np.ndarray, d: int, rows: bool) -> np.ndarray:
+    """``gram`` with its last left (``rows``) or first right site, of dimension ``d``, traced out.
+
+    The trace of a k x k ``gram`` goes to its strictly lower block ``gram[k - k // d:, :k // d]`` and is
+    returned as that view; only its upper triangle and diagonal are summed, from ``gram``'s, 64 rows at
+    a time, with the summands and order, so the bits, of ``reshape(...).trace(...)``.
+    """
+    k = gram.shape[0]
+    after = k // d
+    if d == 1:
+        return gram + 0.0  # the same Gram, which eigvalsh overwrites, so a copy; numpy's trace sums from +0.0 too
+    traced = gram[k - after :, :after]
+    for r0 in range(0, after, 64):
+        r1 = min(r0 + 64, after)
+        out = traced[r0:r1, r0:]
+        out[...] = 0.0
+        for s in range(d):  # entry (a, b) of site s is gram[a d + s, b d + s] (rows), else gram[s k/d + a, s k/d + b]
+            first, step = (s, d) if rows else (s * after, 1)
+            out += gram[first + r0 * step : first + r1 * step : step, first + r0 * step : first + after * step : step]
+    if after == 1:  # numpy sums a whole trace pairwise
+        traced[0, 0] = gram.trace()
+    return traced
+
+
 def _walk(g: np.ndarray, dims: tuple[int, ...], cuts, rows: bool, spectra: dict) -> int | None:
     """Descending Schmidt values at ``cuts`` into ``spectra``; the first cut it cannot read, else None.
 
@@ -300,10 +323,11 @@ def _walk(g: np.ndarray, dims: tuple[int, ...], cuts, rows: bool, spectra: dict)
     rows the left (``rows``) or right side.  It is probed there
     (:func:`_probe_resolves`) and multiplied once (:func:`_gram`).  ``cuts``
     go toward that end of the chain one site at a time; each later cut's
-    Gram matrix is the last one's with the site between traced out.  That
-    trace is taken before :func:`_eigvalsh` overwrites the last one, which
-    is then dropped, so one Gram matrix and its trace are alive at most.
-    Each cut must pass :func:`_resolved`.
+    Gram matrix is the last one's with the site between traced out, into
+    the last one's strictly lower block (:func:`_traced`), before
+    :func:`_eigvalsh` overwrites its upper triangle, so the apex Gram's
+    buffer holds every Gram matrix of the walk; only a site of dimension 1
+    takes a copy.  Each cut must pass :func:`_resolved`.
     """
     if not _probe_resolves(g):
         return cuts[0]
@@ -311,13 +335,7 @@ def _walk(g: np.ndarray, dims: tuple[int, ...], cuts, rows: bool, spectra: dict)
     sides = [math.prod(dims[:cut]) if rows else size // math.prod(dims[:cut]) for cut in cuts]
     gram = _gram(g)
     for cut, k, after in zip(cuts, sides, sides[1:] + [None]):
-        traced = None
-        if after is not None:
-            d = k // after  # the one site between this cut and the next
-            if rows:
-                traced = gram.reshape(after, d, after, d).trace(axis1=1, axis2=3)
-            else:
-                traced = gram.reshape(d, after, d, after).trace(axis1=0, axis2=2)
+        traced = None if after is None else _traced(gram, k // after, rows)
         lam = _eigvalsh(gram)
         if not _resolved(lam, k):
             return cut

@@ -327,8 +327,8 @@ class TestSchmidtValues:
         assert svd_calls == []
 
     def test_left_apex_gram_is_freed_before_the_right_one_is_formed(self, monkeypatch):
-        # the left walk holds the only reference to its apex Gram and rebinds
-        # it at the first partial trace, so CPython frees it there
+        # the left walk's traced Grams are views of its apex Gram, which
+        # CPython frees as the walk returns
         grams, gram = [], mps._gram
 
         def tracked(g):
@@ -340,6 +340,19 @@ class TestSchmidtValues:
         monkeypatch.setattr(mps, "_gram", tracked)
         profile(_random_tensor((1024, 1024), 12))
         assert len(grams) == 2
+
+    def test_profile_peak_is_the_apex_gram(self):
+        # every traced Gram lies in the 8 MiB apex Gram's lower block, so
+        # beyond it only LAPACK's workspace (about 34n doubles) is allocated
+        matrix = _random_tensor((1024, 1024), 16)
+        profile(matrix)
+        tracemalloc.start()
+        try:
+            profile(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * 2**20
 
     def _svd_calls(self, monkeypatch, tensor):
         calls = _svd_call_log(monkeypatch)
@@ -397,8 +410,71 @@ class TestSchmidtValues:
             schmidt_values(tensor)
 
 
+def _reference_trace(gram, d, rows):
+    """The Gram matrix of the next cut as a fresh C array: ``gram`` reshaped and traced over the site between."""
+    after = gram.shape[0] // d
+    if rows:
+        return gram.reshape(after, d, after, d).trace(axis1=1, axis2=3)
+    return gram.reshape(d, after, d, after).trace(axis1=0, axis2=2)
+
+
+def _reference_walk(g, dims, cuts, rows):
+    """{cut: Schmidt values} of a walk from the unfolding ``g`` that traces each Gram matrix into a new array."""
+    gram, spectra = g @ g.T, {}
+    for cut in cuts:
+        if spectra:  # trace out the site between the last cut and this one
+            gram = _reference_trace(gram, dims[cut] if rows else dims[cut - 1], rows)
+        spectra[cut] = np.sqrt(np.linalg.eigvalsh(gram.T)[::-1])
+    return spectra
+
+
+class TestWalkBits:
+    """Traces written into the parent's lower block give the spectra of fresh reshape-traces, bit for bit."""
+
+    # 2-, 3-, 5- and 7-sites traced in blocks of 64 rows and fewer; size-1 sites (a trace is a copy),
+    # and an 11-site traced to 1 x 1 on each side (a trace numpy sums pairwise)
+    DIMS = [
+        (2,) * 18,
+        (3,) * 6 + (5,) * 4,
+        (5,) * 8,
+        (3, 3, 3, 3, 7, 3, 3, 3, 3, 7),
+        (7,) * 5,
+        (2, 1, 3, 1, 2, 2),
+        (1, 11, 13, 17),
+        (13, 11, 1),
+    ]
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_schmidt_values(self, dims):
+        tensor = _random_tensor(dims, 17)
+        apex = _apexes(dims)[0]
+        expected = {}
+        if apex >= 1:
+            expected |= _reference_walk(tensor.reshape(int(np.prod(dims[:apex])), -1), dims, range(apex, 0, -1), True)
+        if apex + 1 < len(dims):
+            m = tensor.reshape(int(np.prod(dims[: apex + 1])), -1).T
+            expected |= _reference_walk(m, dims, range(apex + 1, len(dims)), False)
+        spectra = schmidt_values(tensor)
+        assert len(spectra) == len(expected) == len(dims) - 1
+        for cut, sigmas in enumerate(spectra, start=1):
+            assert np.array_equal(sigmas, expected[cut]), cut
+
+    @pytest.mark.parametrize("chi_max", [1, 9, 64, 1000])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_decompose_prefix(self, dims, chi_max):
+        tensor = _random_tensor(dims, 18)
+        lefts = [int(np.prod(dims[:cut])) for cut in range(1, len(dims))]
+        prefix = sum(left * left <= tensor.size and left <= chi_max for left in lefts)
+        chain = decompose(tensor, chi_max=chi_max)
+        if prefix:
+            expected = _reference_walk(tensor.reshape(lefts[prefix - 1], -1), dims, range(prefix, 0, -1), True)
+            for cut in range(1, prefix + 1):
+                assert np.array_equal(chain.bond_spectra[cut - 1], expected[cut]), cut
+
+
 class TestGramLayout:
-    """Gram matrices reach mps._eigvalsh C-ordered, exactly symmetric and fresh; eigh F-ordered beyond the probe size."""
+    """Gram products and probes reach mps._eigvalsh C-ordered, exactly symmetric and fresh; each traced Gram is the
+    strictly lower block of its parent, and eigh gets F-ordered Grams beyond the probe size."""
 
     def _eigvalsh_arguments(self, monkeypatch, source):
         # _eigvalsh overwrites its argument, so each is recorded before the call
@@ -421,9 +497,46 @@ class TestGramLayout:
     @pytest.mark.parametrize("dims", [(2,) * 18, (3,) * 6 + (5,) * 4, (2,) * 8 + (3,) * 3 + (2,) * 3])
     def test_schmidt_values(self, monkeypatch, dims):
         tensor = _random_tensor(dims, 9)
-        seen = self._eigvalsh_arguments(monkeypatch, tensor)
+        # the upper triangle of each Gram matrix not yet solved, by address; what else was solved
+        unsolved, products, solved, others = {}, [], [], []
+        gram, traced, eigvalsh = mps._gram, mps._traced, mps._eigvalsh
+
+        def product(g):
+            m = gram(g)
+            products.append((m.copy(), m.flags.c_contiguous, np.may_share_memory(m, tensor)))
+            unsolved[m.ctypes.data] = np.triu(m)
+            return m
+
+        def trace(parent, d, rows):
+            view = traced(parent, d, rows)
+            k, after = parent.shape[0], view.shape[0]
+            # the parent's strictly lower block: its address and strides
+            assert after * d == k and after <= k - after
+            assert (view.ctypes.data, view.strides) == (parent[k - after :, :after].ctypes.data, parent.strides)
+            # summed from the parent's upper triangle and diagonal alone
+            upper = np.triu(parent)
+            assert np.array_equal(np.triu(view), np.triu(_reference_trace(upper + np.triu(upper, 1).T, d, rows)))
+            unsolved[view.ctypes.data] = np.triu(view)
+            return view
+
+        def solve(m):
+            upper = unsolved.pop(m.ctypes.data, None)
+            if upper is None:
+                others.append((m.copy(), m.flags.c_contiguous, np.may_share_memory(m, tensor)))
+            else:  # a trace may lie below the diagonal
+                assert np.array_equal(np.triu(m), upper)
+                solved.append(m.shape[0])
+            return eigvalsh(m)
+
+        monkeypatch.setattr(mps, "_gram", product)
+        monkeypatch.setattr(mps, "_traced", trace)
+        monkeypatch.setattr(mps, "_eigvalsh", solve)
         schmidt_values(tensor)
-        self._assert_layout(seen)
+        assert not unsolved and len(products) == 2 and len(solved) == len(dims) - 1
+        self._assert_layout(products)
+        for g, c_order, shared in others:  # the probes
+            assert g.shape == (_PROBE, _PROBE)
+            assert np.array_equal(g, g.T) and c_order and not shared
 
     @pytest.mark.parametrize("shape", [(4 * _PROBE, 5 * _PROBE), (5 * _PROBE, 4 * _PROBE), (_PROBE + 1, 3 * _PROBE)])
     def test_sigmas(self, monkeypatch, shape):
@@ -463,7 +576,32 @@ class TestEigvalsh:
             monkeypatch.setattr(mps, "_DSYEVD", None)
         gram = self._gram(n, kind)
         expected = np.linalg.eigvalsh(gram.T)
+        # a block with LDA n + 1 and 2n, solved where it lies, NaN below its diagonal and beside it
+        for lda in (n + 1, 2 * n):
+            buffer = np.full((n, lda), np.nan)
+            block = buffer[:, :n]
+            block[np.triu_indices(n)] = gram[np.triu_indices(n)]
+            assert np.array_equal(mps._eigvalsh(block), expected), lda
+            assert np.isnan(buffer[np.tril_indices(n, -1)]).all() and np.isnan(buffer[:, n:]).all()
+            assert not lapack or n <= 2 or not np.array_equal(np.triu(block), np.triu(gram))
         assert np.array_equal(mps._eigvalsh(gram), expected)
+
+    @pytest.mark.parametrize("lapack", [True, False], ids=["lapack", "fallback"])
+    @pytest.mark.parametrize("view", ["column-stride-2", "read-only", "f-order"])
+    def test_other_layouts_are_copied(self, monkeypatch, lapack, view):
+        if not lapack:
+            monkeypatch.setattr(mps, "_DSYEVD", None)
+        gram = self._gram(64, "asymmetric")
+        if view == "column-stride-2":
+            arg = np.zeros((64, 128))[:, ::2]
+            arg[...] = gram
+        elif view == "read-only":
+            arg = gram.copy()
+            arg.flags.writeable = False
+        else:
+            arg = np.asfortranarray(gram)
+        assert np.array_equal(mps._eigvalsh(arg), np.linalg.eigvalsh(gram.T))
+        assert np.array_equal(arg, gram)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
     def test_a_non_square_gram_is_refused(self, shape):
