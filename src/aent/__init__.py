@@ -31,8 +31,7 @@ from .entropy import (
     normalize_spectrum,
     page_entropy,
     profile,
-    renyi,
-    von_neumann,
+    spectrum_entropies,
 )
 from .errors import (
     AentError,
@@ -114,11 +113,10 @@ __all__ = [
     "profile",
     "read_matrix",
     "reconstruct",
-    "renyi",
     "sample_gaussian_matrix",
+    "spectrum_entropies",
     "tensorize",
     "valley_check",
     "valley_experiment",
-    "von_neumann",
     "write_matrix",
 ]

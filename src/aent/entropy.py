@@ -2,14 +2,14 @@
 
 A spectrum of singular values sigma is normalized to lambda_i =
 sigma_i / sqrt(sum sigma^2), so the squared values form a probability
-distribution.  Entropies default to base 2 (bits); pass ``base=math.e``
-for nats.
+distribution.  :func:`spectrum_entropies` is the one reduction of a
+spectrum to its rank, von Neumann and Renyi-2 entropies.  Entropies
+default to base 2 (bits); pass ``base=math.e`` for nats.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +17,6 @@ import numpy as np
 from . import mps
 from .errors import DegenerateInputError, InvalidArgumentError
 from .tensorize import tensorize
-
-#: |sum(lambda^2) - 1| tolerance accepted by the entropy functions.
-NORMALIZATION_TOL = 1e-9
 
 
 def normalize_spectrum(sigmas) -> np.ndarray:
@@ -50,49 +47,25 @@ def _log_base(base: float) -> float:
     return math.log(base)
 
 
-def _check_normalized(lambdas: np.ndarray) -> np.ndarray:
-    arr = np.asarray(lambdas, dtype=np.float64)
-    if np.any(arr < 0):
-        raise InvalidArgumentError("singular values must be non-negative")
-    total = float(np.dot(arr, arr))
-    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # a NaN total is refused too
-        raise InvalidArgumentError(
-            f"spectrum is not normalized: sum(lambda^2) = {total!r}"
-        )
-    return arr
-
-
 def _shannon(probs: np.ndarray, base: float) -> float:
     """-sum(p log p) over the nonzero ``probs``, with 0 log 0 = 0."""
     w = probs[probs > 0.0]
     return float(-(w * np.log(w)).sum() / _log_base(base))
 
 
-def von_neumann(lambdas, base: float = 2.0) -> float:
-    """S = -sum(lambda^2 log lambda^2), with 0 log 0 = 0 (also where lambda^2 underflows)."""
-    s = _shannon(_check_normalized(lambdas) ** 2, base)
-    # the comparison form avoids returning -0.0 for pure states
-    return s if s > 0.0 else 0.0
+def spectrum_entropies(sigmas, base: float = 2.0) -> tuple[int, float, float]:
+    """(chi, S, S_2) of the Schmidt values ``sigmas``, normalized by :func:`normalize_spectrum`.
 
-
-def renyi(lambdas, alpha: float, base: float = 2.0) -> float:
-    """Renyi entropy S_alpha = log(sum w^alpha) / (1 - alpha), w = lambda^2, for a finite alpha.
-
-    A power sum that underflows (a large alpha) is read as alpha log w_1 + log sum (w/w_1)^alpha, w_1 = max w.
+    With w = lambda^2, chi counts the nonzero lambda, S = -sum(w log w) is
+    the von Neumann entropy and S_2 = -log sum(w^2) the Renyi-2 entropy;
+    both are clamped at 0, which also keeps a pure state's -0.0 out.
     """
-    if not (math.isfinite(alpha) and alpha > 0) or alpha == 1:
-        raise InvalidArgumentError(f"alpha must be finite, positive and != 1, got {alpha}")
-    arr = _check_normalized(lambdas)
-    w = arr[arr > 0.0] ** 2
-    total = (w**alpha).sum()
-    # float64's smallest normal; numpy's finfo(...).tiny builds and keeps a cache on its first read
-    if total >= sys.float_info.min:
-        s = float(np.log(total) / ((1.0 - alpha) * _log_base(base)))
-    else:
-        top = w.max()
-        rest = math.log(((w / top) ** alpha).sum())
-        s = (alpha / (1.0 - alpha) * math.log(top) + rest / (1.0 - alpha)) / _log_base(base)
-    return s if s > 0.0 else 0.0
+    log_base = _log_base(base)
+    lambdas = normalize_spectrum(sigmas)
+    w = lambdas[lambdas > 0.0] ** 2
+    s = _shannon(w, base)
+    s2 = float(-np.log((w**2).sum()) / log_base)
+    return w.size, (s if s > 0.0 else 0.0), (s2 if s2 > 0.0 else 0.0)
 
 
 def binary_entropy(u: float, base: float = 2.0) -> float:
@@ -140,8 +113,6 @@ class EntanglementProfile:
     """Per-cut entropy records for one matrix, all in the same log base."""
 
     records: list[CutRecord]
-    log_base: float
-    chi_max: int | None = None
 
     @property
     def entropies(self) -> np.ndarray:
@@ -164,7 +135,7 @@ def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> Entangleme
     layout, tensor = tensorize(matrix)
     records: list[CutRecord] = []
     if layout.num_cuts == 0:
-        return EntanglementProfile(records=records, log_base=base, chi_max=chi_max)
+        return EntanglementProfile(records=records)
     # entropies do not depend on a power-of-two scale, which may not fit back
     if chi_max is None:
         spectra = mps.schmidt_values(tensor, scale_back=False)
@@ -172,19 +143,9 @@ def profile(matrix, chi_max: int | None = None, base: float = 2.0) -> Entangleme
         spectra = mps.decompose(tensor, chi_max=chi_max, scale_back=False).bond_spectra
     for k, sigmas in enumerate(spectra, start=1):
         d_left, d_right = layout.cut_dims(k)
-        lambdas = normalize_spectrum(sigmas)
-        s = von_neumann(lambdas, base=base)
-        s2 = renyi(lambdas, 2.0, base=base)
+        chi, s, s2 = spectrum_entropies(sigmas, base)
         denom = math.log(min(d_left, d_right)) / log_base
         records.append(
-            CutRecord(
-                cut=k,
-                d_left=d_left,
-                d_right=d_right,
-                chi=int(np.count_nonzero(lambdas)),
-                entropy=s,
-                renyi2=s2,
-                normalized=s / denom,
-            )
+            CutRecord(cut=k, d_left=d_left, d_right=d_right, chi=chi, entropy=s, renyi2=s2, normalized=s / denom)
         )
-    return EntanglementProfile(records=records, log_base=base, chi_max=chi_max)
+    return EntanglementProfile(records=records)

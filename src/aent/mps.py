@@ -54,7 +54,6 @@ class MpsChain:
 
     cores: list[np.ndarray] = field(default_factory=list)
     bond_spectra: list[np.ndarray] = field(default_factory=list)
-    chi_max: int | None = None
 
     @property
     def site_dims(self) -> tuple[int, ...]:
@@ -278,7 +277,7 @@ def decompose(tensor, chi_max: int | None = None, *, scale_back: bool = True) ->
         carried = u[:, :keep].T @ m if vh is None else s[:keep, None] * vh[:keep]
         chi = keep
     cores.append(_scaled_back(carried, exponent).reshape(chi, dims[-1], 1))
-    return MpsChain(cores=cores, bond_spectra=spectra, chi_max=chi_max)
+    return MpsChain(cores=cores, bond_spectra=spectra)
 
 
 def reconstruct(mps: MpsChain) -> np.ndarray:

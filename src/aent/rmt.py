@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _log_base, _shannon, binary_entropy, normalize_spectrum, renyi, von_neumann
+from .entropy import _log_base, _shannon, binary_entropy, spectrum_entropies
 from .errors import DegenerateInputError, InvalidArgumentError
 from .mps import _eigvalsh
 
@@ -68,16 +68,10 @@ class MarchenkoPastur:
         out = np.zeros_like(arr)
         xs = arr[inside]
         out[inside] = np.sqrt((hi - xs) * (xs - lo)) / (2.0 * np.pi * self.c * xs)
-        if np.isscalar(x):
-            return float(out)
         return out
 
     def cdf(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        out = np.interp(arr, self._grid_x, self._grid_f, left=0.0, right=1.0)
-        if np.isscalar(x):
-            return float(out)
-        return out
+        return np.interp(x, self._grid_x, self._grid_f, left=0.0, right=1.0)
 
 
 def ks_distance(samples, law) -> float:
@@ -88,7 +82,7 @@ def ks_distance(samples, law) -> float:
     if not np.all(np.isfinite(xs)):
         raise InvalidArgumentError("ks_distance samples must be finite")
     n = xs.size
-    f = np.asarray(law.cdf(xs), dtype=np.float64)
+    f = law.cdf(xs)
     i = np.arange(1, n + 1, dtype=np.float64)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1.0) / n)
@@ -275,15 +269,8 @@ def cardy_fit(attention_samples) -> CardyFit:
     for draw in attention_samples:
         sigmas, svd, sigma2 = _stochastic_spectrum(draw)
         svd_fallbacks += svd
-        lambdas = normalize_spectrum(sigmas)
-        rows.append((
-            sigmas.size,
-            von_neumann(lambdas, base=math.e),
-            float(sigmas[0]),
-            float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)),
-            renyi(lambdas, 2.0, base=math.e),
-            sigma2,
-        ))
+        _, s, s2 = spectrum_entropies(sigmas, math.e)
+        rows.append((sigmas.size, s, float(sigmas[0]), float(sigmas[0] ** 2 / np.dot(sigmas, sigmas)), s2, sigma2))
     sizes = {row[0] for row in rows}
     if len(sizes) < 4:
         raise InvalidArgumentError(

@@ -302,5 +302,8 @@ class TestMaskAblation:
     def test_profiles_present_with_base(self):
         scene = AttentionScene.build(8, seed=6)
         ab = mask_ablation(scene, base=math.e)
-        assert ab.profile_masked.log_base == math.e
         assert len(ab.profile_masked.records) == len(ab.profile_unmasked.records)
+        # the base reaches the profiles: nats are bits times ln 2
+        bits = mask_ablation(scene)
+        for nats, ref in ((ab.profile_masked, bits.profile_masked), (ab.profile_unmasked, bits.profile_unmasked)):
+            assert nats.entropies == pytest.approx(ref.entropies * math.log(2.0), abs=1e-12)

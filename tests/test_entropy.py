@@ -16,11 +16,11 @@ from aent import (
     normalize_spectrum,
     page_entropy,
     profile,
-    renyi,
+    spectrum_entropies,
     tensorize,
-    von_neumann,
 )
 from aent.mps import SIGMA_FLOOR
+from entropy_reference import spectrum_entropies as reference_entropies
 from svd_reference import cut_spectrum
 
 spectra = hnp.arrays(
@@ -74,90 +74,88 @@ class TestNormalizeSpectrum:
         assert float(np.dot(lam, lam)) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestVonNeumann:
+def _spread_spectra(seed: int):
+    """Descending |Gaussian|, log-spread over 1e-15..1 and rank-1 spectra, each at scales 1 and 1e+-200."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    rank_one = np.zeros(n)
+    rank_one[0] = rng.uniform(0.1, 10.0)
+    for sigmas in (
+        np.sort(np.abs(rng.standard_normal(n)))[::-1],
+        10.0 ** np.sort(rng.uniform(-15.0, 0.0, n))[::-1],
+        rank_one,
+    ):
+        for scale in (1.0, 1e200, 1e-200):
+            yield sigmas * scale
+
+
+class TestSpectrumEntropies:
+    @pytest.mark.parametrize("base", [2.0, math.e])
+    def test_bit_identical_to_the_two_reductions(self, base):
+        for seed in range(100):
+            for sigmas in _spread_spectra(seed):
+                assert spectrum_entropies(sigmas, base) == reference_entropies(sigmas, base)
+
     def test_pure_state_is_positive_zero(self):
-        s = von_neumann([1.0])
-        assert s == 0.0
+        chi, s, s2 = spectrum_entropies([1.0])
+        assert (chi, s, s2) == (1, 0.0, 0.0)
         assert math.copysign(1.0, s) == 1.0
+        assert math.copysign(1.0, s2) == 1.0
 
     def test_uniform_32_is_five_bits(self):
-        lam = normalize_spectrum(np.ones(32))
-        assert von_neumann(lam) == pytest.approx(5.0, abs=1e-12)
+        chi, s, s2 = spectrum_entropies(np.ones(32))
+        assert chi == 32
+        assert s == pytest.approx(5.0, abs=1e-12)
+        assert s2 == pytest.approx(5.0, abs=1e-12)
+
+    def test_uniform_8_renyi2_is_three_bits(self):
+        assert spectrum_entropies(np.ones(8))[2] == pytest.approx(3.0, abs=1e-12)
 
     def test_three_four_five_value(self):
-        assert von_neumann([0.6, 0.8]) == pytest.approx(0.9426831892554921, abs=1e-14)
+        assert spectrum_entropies([0.6, 0.8])[1] == pytest.approx(0.9426831892554921, abs=1e-14)
+        assert spectrum_entropies([3.0, 4.0])[1] == pytest.approx(0.9426831892554921, abs=1e-14)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tiny", [1e-170, 5e-324])
-    def test_value_whose_square_underflows_counts_as_zero(self, tiny):
-        # tiny**2 is 0.0, so tiny adds 0 log 0 = 0, not NaN
-        assert von_neumann([0.6, 0.8, tiny]) == von_neumann([0.6, 0.8])
-        assert von_neumann([tiny, 1.0]) == 0.0
+    def test_value_below_the_floor_counts_as_zero(self, tiny):
+        # tiny is below SIGMA_FLOOR times the largest, so it adds nothing, not NaN
+        assert spectrum_entropies([0.6, 0.8, tiny]) == spectrum_entropies([0.6, 0.8])
+        assert spectrum_entropies([tiny, 1.0]) == (1, 0.0, 0.0)
 
     def test_base_e(self):
-        lam = normalize_spectrum(np.ones(32))
-        assert von_neumann(lam, base=math.e) == pytest.approx(math.log(32), abs=1e-12)
+        _, s, s2 = spectrum_entropies(np.ones(32), base=math.e)
+        assert s == pytest.approx(math.log(32), abs=1e-12)
+        assert s2 == pytest.approx(math.log(32), abs=1e-12)
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InvalidArgumentError):
-            von_neumann([0.6, 0.7])
+    @pytest.mark.parametrize("base", [1.0, 0.0, -2.0, math.inf, math.nan])
+    def test_rejects_a_bad_base(self, base):
+        with pytest.raises(InvalidArgumentError, match="log base"):
+            spectrum_entropies([0.6, 0.8], base)
 
-    @pytest.mark.parametrize("entropy", [von_neumann, lambda lam: renyi(lam, 2.0)])
     @pytest.mark.parametrize(
-        "lambdas", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]], ids=["nan-first", "nan-last", "inf"]
+        "sigmas", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]], ids=["nan-first", "nan-last", "inf"]
     )
-    def test_rejects_non_finite_values(self, entropy, lambdas):
-        # a NaN total fails no '> tol' test, and the sums would drop the NaN and read 0
-        with pytest.raises(InvalidArgumentError, match="spectrum is not normalized"):
-            entropy(lambdas)
+    def test_rejects_non_finite_values(self, sigmas):
+        # the sums would drop a NaN and read 0
+        with pytest.raises(InvalidArgumentError, match="singular values must be finite"):
+            spectrum_entropies(sigmas)
 
-    @pytest.mark.parametrize("entropy", [von_neumann, lambda lam: renyi(lam, 2.0)])
-    def test_rejects_negative_values(self, entropy):
-        # normalized, but not a spectrum: both entropies refuse it alike
+    def test_rejects_negative_values(self):
         with pytest.raises(InvalidArgumentError, match="singular values must be non-negative"):
-            entropy([-0.6, 0.8])
+            spectrum_entropies([-0.6, 0.8])
 
     @given(spectra)
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_log_dim(self, sigmas):
-        lam = normalize_spectrum(sigmas)
-        s = von_neumann(lam)
-        assert 0.0 <= s <= math.log2(lam.size) + 1e-9
-
-
-class TestRenyi:
-    def test_uniform_matches_log_dim(self):
-        lam = normalize_spectrum(np.ones(8))
-        assert renyi(lam, 2.0) == pytest.approx(3.0, abs=1e-12)
-
-    def test_pure_state_is_positive_zero(self):
-        s = renyi([1.0], 2.0)
-        assert s == 0.0
-        assert math.copysign(1.0, s) == 1.0
-
-    def test_alpha_validation(self):
-        for alpha in (1.0, 0.0, -2.0):
-            with pytest.raises(InvalidArgumentError):
-                renyi([1.0], alpha)
-
-    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
-    def test_a_non_finite_alpha_is_refused(self, alpha):
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            renyi(normalize_spectrum([3.0, 2.0, 1.0]), alpha)
-
-    @pytest.mark.parametrize("alpha", [2000.0, 1e6, 1e300])
-    def test_a_power_sum_that_underflows_is_read_from_the_largest_weight(self, alpha):
-        # (9/14)^2000 underflows float64; S_alpha = alpha/(alpha-1) log2(14/9) + O(2^-alpha)
-        s = renyi(normalize_spectrum([3.0, 2.0, 1.0]), alpha)
-        assert s == pytest.approx(alpha / (alpha - 1.0) * math.log2(14.0 / 9.0), rel=1e-12)
-        # no larger than at an alpha whose sum does not underflow, no smaller than the min-entropy
-        assert renyi(normalize_spectrum([3.0, 2.0, 1.0]), 1000.0) >= s >= math.log2(14.0 / 9.0) - 1e-12
+        chi, s, _ = spectrum_entropies(sigmas)
+        assert 0.0 <= s <= math.log2(chi) + 1e-9
+        assert chi <= sigmas.size
 
     @given(spectra)
     @settings(max_examples=60, deadline=None)
     def test_renyi2_below_von_neumann(self, sigmas):
-        lam = normalize_spectrum(sigmas)
-        assert renyi(lam, 2.0) <= von_neumann(lam) + 1e-9
+        _, s, s2 = spectrum_entropies(sigmas)
+        assert 0.0 <= s2 <= s + 1e-9
 
 
 class TestBinaryEntropy:
@@ -245,7 +243,6 @@ class TestProfile:
     def test_truncated_profile_entropy_capped(self):
         matrix = np.random.default_rng(5).standard_normal((32, 32))
         prof = profile(matrix, chi_max=3)
-        assert prof.chi_max == 3
         for rec in prof.records:
             assert rec.chi <= 3
             assert rec.entropy <= math.log2(3) + 1e-9
@@ -278,9 +275,9 @@ def _assert_untruncated_profile_matches(matrix):
     _, tensor = tensorize(matrix)
     prof = profile(matrix)
     for rec, sigmas in zip(prof.records, decompose(tensor).bond_spectra, strict=True):
-        lambdas = normalize_spectrum(sigmas)
-        assert abs(rec.entropy - von_neumann(lambdas)) <= 1e-10
-        assert abs(rec.renyi2 - renyi(lambdas, 2.0)) <= 1e-10
+        _, s, s2 = reference_entropies(sigmas)
+        assert abs(rec.entropy - s) <= 1e-10
+        assert abs(rec.renyi2 - s2) <= 1e-10
         direct = cut_spectrum(tensor, rec.cut).sigmas
         assert rec.chi == np.count_nonzero(direct > SIGMA_FLOOR * direct.max())
 
@@ -382,7 +379,4 @@ class TestProfilePaths:
         _, tensor = tensorize(matrix)
         prof = profile(matrix, chi_max=5)
         for rec, sigmas in zip(prof.records, decompose(tensor, chi_max=5).bond_spectra, strict=True):
-            lambdas = normalize_spectrum(sigmas)
-            assert rec.chi == sigmas.size
-            assert rec.entropy == von_neumann(lambdas)
-            assert rec.renyi2 == renyi(lambdas, 2.0)
+            assert (rec.chi, rec.entropy, rec.renyi2) == (sigmas.size, *reference_entropies(sigmas)[1:])

@@ -20,10 +20,11 @@ from aent import (
     sample_gaussian_matrix,
 )
 from aent import rmt
-from aent.entropy import _shannon, normalize_spectrum, renyi, von_neumann
+from aent.entropy import _shannon, normalize_spectrum
 from aent.experiments import _cardy_sample
 from aent.rmt import _stochastic_spectrum, check_row_stochastic
 from attention_reference import whole_attention
+from entropy_reference import spectrum_entropies as reference_entropies
 
 sorted_spectra = st.lists(
     st.floats(min_value=1e-6, max_value=1e3), min_size=2, max_size=40
@@ -272,12 +273,12 @@ def _svd_cardy_fields(samples) -> dict:
     points, s1, p1, renyi2, sigma2 = [], [], [], [], []
     for t, a in samples:
         sigmas = np.linalg.svd(a, compute_uv=False)
-        lambdas = normalize_spectrum(sigmas)
-        points.append(von_neumann(lambdas, base=math.e))
+        _, s, s_r2 = reference_entropies(sigmas, math.e)
+        points.append(s)
         if t == t_largest:
             s1.append(sigmas[0])
             p1.append(sigmas[0] ** 2 / np.dot(sigmas, sigmas))
-            renyi2.append(renyi(lambdas, 2.0, base=math.e))
+            renyi2.append(s_r2)
             sigma2.append(estimate_sigma2(a))
     slope, intercept = np.polyfit(np.log([t for t, _ in samples]), points, 1)
     s2 = float(np.mean(sigma2))
@@ -405,8 +406,8 @@ class TestGramSpectra:
         assert sigmas**2 == pytest.approx(direct**2, abs=x, rel=0)
         # S within the certified x^ (1 + ln(1/x^)), x^ = x / sum(lam)
         x_hat = x / np.dot(sigmas, sigmas)
-        s = von_neumann(normalize_spectrum(sigmas), base=math.e)
-        s_direct = von_neumann(normalize_spectrum(direct), base=math.e)
+        s = reference_entropies(sigmas, math.e)[1]
+        s_direct = reference_entropies(direct, math.e)[1]
         assert abs(s - s_direct) <= x_hat * (1.0 + math.log(1.0 / x_hat))
 
     def test_cardy_fit_over_one_unresolved_samples_matches_svd_reference(self, monkeypatch):
