@@ -144,6 +144,27 @@ class TestSpectrumEntropies:
         with pytest.raises(InvalidArgumentError, match="singular values must be non-negative"):
             spectrum_entropies([-0.6, 0.8])
 
+    @pytest.mark.parametrize("sigmas", [[], [[0.6, 0.8]]], ids=["empty", "2d"])
+    def test_rejects_a_spectrum_that_is_not_1d(self, sigmas):
+        with pytest.raises(InvalidArgumentError, match="non-empty 1-d spectrum"):
+            spectrum_entropies(sigmas)
+
+    def test_rejects_an_all_zero_spectrum(self):
+        with pytest.raises(DegenerateInputError, match="all singular values are zero"):
+            spectrum_entropies([0.0, 0.0])
+
+    def test_three_four_five_renyi2_value(self):
+        # -log2(0.36^2 + 0.64^2)
+        assert spectrum_entropies([0.6, 0.8])[2] == pytest.approx(0.8911075983675909, abs=1e-14)
+
+    @pytest.mark.parametrize("scale", [2.0**-900, 2.0**-30, 2.0**900])
+    def test_an_unnormalized_spectrum_is_normalized_first(self, scale):
+        # a power-of-two scale is exact, so the normalized spectrum, and every bit after it, is unchanged
+        sigmas = np.array([0.6, 0.7, 0.1])
+        assert spectrum_entropies(sigmas * scale) == spectrum_entropies(sigmas)
+        # where the former von_neumann refused sum(lambda^2) != 1, the reduction normalizes
+        assert spectrum_entropies([0.6, 0.7])[1:] == pytest.approx(reference_entropies([6.0, 7.0])[1:], abs=1e-14)
+
     @given(spectra)
     @settings(max_examples=60, deadline=None)
     def test_bounded_by_log_dim(self, sigmas):
