@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _log_base
+from .entropy import _floored, _log_base, _shannon
 from .errors import InvalidArgumentError, ShapeMismatchError
-from .mps import SIGMA_FLOOR, _rescaled, _resolved
+from .mps import _rescaled, _resolved
 from .tensorize import prime_factorize
 
 #: Each valid adapter kind -> the fields its command-line spec lists after
@@ -123,7 +123,6 @@ class ValleyCheck:
 
     s_rowcol: float | np.ndarray
     bound: float
-    interior_cuts: tuple[int, ...]
     interior_max: float | np.ndarray
     interior_mean: float | np.ndarray
     passes: bool | np.ndarray
@@ -141,11 +140,10 @@ def valley_check(b, a, base: float = 2.0) -> ValleyCheck:
     Schmidt values of the same cut of C = B R_A^T, and with B^T B = R_B^T R_B
     each column cut those of D = R_B A.  A cut is one stacked Gram product
     and eigvalsh, with an SVD for an instance that fails :func:`mps._resolved`.
-    Spectra are floored, normalized and reduced as by :func:`normalize_spectrum`
-    and :func:`spectrum_entropies`, but stacked, in a copy of their own: one
-    call per spectrum would cost about 2,600 Python calls per ``valley
-    --seeds 40``, and a stacked form shared with them would move the last
-    bits (up to 1.8e-15) of one of the two outputs.
+    Each cut's stack of spectra takes the floor and the Shannon sum of
+    :func:`spectrum_entropies` (:func:`entropy._floored`, :func:`entropy._shannon`);
+    only the normalization ``kept / kept.sum(axis=1)`` is the valley's own, as
+    sharing that step would move the last bits (up to 1.8e-15) of one output.
     """
     log_base = _log_base(base)
     b, a = np.asarray(b, dtype=np.float64), np.asarray(a, dtype=np.float64)
@@ -171,22 +169,17 @@ def valley_check(b, a, base: float = 2.0) -> ValleyCheck:
         sigmas = np.sqrt(np.maximum(lam[:, ::-1], 0.0))
         for i in np.flatnonzero(~_resolved(lam, g.shape[1])):
             sigmas[i] = np.linalg.svd(m[i], compute_uv=False)
-        top = sigmas[:, :1]
-        kept = np.where(sigmas > SIGMA_FLOOR * top, sigmas / top, 0.0) ** 2
-        w = kept / kept.sum(axis=1, keepdims=True)
-        s = -(w * np.log(w, out=np.zeros_like(w), where=w > 0.0)).sum(axis=1) / log_base
-        entropies[:, cut] = np.where(s > 0.0, s, 0.0)
+        kept = _floored(sigmas, sigmas[:, :1]) ** 2
+        entropies[:, cut] = _shannon(kept / kept.sum(axis=1, keepdims=True), base)
     entropies = entropies.reshape(*lead, -1)
     n = len(out_sites)
     s_rowcol = entropies[..., n - 1][()]
     bound = math.log(r) / log_base
-    # interior: ceil(log2 r) + 2 <= k <= n - 1, clear of the rank bottleneck's log-scale footprint
-    cuts = tuple(range(math.ceil(math.log2(r)) + 2, n))
-    interior = entropies[..., cuts[0] - 1 : n - 1] if cuts else np.full((*lead, 1), math.nan)
+    first = math.ceil(math.log2(r)) + 2  # interior cuts first..n-1 clear the rank bottleneck's log-scale footprint
+    interior = entropies[..., first - 1 : n - 1] if first < n else np.full((*lead, 1), math.nan)
     return ValleyCheck(
         s_rowcol=s_rowcol,
         bound=bound,
-        interior_cuts=cuts,
         interior_max=interior.max(axis=-1),
         interior_mean=interior.mean(axis=-1),
         passes=s_rowcol <= bound + 1e-9,

@@ -3,7 +3,8 @@
 A spectrum of singular values sigma is normalized to lambda_i =
 sigma_i / sqrt(sum sigma^2), so the squared values form a probability
 distribution.  :func:`spectrum_entropies` is the one reduction of a
-spectrum to its rank, von Neumann and Renyi-2 entropies.  Entropies
+spectrum to its rank, von Neumann and Renyi-2 entropies; its spectrum check,
+``SIGMA_FLOOR`` cut and Shannon sum are the package's only ones.  Entropies
 default to base 2 (bits); pass ``base=math.e`` for nats.
 """
 
@@ -19,24 +20,35 @@ from .errors import DegenerateInputError, InvalidArgumentError
 from .tensorize import tensorize
 
 
+def _checked_spectrum(values, what: str) -> np.ndarray:
+    """``values`` as float64, refused unless 1-d, non-empty, finite and non-negative; ``what`` names them."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidArgumentError("expected a non-empty 1-d spectrum")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"{what} must be finite")
+    if np.any(arr < 0):
+        raise InvalidArgumentError(f"{what} must be non-negative")
+    return arr
+
+
+def _floored(values: np.ndarray, top) -> np.ndarray:
+    """``values / top``, zero where a value is at or below ``SIGMA_FLOOR * top``; ``top`` broadcasts."""
+    return np.where(values > mps.SIGMA_FLOOR * top, values / top, 0.0)
+
+
 def normalize_spectrum(sigmas) -> np.ndarray:
     """Schmidt coefficients lambda with sum(lambda^2) == 1.
 
     Values below 1e-12 times the largest singular value are zeroed before
     normalizing, so noise-level SVD output does not register as rank.
     """
-    arr = np.asarray(sigmas, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidArgumentError("expected a non-empty 1-d spectrum")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("singular values must be finite")
-    if np.any(arr < 0):
-        raise InvalidArgumentError("singular values must be non-negative")
+    arr = _checked_spectrum(sigmas, "singular values")
     top = arr.max()
     if top <= 0:
         raise DegenerateInputError("all singular values are zero")
     # divide by the maximum first so squaring cannot leave float64 range
-    out = np.where(arr > mps.SIGMA_FLOOR * top, arr / top, 0.0)
+    out = _floored(arr, top)
     return out / math.sqrt(float(np.dot(out, out)))
 
 
@@ -47,10 +59,10 @@ def _log_base(base: float) -> float:
     return math.log(base)
 
 
-def _shannon(probs: np.ndarray, base: float) -> float:
-    """-sum(p log p) over the nonzero ``probs``, with 0 log 0 = 0."""
-    w = probs[probs > 0.0]
-    return float(-(w * np.log(w)).sum() / _log_base(base))
+def _shannon(probs: np.ndarray, base: float) -> np.ndarray:
+    """-sum(p log p) over the last axis of ``probs``, with 0 log 0 = 0, clamped at 0 (so never -0.0)."""
+    s = -(probs * np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)).sum(axis=-1) / _log_base(base)
+    return np.where(s > 0.0, s, 0.0)
 
 
 def spectrum_entropies(sigmas, base: float = 2.0) -> tuple[int, float, float]:
@@ -63,9 +75,8 @@ def spectrum_entropies(sigmas, base: float = 2.0) -> tuple[int, float, float]:
     log_base = _log_base(base)
     lambdas = normalize_spectrum(sigmas)
     w = lambdas[lambdas > 0.0] ** 2
-    s = _shannon(w, base)
     s2 = float(-np.log((w**2).sum()) / log_base)
-    return w.size, (s if s > 0.0 else 0.0), (s2 if s2 > 0.0 else 0.0)
+    return w.size, float(_shannon(w, base)), (s2 if s2 > 0.0 else 0.0)
 
 
 def binary_entropy(u: float, base: float = 2.0) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _log_base, _shannon, binary_entropy, spectrum_entropies
+from .entropy import _checked_spectrum, _log_base, _shannon, binary_entropy, spectrum_entropies
 from .errors import DegenerateInputError, InvalidArgumentError
 from .mps import _eigvalsh
 
@@ -93,21 +93,15 @@ def ks_distance(samples, law) -> float:
 # Stable rank and the entropy bounds it implies
 
 
-def _eigen_probs(eigenvalues) -> np.ndarray:
-    arr = np.asarray(eigenvalues, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidArgumentError("expected a non-empty 1-d spectrum")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("eigenvalues must be finite")
-    if np.any(arr < 0):
-        raise InvalidArgumentError("eigenvalues must be non-negative")
+def _eigen_ratios(eigenvalues) -> np.ndarray:
+    """lambda / lambda_1 of a checked PSD spectrum, refused unless sorted non-increasing with lambda_1 > 0."""
+    arr = _checked_spectrum(eigenvalues, "eigenvalues")
     if np.any(np.diff(arr) > 0):
         raise InvalidArgumentError("eigenvalues must be sorted non-increasing")
     if arr[0] <= 0:
         raise DegenerateInputError("all eigenvalues are zero")
-    # divide by the top value first, so a finite spectrum cannot overflow the sum
-    ratios = arr / arr[0]
-    return ratios / ratios.sum()
+    # divide by the top value first, so a finite spectrum cannot overflow a sum
+    return arr / arr[0]
 
 
 @dataclass(frozen=True)
@@ -129,10 +123,8 @@ class EntropyBounds:
 def entropy_bounds(eigenvalues, base: float = math.e) -> EntropyBounds:
     """Entropy certificates from the stable rank of a PSD spectrum."""
     log_base = _log_base(base)
-    arr = np.asarray(eigenvalues, dtype=np.float64)
-    _eigen_probs(arr)
-    t = arr.size
-    ratios = arr / arr[0]
+    ratios = _eigen_ratios(eigenvalues)
+    t = ratios.size
     eta = float(np.dot(ratios, ratios)) - 1.0
     delta1 = float(ratios[1:].sum())
     log_t_minus_1 = math.log(t - 1) / log_base if t > 1 else 0.0
@@ -160,32 +152,33 @@ def check_row_stochastic(a: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _bulk(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(B, ||B||_F^2) of the bulk B = A - (1/T) 11^T, written over ``a`` once it passes :func:`check_row_stochastic`."""
+    b = check_row_stochastic(a)
+    b -= 1.0 / b.shape[0]
+    return b, float(np.vdot(b, b).real)
+
+
 def estimate_sigma2(a) -> float:
-    """Squared Frobenius norm of the bulk A - (1/T) 11^T."""
-    arr = check_row_stochastic(a)
-    t = arr.shape[0]
-    bulk = arr - 1.0 / t
-    return float(np.vdot(bulk, bulk).real)
+    """Squared Frobenius norm of the bulk A - (1/T) 11^T, from :func:`_bulk` of a copy of A."""
+    return _bulk(np.array(a, dtype=np.float64))[1]
 
 
 def _stochastic_spectrum(draw):
     """(sigmas, svd, sigma2) of the square matrix ``draw()``, whose rows must sum to ~1; see :func:`cardy_fit`.
 
     ``sigmas`` are A's singular values, descending, from the SVD when ``svd``;
-    ``sigma2`` is :func:`estimate_sigma2` of A, read from the same bulk.
-    The bulk B = A - 1/T is written over A, in the array ``draw()`` returned,
-    and dropped once the Gram is formed, whose eigenvalues LAPACK then
-    solves in place (:func:`mps._eigvalsh`): two T x T arrays are alive at
-    most, and one during the eigensolve.  Of the Gram eigenvalues at or below
-    x = T eps lam_max (eps = 2.2e-16), which the Gram cannot resolve, one
-    is read as 0, which moves S by at most x^ (1 + ln(1/x^)) nats with
-    x^ = x / sum(lam); two or more mean a null space, and only then is A
-    drawn again for an SVD.
+    ``sigma2`` is :func:`estimate_sigma2` of A, by the same :func:`_bulk`,
+    which writes B = A - 1/T over the array ``draw()`` returned.  B is dropped
+    once the Gram is formed, whose eigenvalues LAPACK then solves in place
+    (:func:`mps._eigvalsh`): two T x T arrays are alive at most, and one
+    during the eigensolve.  Of the Gram eigenvalues at or below x = T eps
+    lam_max (eps = 2.2e-16), which the Gram cannot resolve, one is read as 0,
+    which moves S by at most x^ (1 + ln(1/x^)) nats with x^ = x / sum(lam);
+    two or more mean a null space, and only then is A drawn again for an SVD.
     """
-    b = check_row_stochastic(draw())
+    b, sigma2 = _bulk(draw())
     t = b.shape[0]
-    b -= 1.0 / t
-    sigma2 = float(np.vdot(b, b).real)
     delta = b.sum(axis=1)
     gram = b @ b.T
     del b
@@ -342,11 +335,12 @@ def output_collapse_check(spectra) -> CollapseReport:
     """
     rows: list[CollapseRow] = []
     for eig in sorted(spectra, key=np.size):
-        probs = _eigen_probs(eig)
+        ratios = _eigen_ratios(eig)
+        probs = ratios / ratios.sum()
         t = probs.size
         if t < 2:
             raise InvalidArgumentError("grid sizes must be >= 2")
-        s = _shannon(probs, math.e)
+        s = float(_shannon(probs[probs > 0.0], math.e))  # a zero tail would regroup numpy's pairwise sum
         bounds = entropy_bounds(eig, base=math.e)
         rows.append(CollapseRow(
             t=t, eta=bounds.eta, delta1=bounds.delta1, entropy_nats=s, vn_bound=bounds.vn_bound,

@@ -14,10 +14,12 @@ from aent import (
     param_count,
     valley_check,
 )
+from aent import adapters
 from aent.cli import _parse_adapter_spec, main
 from aent.adapters import _SPEC_FIELDS
 from aent.entropy import profile
 from aent.tensorize import prime_factorize
+from entropy_reference import valley_entropies
 
 
 class TestAdapterSpec:
@@ -165,16 +167,25 @@ def _interior_cuts(r, n):
     return tuple(range(math.ceil(math.log2(r)) + 2, n))
 
 
+def _assert_interior(check, cuts):
+    """A single update's interior max and mean are those of its entropies at row ``cuts``, nan for none."""
+    if not cuts:
+        assert math.isnan(check.interior_max) and math.isnan(check.interior_mean)
+        return
+    interior = check.entropies[[k - 1 for k in cuts]]
+    assert check.interior_max == interior.max() and check.interior_mean == interior.mean()
+
+
 class TestInteriorCutRange:
     """The interior cuts of ``valley_check``, n = 6 row sites for d_out = 64 and 4 for 16."""
 
     def test_reference_values(self):
-        assert valley_check(*_factors(1, (), 64, 4, 8)).interior_cuts == (4, 5)
-        assert valley_check(*_factors(2, (), 64, 1, 8)).interior_cuts == (2, 3, 4, 5)
-        assert valley_check(*_factors(3, (), 16, 4, 8)).interior_cuts == ()
+        _assert_interior(valley_check(*_factors(1, (), 64, 4, 8)), (4, 5))
+        _assert_interior(valley_check(*_factors(2, (), 64, 1, 8)), (2, 3, 4, 5))
+        _assert_interior(valley_check(*_factors(3, (), 16, 4, 8)), ())
 
     def test_non_power_rank_rounds_up(self):
-        assert valley_check(*_factors(4, (), 64, 3, 8)).interior_cuts == (4, 5)
+        _assert_interior(valley_check(*_factors(4, (), 64, 3, 8)), (4, 5))
 
 
 class TestValleyCheck:
@@ -183,7 +194,7 @@ class TestValleyCheck:
         assert check.s_rowcol == 0.0
         assert check.bound == 0.0
         assert check.passes
-        assert check.interior_cuts == (2, 3, 4, 5)
+        _assert_interior(check, (2, 3, 4, 5))
 
     def test_full_rank_bound_is_vacuous(self):
         check = valley_check(*_factors(7, (), 16, 16, 16))
@@ -221,15 +232,15 @@ class TestValleyCheck:
         np.testing.assert_array_equal(mixed.passes, unit.passes)
 
     def test_interior_empty_when_rank_fills_rows(self):
-        check = valley_check(*_factors(12, (), 16, 4, 16))
-        assert check.interior_cuts == ()
-        assert math.isnan(check.interior_max) and math.isnan(check.interior_mean)
+        _assert_interior(valley_check(*_factors(12, (), 16, 4, 16)), ())
 
     def test_rank_is_read_from_b(self):
         # r = 3 is B's width, so the bound is log2 3 and the interior follows r = 3
         check = valley_check(*_factors(21, (), 32, 3, 12))
         assert check.bound == pytest.approx(math.log2(3.0), abs=1e-15)
-        assert check.interior_cuts == _interior_cuts(3, len(prime_factorize(32))) != ()
+        cuts = _interior_cuts(3, len(prime_factorize(32)))
+        assert cuts != ()
+        _assert_interior(check, cuts)
         assert check.s_rowcol <= check.bound + 1e-9
 
     def test_nats_base(self):
@@ -302,6 +313,24 @@ class TestValleyCheckAgainstTheProduct:
             interior = [expected[k - 1] for k in _interior_cuts(r, n)] or [math.nan]
             assert single.interior_max == pytest.approx(max(interior), abs=1e-12, nan_ok=True)
             assert single.interior_mean == pytest.approx(np.mean(interior), abs=1e-12, nan_ok=True)
+
+    @pytest.mark.parametrize("d_out, d_in, r", [(64, 64, 4), (32, 48, 8), (12, 18, 5), (8, 8, 2), (64, 16, 32)])
+    @pytest.mark.parametrize("base", [2.0, math.e])
+    def test_each_cut_reduces_as_the_stacked_reference_bit_for_bit(self, monkeypatch, d_out, d_in, r, base):
+        # a stack of factors at 2^0 and 2^+-700, with one rank-deficient update; each cut's spectra are recorded
+        b, a = _factors(d_out * d_in + r, (4,), d_out, r, d_in)
+        b[1], a[1], b[2] = b[1] * 2.0**700, a[1] * 2.0**-700, b[2] * 2.0**-700
+        b[3][:, -1] = b[3][:, 0]
+        spectra, floored = [], adapters._floored
+
+        def recorded(sigmas, top):
+            spectra.append(sigmas.copy())
+            return floored(sigmas, top)
+
+        monkeypatch.setattr(adapters, "_floored", recorded)
+        entropies = valley_check(b, a, base).entropies
+        expected = np.stack([valley_entropies(sigmas, base) for sigmas in spectra], axis=-1)
+        assert entropies.shape == expected.shape and entropies.tobytes() == expected.tobytes()
 
     def test_unresolved_instance_takes_the_svd(self, monkeypatch):
         # B's two columns of instance 0 agree to 1e-9, so the 2 x 2 Gram at

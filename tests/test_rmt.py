@@ -24,6 +24,7 @@ from aent.entropy import _shannon, normalize_spectrum
 from aent.experiments import _cardy_sample
 from aent.rmt import _stochastic_spectrum, check_row_stochastic
 from attention_reference import whole_attention
+from entropy_reference import collapse_entropy
 from entropy_reference import spectrum_entropies as reference_entropies
 
 sorted_spectra = st.lists(
@@ -212,6 +213,16 @@ class TestRowStochastic:
     def test_estimate_sigma2_identity(self):
         # bulk of I_T has squared Frobenius norm T - 1
         assert estimate_sigma2(np.eye(8)) == pytest.approx(7.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [4, 16, 64, 256])
+    def test_estimate_sigma2_is_the_cardy_fits_bulk_bit_for_bit(self, t):
+        for seed, scale in enumerate((0.3, 1.0, 3.0)):
+            x = scale * sample_gaussian_matrix(t, t, [seed, t])
+            a = np.exp(x - x.max(axis=1, keepdims=True))
+            a /= a.sum(axis=1, keepdims=True)
+            before = a.copy()
+            assert estimate_sigma2(a).hex() == _stochastic_spectrum(a.copy)[2].hex()
+            assert np.array_equal(a, before)  # the bulk is written over a copy, not over A
 
 
 def _draw(a):
@@ -522,6 +533,20 @@ class TestOutputCollapse:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError, match="grid sizes must be >= 2"):
             output_collapse_check([np.array([1.0])])
+
+    def test_a_one_value_spectrum_reads_plus_zero(self):
+        (row,) = output_collapse_check([np.array([1.0, 0.0, 0.0])]).rows
+        assert math.copysign(1.0, row.entropy_nats) == 1.0 and row.entropy_nats == 0.0
+        assert math.copysign(1.0, row.ratio) == 1.0 and row.ratio == 0.0
+
+    def test_a_zero_tail_leaves_the_sum_over_the_nonzero_values_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for n in (9, 40, 130, 600):
+            for nonzero in sorted({1, 2, 8, 9, 17, n // 3, n - 1}):
+                eig = np.sort(rng.random(n))[::-1]
+                eig[nonzero:] = 0.0
+                (row,) = output_collapse_check([eig]).rows
+                assert row.entropy_nats.hex() == collapse_entropy(eig).hex(), (n, nonzero)
 
 
 class TestSampleGaussian:
