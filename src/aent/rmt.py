@@ -327,7 +327,7 @@ class CollapseReport:
 def output_collapse_check(spectra) -> CollapseReport:
     """Evaluate S(X) over a grid of output-operator spectra.
 
-    ``spectra`` is a sequence of eigenvalue arrays, each sorted
+    ``spectra`` is a non-empty sequence of eigenvalue arrays, each sorted
     non-increasing; a spectrum's T is its length, and the rows are sorted
     stably by T.  The caller constructs them so the stable rank stays near
     1.  The report records S, the certified bound, and the ratio
@@ -346,6 +346,8 @@ def output_collapse_check(spectra) -> CollapseReport:
             t=t, eta=bounds.eta, delta1=bounds.delta1, entropy_nats=s, vn_bound=bounds.vn_bound,
             ratio=s * t / math.log(t),
         ))
+    if not rows:
+        raise InvalidArgumentError("the collapse grid needs at least one spectrum")
     ratios = np.array([r.ratio for r in rows])
     entropies = np.array([r.entropy_nats for r in rows])
     return CollapseReport(

@@ -1,14 +1,24 @@
 """End-to-end acceptance gate.
 
-Each test covers one headline capability at its stated tolerance and
-prints a single machine-greppable PASS/FAIL line.  These run at full
-desk scale, so this module is the slow part of the suite.
+Each criterion is one row of ``CRITERIA``: its number and title, the
+paper claim it serves ((i) the valley, (ii) the attention log law,
+(iii) no-hair, RMT for the random-matrix support, pipeline for an
+identity of the pipeline itself), its wall limit, and a check that
+returns (ok, detail).  :func:`run` times every check the same way and
+makes its single machine-greppable ``[criterion NN] PASS|FAIL`` line;
+``tools/defect_check.py`` runs the same rows.  These run at full desk
+scale, so this module is the slow part of the suite.
 """
 
 import math
+import tempfile
 import time
+import traceback
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
+import pytest
 
 from aent import (
     REFERENCE_ADAPTER_SPECS,
@@ -28,19 +38,36 @@ from aent import (
     valley_experiment,
     write_matrix,
 )
+from aent.attention import DEFAULT_QK_STD
 from aent.cli import main
 from aent.mps import _ladder, _rescaled, schmidt_values
 from svd_reference import cut_spectrum
 
 
-def _verdict(number: int, title: str, ok: bool, detail: str) -> None:
-    status = "PASS" if ok else "FAIL"
-    print(f"[criterion {number:02d}] {status} {title}: {detail}")
-    assert ok, f"criterion {number} ({title}): {detail}"
+class Criterion(NamedTuple):
+    number: int
+    title: str
+    claim: str  # "(i)", "(ii)", "(iii)", "RMT" or "pipeline"
+    wall_limit: float | None  # seconds, or None for an untimed check
+    check: Callable[[], tuple[bool, str]]
 
 
-def test_01_page_benchmark():
+def run(row: Criterion) -> tuple[bool, str]:
+    """(ok, verdict line) of one criterion: its check, timed against its wall limit; a check that raises reads FAIL."""
     start = time.perf_counter()
+    try:
+        ok, detail = row.check()
+    except Exception as exc:  # a broken pipeline may raise anywhere in a check; the line names the exception
+        traceback.print_exc()
+        ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+    wall = time.perf_counter() - start
+    if row.wall_limit is not None:
+        ok = ok and wall <= row.wall_limit
+        detail += f"; wall {wall:.1f}s (limit {row.wall_limit:g}s)"
+    return bool(ok), f"[criterion {row.number:02d}] {'PASS' if ok else 'FAIL'} {row.claim} {row.title}: {detail}"
+
+
+def _page_benchmark():
     untruncated = page_bench(1024, seeds=10)
     dev = untruncated.tables["summary"][0]["max_abs_deviation_min4"]
 
@@ -50,26 +77,16 @@ def test_01_page_benchmark():
         for row in truncated.tables["cuts"]
         if row["min_dim"] >= 32
     ]
-    wall = time.perf_counter() - start
 
-    ok = (
-        dev <= 0.1
-        and max(central) <= 5.0 + 1e-9
-        and min(central) >= 4.5
-        and wall <= 120.0
-    )
-    _verdict(
-        1,
-        "page benchmark",
-        ok,
+    ok = dev <= 0.1 and max(central) <= 5.0 + 1e-9 and min(central) >= 4.5
+    return ok, (
         f"max |mean S - S_page| = {dev:.6f} bits (tol 0.1) on cuts with "
         f"min_dim >= 4; chi=32 central cuts in [{min(central):.4f}, "
-        f"{max(central):.4f}] bits (cap 5.0); wall {wall:.1f}s (limit 120s)",
+        f"{max(central):.4f}] bits (cap 5.0)"
     )
 
 
-def test_02_reconstruction_fidelity():
-    start = time.perf_counter()
+def _reconstruction_fidelity():
     rng = np.random.default_rng(0)
     worst = 0.0
     done = 0
@@ -81,74 +98,51 @@ def test_02_reconstruction_fidelity():
         err = np.linalg.norm(reconstruct(decompose(tensor)) - tensor)
         worst = max(worst, err / np.linalg.norm(tensor))
         done += 1
-    wall = time.perf_counter() - start
 
-    ok = worst <= 1e-10 and wall <= 60.0
-    _verdict(
-        2,
-        "reconstruction fidelity",
-        ok,
+    return worst <= 1e-10, (
         f"worst relative Frobenius error {worst:.3e} over 100 mixed "
-        f"prime-site tensors (tol 1e-10); wall {wall:.1f}s (limit 60s)",
+        f"prime-site tensors (tol 1e-10)"
     )
 
 
-def test_03_entanglement_valley():
-    start = time.perf_counter()
+def _entanglement_valley():
     report = valley_experiment(d_out=64, d_in=64, ranks=(1, 2, 4, 8), seeds=20)
     summary = {row["rank"]: row for row in report.tables["summary"]}
-    wall = time.perf_counter() - start
 
     all_pass = all(summary[r]["pass_rate"] == 1.0 for r in (1, 2, 4, 8))
     interior_above = all(
         summary[r]["mean_interior"] > summary[r]["mean_rowcol"] for r in (2, 4, 8)
     )
-    ok = all_pass and interior_above and wall <= 60.0
     margins = {
         r: round(summary[r]["mean_interior"] - summary[r]["mean_rowcol"], 3)
         for r in (2, 4, 8)
     }
-    _verdict(
-        3,
-        "entanglement valley",
-        ok,
+    return all_pass and interior_above, (
         f"row-column entropy <= log2 r in 80/80 instances: {all_pass}; "
-        f"interior - rowcol margins (bits) {margins}; wall {wall:.1f}s (limit 60s)",
+        f"interior - rowcol margins (bits) {margins}"
     )
 
 
-def test_04_attention_entropy_scaling():
-    start = time.perf_counter()
+def _attention_entropy_scaling():
     report = cardy_experiment(
         t_grid=(64, 128, 256, 512, 1024, 2048), seeds=5, d_mult=16
     )
     fit = report.tables["fit"][0]
-    wall = time.perf_counter() - start
 
     rel_dev = fit["relative_slope_deviation"]
     s1_err = abs(fit["s1_largest_t"] - 1.0)
     p1_err = abs(fit["p1_largest_t"] - 1.0 / (1.0 + fit["sigma2"]))
     renyi2_err = abs(fit["renyi2_largest_t"] - fit["renyi2_predicted"])
-    ok = (
-        rel_dev <= 0.15
-        and s1_err <= 0.05
-        and p1_err <= 0.05
-        and renyi2_err <= 0.1
-        and wall <= 600.0
-    )
-    _verdict(
-        4,
-        "attention entropy log-scaling",
-        ok,
+    ok = rel_dev <= 0.15 and s1_err <= 0.05 and p1_err <= 0.05 and renyi2_err <= 0.1
+    return ok, (
         f"slope {fit['slope']:.4f} vs charge {fit['predicted_charge']:.4f} "
         f"(rel dev {rel_dev:.4f}, tol 0.15); |s1-1| = {s1_err:.5f} (tol 0.05); "
         f"|p1 - 1/(1+sigma2)| = {p1_err:.5f} (tol 0.05); Renyi-2 gap "
-        f"{renyi2_err:.4f} nats (tol 0.1); wall {wall:.0f}s (limit 600s)",
+        f"{renyi2_err:.4f} nats (tol 0.1)"
     )
 
 
-def test_05_stable_rank_entropy_bounds():
-    start = time.perf_counter()
+def _stable_rank_entropy_bounds():
     rng = np.random.default_rng(1)
     violations = 0
     for _ in range(1000):
@@ -170,57 +164,39 @@ def test_05_stable_rank_entropy_bounds():
             violations += 1
         if b.delta1**2 > (t - 1) * b.eta * (1.0 + 1e-9) + 1e-12:
             violations += 1
-    wall = time.perf_counter() - start
 
-    ok = violations == 0 and wall <= 30.0
-    _verdict(
-        5,
-        "stable-rank entropy bounds",
-        ok,
+    return violations == 0, (
         f"{violations} violations over 1000 random sorted spectra "
-        f"(T in [2, 256], scales 1e-6..1e6); wall {wall:.1f}s (limit 30s)",
+        f"(T in [2, 256], scales 1e-6..1e6)"
     )
 
 
-def test_06_output_entropy_collapse():
-    start = time.perf_counter()
+def _output_entropy_collapse():
     report = collapse_experiment(log2_min=6, log2_max=12)
     summary = report.tables["summary"][0]
     entropies = [row["entropy_nats"] for row in report.tables["grid"]]
-    wall = time.perf_counter() - start
 
     ok = (
         summary["ratio_spread"] <= 10.0
         and summary["monotone_decreasing"]
         and summary["bound_satisfied"]
         and entropies[-1] < 0.01
-        and wall <= 10.0
     )
-    _verdict(
-        6,
-        "output entropy collapse",
-        ok,
+    return ok, (
         f"S*T/ln T spread {summary['ratio_spread']:.4f} (tol 10); monotone "
         f"decreasing {summary['monotone_decreasing']}; S at T=4096 is "
-        f"{entropies[-1]:.5f} nats; wall {wall:.2f}s (limit 10s)",
+        f"{entropies[-1]:.5f} nats"
     )
 
 
-def test_07_adapter_parameter_counts():
+def _adapter_parameter_counts():
     report = adapter_count_rows(list(REFERENCE_ADAPTER_SPECS))
     params = [row["params"] for row in report.tables["counts"]]
     expected = [16777216, 2097152, 1574912]
-    ok = params == expected
-    _verdict(
-        7,
-        "adapter parameter counts",
-        ok,
-        f"full/lora/mps_adapt = {params} (expected {expected})",
-    )
+    return params == expected, f"full/lora/mps_adapt = {params} (expected {expected})"
 
 
-def test_08_meanfield_split_identities():
-    start = time.perf_counter()
+def _meanfield_split_identities():
     rng = np.random.default_rng(2)
     worst_norm = 0.0
     worst_inner = 0.0
@@ -233,86 +209,67 @@ def test_08_meanfield_split_identities():
         rhs = 1.0 + estimate_sigma2(a)
         worst_norm = max(worst_norm, abs(lhs - rhs))
         worst_inner = max(worst_inner, abs(float(np.vdot(mean_field, a - mean_field).real)))
-    wall = time.perf_counter() - start
 
-    ok = worst_norm <= 1e-8 and worst_inner <= 1e-10 and wall <= 10.0
-    _verdict(
-        8,
-        "mean-field split identities",
-        ok,
+    return worst_norm <= 1e-8 and worst_inner <= 1e-10, (
         f"max | ||A||_F^2 - (1 + estimate_sigma2(A)) | = {worst_norm:.2e} (tol 1e-8); "
         f"max |<J/T, A - J/T>| = {worst_inner:.2e} (tol 1e-10) over 100 "
-        f"row-stochastic draws; wall {wall:.1f}s (limit 10s)",
+        f"row-stochastic draws"
     )
 
 
-def test_09_marchenko_pastur_convergence():
-    start = time.perf_counter()
+def _marchenko_pastur_convergence():
     matrix = sample_gaussian_matrix(1024, 1024, [0, 1024, 1024])
     report = mp_compare(matrix, source="gaussian-1024x1024")
     ks = report.tables["summary"][0]["ks_distance"]
-    wall = time.perf_counter() - start
 
-    ok = ks <= 0.05 and wall <= 60.0
-    _verdict(
-        9,
-        "Marchenko-Pastur convergence",
-        ok,
+    return ks <= 0.05, (
         f"KS distance {ks:.5f} at the row-column cut of a 1024x1024 Gaussian "
-        f"(tol 0.05); wall {wall:.1f}s (limit 60s)",
+        f"(tol 0.05)"
     )
 
 
-def test_10_cli_determinism(tmp_path):
-    src = tmp_path / "input.aent"
-    write_matrix(src, sample_gaussian_matrix(16, 16, seed=3))
-    commands = {
-        "profile": ["profile", str(src)],
-        "page-bench": ["page-bench", "--size", "16", "--seeds", "2"],
-        "cardy": ["cardy", "--T-grid", "8,16,32,64", "--seeds", "1", "--d-mult", "1"],
-        "valley": ["valley", "--dout", "16", "--din", "16", "--rank", "1,2", "--seeds", "2"],
-        "mp-compare": ["mp-compare", "--gaussian", "16x16"],
-        "attn": ["attn", "--T", "8", "--heads", "2"],
-        "adapters-count": ["adapters-count"],
-    }
-    mismatched = []
-    for name, argv in commands.items():
-        texts = []
-        for run in range(2):
-            out = tmp_path / f"{name}-{run}.csv"
-            code = main(argv + ["--out", str(out)])
-            assert code == 0, f"{name} exited {code}"
-            # everything after the timestamp line must be byte-identical
-            texts.append(out.read_text().split("\n", 1)[1])
-        if texts[0] != texts[1]:
-            mismatched.append(name)
+def _cli_determinism():
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "input.aent"
+        write_matrix(src, sample_gaussian_matrix(16, 16, seed=3))
+        commands = {
+            "profile": ["profile", str(src)],
+            "page-bench": ["page-bench", "--size", "16", "--seeds", "2"],
+            "cardy": ["cardy", "--T-grid", "8,16,32,64", "--seeds", "1", "--d-mult", "1"],
+            "valley": ["valley", "--dout", "16", "--din", "16", "--rank", "1,2", "--seeds", "2"],
+            "mp-compare": ["mp-compare", "--gaussian", "16x16"],
+            "attn": ["attn", "--T", "8", "--heads", "2"],
+            "adapters-count": ["adapters-count"],
+        }
+        mismatched = []
+        for name, argv in commands.items():
+            texts = []
+            for repeat in range(2):
+                out = Path(tmp) / f"{name}-{repeat}.csv"
+                code = main(argv + ["--out", str(out)])
+                assert code == 0, f"{name} exited {code}"
+                # everything after the timestamp line must be byte-identical
+                texts.append(out.read_text().split("\n", 1)[1])
+            if texts[0] != texts[1]:
+                mismatched.append(name)
 
     ok = not mismatched
-    _verdict(
-        10,
-        "CLI determinism",
-        ok,
+    return ok, (
         "all 7 subcommands byte-identical below the timestamp line"
         if ok
-        else f"mismatched rows in: {mismatched}",
+        else f"mismatched rows in: {mismatched}"
     )
 
 
-def test_11_identity_entropy_tent():
-    start = time.perf_counter()
+def _identity_entropy_tent():
     prof = profile(np.eye(1024))
     # eye(2^10) over 20 qubit sites: a flat spectrum of rank 2^min(k, 20 - k) at cut k
     tent = [min(k, 20 - k) for k in range(1, 20)]
     worst = max(abs(value - s) for r, s in zip(prof.records, tent) for value in (r.entropy, r.renyi2))
-    wall = time.perf_counter() - start
 
-    ok = len(prof.records) == len(tent) and worst <= 1e-10 and wall <= 10.0
-    _verdict(
-        11,
-        "identity entropy tent",
-        ok,
+    return len(prof.records) == len(tent) and worst <= 1e-10, (
         f"worst |S - min(k, 20 - k)| over the entropy and Renyi-2 of eye(1024)'s "
-        f"{len(prof.records)} cuts {worst:.1e} bits (tol 1e-10); wall {wall:.1f}s (limit 10s)",
+        f"{len(prof.records)} cuts {worst:.1e} bits (tol 1e-10)"
     )
 
 
@@ -328,29 +285,22 @@ def _planted_matrix() -> tuple[np.ndarray, np.ndarray]:
 _PLANTED_SCALES = (0, 700, -700)
 
 
-def test_12_planted_spectrum_entropy():
-    start = time.perf_counter()
+def _planted_spectrum_entropy():
     x, s = _planted_matrix()
     p = s**2 / np.dot(s, s)
     reference = float(-(p * np.log2(p)).sum())
     # 64 x 64 is 12 qubit sites, so cut 6 (record 5) is the row-column cut, whose Schmidt values are s
     errors = [abs(profile(x * 2.0**e).records[5].entropy - reference) for e in _PLANTED_SCALES]
     worst = max(errors)
-    wall = time.perf_counter() - start
 
     # each error is tested, so a NaN, which max() may pass over, reads as FAIL
-    ok = all(err <= 1e-10 for err in errors) and wall <= 10.0
-    _verdict(
-        12,
-        "planted spectrum entropy",
-        ok,
+    return all(err <= 1e-10 for err in errors), (
         f"worst |S - H(s^2/sum s^2)| at the row-column cut of U diag(s) V^T, s_i = 10^(-5i/63), at scales "
-        f"2^0 and 2^+-700: {worst:.1e} bits (reference {reference:.6f} bits, tol 1e-10); wall {wall:.1f}s (limit 10s)",
+        f"2^0 and 2^+-700: {worst:.1e} bits (reference {reference:.6f} bits, tol 1e-10)"
     )
 
 
-def test_13_planted_reconstruction():
-    start = time.perf_counter()
+def _planted_reconstruction():
     x, _ = _planted_matrix()
     errors = []
     for e in _PLANTED_SCALES:
@@ -359,20 +309,14 @@ def test_13_planted_reconstruction():
             back = reconstruct(decompose(tensor)).reshape(x.shape) / 2.0**e
             errors.append(np.linalg.norm(back - x) / np.linalg.norm(x))
     worst = max(errors)
-    wall = time.perf_counter() - start
 
-    ok = all(err <= 1e-12 for err in errors) and wall <= 10.0
-    _verdict(
-        13,
-        "planted reconstruction",
-        ok,
+    return all(err <= 1e-12 for err in errors), (
         f"worst relative error of reconstruct(decompose(x)) over the 12 sites of the planted 64 x 64 matrix "
-        f"at scales 2^0 and 2^+-700, scale undone: {worst:.1e} (tol 1e-12); wall {wall:.1f}s (limit 10s)",
+        f"at scales 2^0 and 2^+-700, scale undone: {worst:.1e} (tol 1e-12)"
     )
 
 
-def test_14_factored_valley_matches_dense_profile():
-    start = time.perf_counter()
+def _factored_valley_matches_dense_profile():
     rng = np.random.default_rng(14)
     errors = {}
     for r in (2, 8, 32):
@@ -380,15 +324,10 @@ def test_14_factored_valley_matches_dense_profile():
         # valley_check never forms B A; the dense profile of B A is the reference for every one of its 11 cuts
         errors[r] = float(np.abs(valley_check(b, a).entropies - profile(b @ a).entropies).max())
     worst = max(errors.values())
-    wall = time.perf_counter() - start
 
-    ok = all(err <= 1e-10 for err in errors.values()) and wall <= 10.0
-    _verdict(
-        14,
-        "factored valley entropies",
-        ok,
+    return all(err <= 1e-10 for err in errors.values()), (
         f"worst |valley_check(B, A) - profile(B A)| over the 11 cuts of seeded 64 x 64 updates at r = 2, 8 "
-        f"and 32: {worst:.1e} bits (tol 1e-10); wall {wall:.1f}s (limit 10s)",
+        f"and 32: {worst:.1e} bits (tol 1e-10)"
     )
 
 
@@ -433,30 +372,23 @@ def _walk_error(tensor) -> float:
     return max(math.inf if math.isnan(err) else err for err in errors)
 
 
-def test_15_schmidt_values_match_direct_svd():
-    start = time.perf_counter()
+def _schmidt_values_match_direct_svd():
     worst = {kind: 0.0 for kind in _WALK_KINDS}
     count = 0
     for seed in (0, 1, 2):
         for kind, tensor in _walk_inputs(seed):
             worst[kind] = max(worst[kind], _walk_error(tensor))
             count += 1
-    wall = time.perf_counter() - start
 
     # 1e-10 was fixed before the first run: 15x the worst of 4800 tensors from seeds 1000-1199 (6.8e-12, spread)
-    ok = all(err <= 1e-10 for err in worst.values()) and wall <= 10.0
-    _verdict(
-        15,
-        "schmidt values match a direct SVD",
-        ok,
+    return all(err <= 1e-10 for err in worst.values()), (
         f"worst |sigma - sigma_svd| / sigma_max at every cut of {count} chains of 2, 3, 5 and 7 sites: "
         + ", ".join(f"{kind} {err:.1e}" for kind, err in worst.items())
-        + f" (tol 1e-10); wall {wall:.1f}s (limit 10s)",
+        + " (tol 1e-10)"
     )
 
 
-def test_16_page_inputs_walk_every_cut():
-    start = time.perf_counter()
+def _page_inputs_walk_every_cut():
     stopped, margins = [], []
     for seed in range(10):  # page_bench(1024, seeds=10)'s untruncated draws, criterion 01's inputs
         _, tensor = tensorize(sample_gaussian_matrix(1024, 1024, [seed, 1024]))
@@ -468,16 +400,78 @@ def test_16_page_inputs_walk_every_cut():
             # the walk's resolution test is lam_min > 100 k eps lam_max, with lam = sigma^2 and k values at the cut
             margin = (sigmas[-1] / sigmas[0]) ** 2 / (100 * sigmas.size * np.finfo(np.float64).eps)
             margins.append((float(margin), seed, cut))
-    wall = time.perf_counter() - start
 
-    # the 20 s limit was fixed before the first run, from a 2.4 s measurement of the same draws and walks
-    ok = not stopped and wall <= 20.0
     smallest = "{:.1f}x (seed {}, cut {})".format(*min(margins)) if margins else "none walked"
-    _verdict(
-        16,
-        "page inputs read every cut from the walk",
-        ok,
+    return not stopped, (
         f"{10 - len(stopped)} of the 10 untruncated 1024 x 1024 page_bench draws walk every cut "
         f"(stopped: {'; '.join(stopped) or 'none'}); smallest resolution margin lam_min / (100 k eps lam_max) "
-        f"{smallest}; wall {wall:.1f}s (limit 20s)",
+        f"{smallest}"
     )
+
+
+def _collapse_entropy_exact():
+    errors = {}
+    for row in collapse_experiment(log2_min=6, log2_max=12).tables["grid"]:
+        t = row["t"]
+        # [1, T^-2, ...] normalized: p1 = 1 / (1 + (T-1)/T^2) and T-1 tail weights p1/T^2; log1p keeps ln p1 exact
+        ln_p1 = -math.log1p((t - 1) / t**2)
+        p1 = math.exp(ln_p1)
+        exact = -p1 * ln_p1 - (t - 1) * (p1 / t**2) * (ln_p1 - 2.0 * math.log(t))
+        errors[t] = abs(row["entropy_nats"] - exact) / exact
+
+    # 1e-12 was fixed before the first run; powers of two outside the grid (2^1..2^5, 2^13..2^20) read at most 5.6e-13
+    return len(errors) == 7 and all(err <= 1e-12 for err in errors.values()), (
+        f"worst |S - S_exact| / S_exact over the collapse grid T = 2^6..2^12: {max(errors.values()):.1e} (tol 1e-12)"
+    )
+
+
+def _marchenko_pastur_quarter():
+    matrix = sample_gaussian_matrix(256, 1024, [0, 256, 1024])
+    ks = mp_compare(matrix, source="gaussian-256x1024").tables["summary"][0]["ks_distance"]
+
+    # criterion 09's 0.05, fixed before the first run; seeds 100-129 read mean 0.0101, sd 0.0013, max 0.0125
+    return ks <= 0.05, f"KS distance {ks:.5f} at the row-column cut of a 256x1024 Gaussian, c = 1/4 (tol 0.05)"
+
+
+def _charge_closed_form():
+    fit = cardy_experiment(t_grid=(64, 128, 256, 512), seeds=2).tables["fit"][0]
+    # at qk_std q the logit variance law gives sigma2 = exp(q^4) - 1, so the charge sigma2 / (1 + sigma2) = 1 - exp(-q^4)
+    sigma2_err = abs(fit["sigma2"] / math.expm1(DEFAULT_QK_STD**4) - 1.0)
+    charge_err = abs(fit["predicted_charge"] / -math.expm1(-DEFAULT_QK_STD**4) - 1.0)
+
+    # 0.05 was fixed before the first run; seed offsets 1000-1380 (step 20) read at most 0.016 and 0.013
+    return sigma2_err <= 0.05 and charge_err <= 0.05, (
+        f"relative error of sigma2 {fit['sigma2']:.4f} against exp(q^4) - 1 {sigma2_err:.4f}, of the charge "
+        f"{fit['predicted_charge']:.4f} against 1 - exp(-q^4) {charge_err:.4f}, at q = {DEFAULT_QK_STD} (tol 0.05)"
+    )
+
+
+# the wall limits of 17-19 were fixed before their first runs: 17 takes 06's; 18 and 19 ran 11 ms and 0.09 s in calibration
+CRITERIA = [
+    Criterion(1, "page benchmark", "RMT", 120.0, _page_benchmark),
+    Criterion(2, "reconstruction fidelity", "pipeline", 60.0, _reconstruction_fidelity),
+    Criterion(3, "entanglement valley", "(i)", 60.0, _entanglement_valley),
+    Criterion(4, "attention entropy log-scaling", "(ii)", 600.0, _attention_entropy_scaling),
+    Criterion(5, "stable-rank entropy bounds", "RMT", 30.0, _stable_rank_entropy_bounds),
+    Criterion(6, "output entropy collapse", "RMT", 10.0, _output_entropy_collapse),
+    Criterion(7, "adapter parameter counts", "pipeline", None, _adapter_parameter_counts),
+    Criterion(8, "mean-field split identities", "RMT", 10.0, _meanfield_split_identities),
+    Criterion(9, "Marchenko-Pastur convergence", "RMT", 60.0, _marchenko_pastur_convergence),
+    Criterion(10, "CLI determinism", "pipeline", None, _cli_determinism),
+    Criterion(11, "identity entropy tent", "pipeline", 10.0, _identity_entropy_tent),
+    Criterion(12, "planted spectrum entropy", "pipeline", 10.0, _planted_spectrum_entropy),
+    Criterion(13, "planted reconstruction", "pipeline", 10.0, _planted_reconstruction),
+    Criterion(14, "factored valley entropies", "pipeline", 10.0, _factored_valley_matches_dense_profile),
+    Criterion(15, "schmidt values match a direct SVD", "pipeline", 10.0, _schmidt_values_match_direct_svd),
+    Criterion(16, "page inputs read every cut from the walk", "pipeline", 20.0, _page_inputs_walk_every_cut),
+    Criterion(17, "collapse entropies match their exact value", "RMT", 10.0, _collapse_entropy_exact),
+    Criterion(18, "Marchenko-Pastur at c = 1/4", "RMT", 10.0, _marchenko_pastur_quarter),
+    Criterion(19, "the charge in closed form", "(ii)", 10.0, _charge_closed_form),
+]
+
+
+@pytest.mark.parametrize("row", CRITERIA, ids=lambda row: f"{row.number:02d}")
+def test_criterion(row):
+    ok, line = run(row)
+    print(line)
+    assert ok, line

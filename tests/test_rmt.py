@@ -533,6 +533,8 @@ class TestOutputCollapse:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError, match="grid sizes must be >= 2"):
             output_collapse_check([np.array([1.0])])
+        with pytest.raises(InvalidArgumentError, match="needs at least one spectrum"):
+            output_collapse_check([])
 
     def test_a_one_value_spectrum_reads_plus_zero(self):
         (row,) = output_collapse_check([np.array([1.0, 0.0, 0.0])]).rows

@@ -5,24 +5,24 @@
 For a defect-free baseline and then for each defect in ``DEFECTS``, the
 script copies the checkout's ``src/`` to a temporary directory, applies
 the defect there as an exact string replacement (its anchor must occur
-exactly once in its file), and runs ``tests/test_acceptance.py`` in a
-fresh interpreter with ``PYTHONPATH`` set to the copy.  It prints every
-``[criterion NN]`` line that reads FAIL, and every acceptance test that
-failed without printing a verdict.  A criterion that passes with a defect
-applied is a gate that cannot see it.
+exactly once in its file), and runs the ``CRITERIA`` table of
+``tests/test_acceptance.py`` in a fresh interpreter, without pytest, with
+``PYTHONPATH`` set to the copy.  It reads back each criterion's number,
+verdict and line as JSON and prints every line that reads FAIL.  A
+criterion that passes with a defect applied is a gate that cannot see it.
 
 The baseline must read all PASS, and each defect must fail at least one
 criterion: the script exits 1 where the baseline fails or a defect is
 not caught, and its last line names the defects that no criterion
-caught.  The acceptance suite (16 criteria) takes about 10 s on 2 cores
-and runs once for the baseline and once per defect, so a full run takes
-about 100 s.  The working tree is never written.
+caught.  The 19 criteria take about 10 s on 2 cores and run once for the
+baseline and once per defect, so a full run takes about 120 s.  The
+working tree is never written.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -88,59 +88,58 @@ DEFECTS = [
         "cores.append(_scaled_back(carried, exponent).reshape(chi, dims[-1], 1))",
         "cores.append(carried.reshape(chi, dims[-1], 1))",
     ),
+    (
+        "output_collapse_check drops its normalization",
+        "rmt.py",
+        "probs = ratios / ratios.sum()",
+        "probs = ratios",
+    ),
 ]
 
-_VERDICT = re.compile(r"\[criterion (\d\d)\] (PASS|FAIL) .*")
-_FAILED_TEST = re.compile(r"^FAILED tests/test_acceptance\.py::test_(\d\d)", re.MULTILINE)
+# the child runs with the RuntimeWarning filter pyproject.toml sets for pytest
+_CHILD = "import json, test_acceptance as t; print(json.dumps([(row.number, *t.run(row)) for row in t.CRITERIA]))"
 
 
 def _patched_source(dest: Path, defect) -> None:
     """Copy ``src/`` to ``dest`` with ``defect`` (or nothing, for None) applied."""
     shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
-    if defect is None:
-        return
-    name, file, anchor, replacement = defect
-    path = dest / "aent" / file
-    text = path.read_text()
-    if text.count(anchor) != 1:
-        raise SystemExit(f"defect {name!r}: anchor {anchor!r} occurs {text.count(anchor)} times in src/aent/{file}")
-    path.write_text(text.replace(anchor, replacement))
+    if defect is not None:
+        _, file, anchor, replacement = defect
+        path = dest / "aent" / file
+        path.write_text(path.read_text().replace(anchor, replacement))
 
 
-def _run_acceptance(src: Path) -> tuple[int, list[re.Match], list[str]]:
-    """(pytest's exit code, the verdict lines, numbers of the tests that failed without one)."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+def _run_criteria(src: Path) -> list[tuple[int, bool, str]]:
+    """(number, ok, verdict line) of every acceptance criterion, run against the package in ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-s", "-rf", "-p", "no:cacheprovider", "tests/test_acceptance.py"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _CHILD],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=900,
     )
-    # not anchored at the line start: pytest -q prints each test's "." before its output
-    verdicts = list(_VERDICT.finditer(done.stdout))
-    silent = sorted(set(_FAILED_TEST.findall(done.stdout)) - {m.group(1) for m in verdicts})
-    return done.returncode, verdicts, silent
+    if done.returncode != 0:
+        raise SystemExit(f"the criteria did not run:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def main() -> int:
-    for defect in DEFECTS:  # every anchor is checked before the first run
-        with tempfile.TemporaryDirectory() as tmp:
-            _patched_source(Path(tmp) / "src", defect)
+    for name, file, anchor, _ in DEFECTS:  # every anchor is checked before the first run
+        count = (ROOT / "src" / "aent" / file).read_text().count(anchor)
+        if count != 1:
+            raise SystemExit(f"defect {name!r}: anchor {anchor!r} occurs {count} times in src/aent/{file}")
     baseline_ok, uncaught = True, []
     for defect in [None, *DEFECTS]:
         with tempfile.TemporaryDirectory() as tmp:
             src = Path(tmp) / "src"
             _patched_source(src, defect)
-            code, verdicts, silent = _run_acceptance(src)
-        fails = [m for m in verdicts if m.group(2) == "FAIL"]
-        caught = sorted({m.group(1) for m in fails} | set(silent))
+            verdicts = _run_criteria(src)
+        fails = [(number, line) for number, ok, line in verdicts if not ok]
         name = "baseline (no defect)" if defect is None else defect[0]
-        print(f"{name}: pytest exit {code}, {len(verdicts)} verdicts, failing criteria: {', '.join(caught) or 'none'}")
-        for m in fails:
-            print(f"    {m.group(0)}")
-        for number in silent:
-            print(f"    [criterion {number}] failed without a verdict line")
+        print(f"{name}: {len(verdicts)} verdicts, failing criteria: {', '.join(f'{n:02d}' for n, _ in fails) or 'none'}")
+        for _, line in fails:
+            print(f"    {line}")
         if defect is None:
-            baseline_ok = code == 0 and bool(verdicts)
-        elif not caught:
+            baseline_ok = not fails
+        elif not fails:
             uncaught.append(name)
     print(f"uncaught defects ({len(uncaught)} of {len(DEFECTS)}): {'; '.join(uncaught) or 'none'}")
     return 0 if baseline_ok and not uncaught else 1
